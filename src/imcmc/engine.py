@@ -17,7 +17,9 @@ keys.  Each stream is consumed in a fixed positional layout -- one
 uniform for the initial state, then exactly ``3`` uniforms per sweep --
 so a trajectory is bit-for-bit reproducible whether a replicate runs
 alone, in a vectorized batch, or under any worker schedule, and distinct
-``(replicate, level)`` pairs are independent.
+``(replicate, level)`` pairs are independent.  This layout is
+``STREAM_LAYOUT_VERSION = 1``; a change to it bumps the version and the
+pinned trajectory digests of the tests together.
 
 Batches of replicates execute in lockstep: states are arrays indexed by
 replicate and every sweep is a handful of vectorized operations.  Full
@@ -45,6 +47,9 @@ from .measures import (
 
 #: Uniform draws consumed per level per sweep (fixed for stream stability).
 DRAWS_PER_STEP = 3
+
+#: Version of the positional stream layout described in the module docstring.
+STREAM_LAYOUT_VERSION = 1
 
 #: Cap on the geometric step count when sampling a geometrically averaged kernel.
 GEOMETRIC_STEP_CAP = 10_000

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -98,6 +99,51 @@ def test_level0_stream_layout_contract():
         states.append(x)
     assert np.array_equal(hist.states[0], np.array(states))
 
+
+
+def _batch_digest(res):
+    """SHA-256 of states, final counts and checkpoint counts, as int64."""
+    h = hashlib.sha256()
+    parts = list(res.states) + list(res.final_counts)
+    for n in sorted(res.checkpoint_counts):
+        parts += list(res.checkpoint_counts[n])
+    for a in parts:
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+#: Digests of stream layout version 1; a layout change bumps both together.
+BATCH_DIGESTS = {
+    "fk_mh": "50b55e8446ea39c13cff87f9dd88ab5bc42a672f47744b49431163a5c70e4228",
+    "fk_rank_one": "ee0df7e6fabe51e18dc94c746b1d2d679af4104f49a3c45e513ab11b322bab1e",
+    "annealing": "9a3dec68d37e8cdd16f4d09afd0bae528219f4a4ac3c7893630c49c8c91bf736",
+    "fk_heterogeneous": "0c37cb850af4d26b8134f447a1389cb3639a6bff58e4888f073dad181ff8c707",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
+def test_run_batch_digest(name):
+    from helpers import random_fk_model
+
+    cfg = {
+        "fk_mh": lambda: toy_config(iterations=2100, seed=11),
+        "fk_rank_one": lambda: toy_config(iterations=2100, seed=11, kernel_type="rank_one"),
+        "annealing": lambda: annealing_config(iterations=2100, seed=11, eps=0.3),
+        "fk_heterogeneous": lambda: engine.EngineConfig(
+            model=random_fk_model((2, 3, 2), seed=8), levels=2, iterations=2100, seed=11
+        ),
+    }[name]()
+    assert engine.STREAM_LAYOUT_VERSION == 1
+    replicates, checkpoints = (0, 1, 7, 300), (0, 7, 1000, 2100)
+    for block in (2048, 7):
+        res = engine.run_batch(cfg, replicates, checkpoints=checkpoints, block=block)
+        assert _batch_digest(res) == BATCH_DIGESTS[name], block
+    lean = engine.run_batch(cfg, replicates, checkpoints=checkpoints, keep_history=False)
+    assert lean.states is None
+    for k in range(cfg.levels + 1):
+        assert np.array_equal(lean.final_counts[k], res.final_counts[k])
+        for n in checkpoints:
+            assert np.array_equal(lean.checkpoint_counts[n][k], res.checkpoint_counts[n][k])
 
 # ---------------------------------------------------------------------------
 # occupation bookkeeping
