@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -118,21 +119,39 @@ BATCH_DIGESTS = {
     "fk_rank_one": "ee0df7e6fabe51e18dc94c746b1d2d679af4104f49a3c45e513ab11b322bab1e",
     "annealing": "9a3dec68d37e8cdd16f4d09afd0bae528219f4a4ac3c7893630c49c8c91bf736",
     "fk_heterogeneous": "0c37cb850af4d26b8134f447a1389cb3639a6bff58e4888f073dad181ff8c707",
+    "annealing_wide": "73557bbb8744cc9547f06386d88935a83347492eb00bdc9f1916f940884f8a79",
+    "fk_wide_mh": "a7597e3c9ff333a8f9b4f17e47f598d9e9d0c05f40ac5e7c45eb0fcc410545dc",
+    "fk_wide_rank_one": "213c8daa2386bc06498e3ddf973cf83060606203fd740f9fa5f2ff4d65965611",
 }
+
+
+def _digest_config(name):
+    """The models of :data:`BATCH_DIGESTS`; the wide ones have alphabets above 8."""
+    from helpers import random_fk_model
+
+    if name.startswith("fk_wide"):
+        model = random_fk_model((3, 10, 9), seed=8)
+        if name.endswith("rank_one"):
+            model = dataclasses.replace(model, kernel_type="rank_one")
+        return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
+    if name == "annealing_wide":
+        model = ann.make_metropolis_model(
+            FiniteSpace("S", 12), np.linspace(0.0, 3.0, 12), (0.3, 0.6, 0.9), 0.3
+        )
+        return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
+    if name == "fk_heterogeneous":
+        return engine.EngineConfig(
+            model=random_fk_model((2, 3, 2), seed=8), levels=2, iterations=2100, seed=11
+        )
+    if name == "annealing":
+        return annealing_config(iterations=2100, seed=11, eps=0.3)
+    kernel_type = "rank_one" if name == "fk_rank_one" else "mh"
+    return toy_config(iterations=2100, seed=11, kernel_type=kernel_type)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
 def test_run_batch_digest(name):
-    from helpers import random_fk_model
-
-    cfg = {
-        "fk_mh": lambda: toy_config(iterations=2100, seed=11),
-        "fk_rank_one": lambda: toy_config(iterations=2100, seed=11, kernel_type="rank_one"),
-        "annealing": lambda: annealing_config(iterations=2100, seed=11, eps=0.3),
-        "fk_heterogeneous": lambda: engine.EngineConfig(
-            model=random_fk_model((2, 3, 2), seed=8), levels=2, iterations=2100, seed=11
-        ),
-    }[name]()
+    cfg = _digest_config(name)
     assert engine.STREAM_LAYOUT_VERSION == 1
     replicates, checkpoints = (0, 1, 7, 300), (0, 7, 1000, 2100)
     for block in (2048, 7):
@@ -144,6 +163,7 @@ def test_run_batch_digest(name):
         assert np.array_equal(lean.final_counts[k], res.final_counts[k])
         for n in checkpoints:
             assert np.array_equal(lean.checkpoint_counts[n][k], res.checkpoint_counts[n][k])
+
 
 # ---------------------------------------------------------------------------
 # occupation bookkeeping
