@@ -1,38 +1,55 @@
 """Level-stacked self-interacting chain simulator.
 
-One run maintains a chain per level.  Each sweep advances every level by
-one state, in ascending level order: level 0 moves with its homogeneous
-kernel, and level ``k >= 1`` draws its next state from the kernel indexed
-by the occupation measure of the states ``0 .. n`` of level ``k-1`` (the
-state level ``k-1`` produced earlier in the same sweep is excluded; all
-levels of sweep ``n -> n+1`` read the time-``n`` snapshot).  Running the
-levels to completion one at a time would produce the same law; the sweep
-is the online realization of that construction.
+Level 0 is a homogeneous Markov chain; level ``k >= 1`` draws its state
+at time ``n+1`` from a kernel indexed by the occupation measure of the
+states ``0 .. n`` of level ``k-1``.  Level ``k-1`` never reads level
+``k``, so the engine runs the levels one at a time: for each block of
+``block`` time steps it advances level 0 through the block, then level 1
+against the level-0 states just produced, and so on up the stack.
+
+A level's block is bulk work followed by a scan.  The bulk work builds
+every proposal, CDF draw and accept decision of the block at once,
+vectorized over (replicate, time).  What stays sequential is a one-gather
+scan ``a[t+1] = F[t, a[t]]`` over a small alphabet:
+
+* level 0: the state, with ``F`` the kernel move from every state;
+* Feynman-Kac Metropolis-Hastings levels: the prefix terminal of the
+  current path, the only part of it the acceptance ratio reads; the
+  state is the proposal of the last accepted step;
+* annealing levels: the state, with ``F`` the kernel move from every
+  state where the mixture moves and the redraw where it does not.
+
+Rank-one levels need no scan.  Chains on more than :data:`TABLE_STATES`
+states step directly instead of tabulating the move from every state.
+
+Only a level that a Metropolis-Hastings level above it reads keeps its
+trajectory, since that level proposes from the whole past; it is stored
+as ``uint16``, which holds every index of a ``MAX_STATES`` space.  Other
+levels keep running occupation counts, and a redraw level rebuilds the
+cumulative counts of the level below at each step of the block, which
+induces exactly the transition law of walking the history.  With
+``keep_history`` every level keeps its trajectory for the result.
 
 Randomness contract
 -------------------
 All randomness comes from counter-based Philox streams keyed by
 ``(seed, replicate, level)`` through ``numpy``'s ``SeedSequence`` spawn
 keys.  Each stream is consumed in a fixed positional layout -- one
-uniform for the initial state, then exactly ``3`` uniforms per sweep --
-so a trajectory is bit-for-bit reproducible whether a replicate runs
-alone, in a vectorized batch, or under any worker schedule, and distinct
-``(replicate, level)`` pairs are independent.  This layout is
-``STREAM_LAYOUT_VERSION = 1``; a change to it bumps the version and the
-pinned trajectory digests of the tests together.
-
-Batches of replicates execute in lockstep: states are arrays indexed by
-replicate and every sweep is a handful of vectorized operations.  Full
-per-level histories are retained (the level-``k`` proposal resamples the
-whole past of level ``k-1``); occupation counts are maintained
-incrementally, and weighted redraws aggregate the counts by state, which
-induces exactly the same transition law as walking the history.
+uniform for the initial state, then exactly ``3`` uniforms per time
+step -- so a trajectory is bit-for-bit reproducible whether a replicate
+runs alone, in a vectorized batch, with any block length, or under any
+worker schedule, and distinct ``(replicate, level)`` pairs are
+independent.  This layout is ``STREAM_LAYOUT_VERSION = 1``; a change to
+it bumps the version and the pinned trajectory digests of the tests
+together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,14 +62,18 @@ from .measures import (
     TestFunction,
 )
 
-#: Uniform draws consumed per level per sweep (fixed for stream stability).
+#: Uniform draws consumed per level per time step (fixed for stream stability).
 DRAWS_PER_STEP = 3
 
 #: Version of the positional stream layout described in the module docstring.
 STREAM_LAYOUT_VERSION = 1
 
-#: Cap on the geometric step count when sampling a geometrically averaged kernel.
-GEOMETRIC_STEP_CAP = 10_000
+#: Chains on at most this many states tabulate their move from every state
+#: and scan; CDFs this narrow are drawn by one comparison per column.
+TABLE_STATES = 8
+
+#: Most (replicate, time, state) cells in one bulk array of a level's block.
+BLOCK_CELLS = 1 << 16
 
 
 def stream(seed: int, replicate: int, level: int) -> np.random.Generator:
@@ -129,7 +150,7 @@ class ChainHistory:
 
 @dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Lockstep run of several replicates.
+    """Run of several replicates.
 
     ``states[k][i]`` is the level-`k` trajectory of ``replicates[i]``;
     ``checkpoint_counts[n][k]`` holds occupation counts of states
@@ -160,105 +181,196 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Model tables (precomputed rows, CDFs, and index arithmetic)
+# Draws, scans and counts
 # ---------------------------------------------------------------------------
+#
+# Bulk arrays hold a block of T steps of B replicates as (B, T); per-state
+# arrays stack one such plane per state, (S, B, T).
 
 def _row_cdf(matrix: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(matrix, axis=1)
-    cdf[:, -1] = 1.0
+    cdf = np.cumsum(matrix, axis=-1)
+    cdf[..., -1] = 1.0
     return cdf
 
 
-def _cdf_draw(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = (cdf_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+def _cdf_draw(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Index drawn with uniforms `u` from rows `rows` of the CDF table `cdf`.
+
+    The index is the count of CDF entries below ``u`` -- what
+    ``searchsorted`` returns on a monotone row; the last entry is 1 and
+    never counts.  Narrow tables compare one column at a time.
+    """
+    if cdf.shape[1] > TABLE_STATES:
+        return (cdf[rows] < u[..., None]).sum(axis=-1)
+    idx = np.zeros(np.shape(u), dtype=np.intp)
+    for col in cdf[:, :-1].T:
+        idx += col[rows] < u
+    return idx
 
 
-class _Tables:
-    """Everything a sweep needs, laid out per level."""
+def _scan(table: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Positions read by the chain ``a[t+1] = table[a[t], b, t]`` from ``a[0] = a``.
 
-    def __init__(self, config: EngineConfig):
-        model = config.model
-        self.levels = config.levels
-        self.spaces = config.level_spaces()
-        self.sizes = [sp.size for sp in self.spaces]
-        self.is_fk = isinstance(model, fk.FKModel)
-        dists = config.initial_dists
-        self.init_cdfs = []
-        for k in range(self.levels + 1):
-            w = (
-                dists[k].weights
-                if dists is not None
-                else np.full(self.sizes[k], 1.0 / self.sizes[k])
+    `table` has shape (A, B, T).  Returns, as (B, T), the flat index into
+    an (A, B, T) array of the entry each step reads: look up `table`
+    there for the states after each step, or another per-state array for
+    a value at the state before it.  Every step is a single gather,
+    because each table entry is stored as the position it leads to.
+    """
+    A, B, T = table.shape
+    cell = np.arange(B * T).reshape(B, T)
+    pointers = (table * (B * T) + cell + 1).ravel()
+    pos = np.empty((T, B), dtype=np.intp)
+    pos[0] = a * (B * T) + cell[:, 0]
+    for t in range(T - 1):
+        pointers.take(pos[t], out=pos[t + 1], mode="clip")
+    return pos.T
+
+
+def _kernel_scan(cdf, x, u, move=None, other=None) -> np.ndarray:
+    """States of the chain ``x -> draw(cdf[x], u[:, t])`` over a block, (B, T).
+
+    Where `move` is false the step goes to `other` instead.
+    """
+    S = cdf.shape[0]
+    if S <= TABLE_STATES:
+        table = np.stack([_cdf_draw(cdf, s, u) for s in range(S)])
+        if move is not None:
+            table = np.where(move, table, other)
+        return table.ravel().take(_scan(table, x))
+    out = np.empty(u.shape, dtype=np.intp)
+    for t in range(u.shape[1]):
+        x = _cdf_draw(cdf, x, u[:, t])
+        if move is not None:
+            x = np.where(move[:, t], x, other[:, t])
+        out[:, t] = x
+    return out
+
+
+def _weighted_redraw(counts: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn with `u` from occupation `counts` (S, B, T) reweighted by `weights`.
+
+    The target ``u * total`` never exceeds the total, so the count of
+    cumulative weights below it is a valid index.
+    """
+    cw = np.cumsum(counts * weights[:, None, None], axis=0)
+    return (cw < u * cw[-1]).sum(axis=0)
+
+
+def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
+    """Occupation counts (B, size) of each replicate's row of (B, T) states."""
+    B = states.shape[0]
+    flat = (states + np.arange(B)[:, None] * size).ravel()
+    return np.bincount(flat, minlength=B * size).reshape(B, size)
+
+
+def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndarray:
+    """Counts through each step of a block, (size, B, T).
+
+    `start` (B, size) counts the states through the block's first time
+    and `states` (B, T) holds those at the times after it; entry ``t``
+    counts through ``t`` steps past the first time.
+    """
+    B, T = states.shape
+    steps = np.zeros((size, B, T), dtype=np.int64)
+    cell = np.arange(B * T).reshape(B, T)
+    np.put(steps, states[:, :-1] * (B * T) + cell[:, 1:], 1)
+    np.cumsum(steps, axis=2, out=steps)
+    steps += start.T[:, :, None]
+    return steps
+
+
+# ---------------------------------------------------------------------------
+# Level rules: one block of time steps of one level
+# ---------------------------------------------------------------------------
+#
+# A rule maps the states `cur` (B,) at the block's first time, the uniforms
+# `u` (3, B, T), the step times `n` (T,) and what it reads of the level
+# below (its trajectory (B, n+1), its running counts (size, B, T), or
+# nothing) to the states after each step, (B, T).
+
+def _step_chain(cdf, cur, u, n, lower):
+    return _kernel_scan(cdf, cur, u[0])
+
+
+def _step_fk_mh(cdf, g, term, s_new, cur, u, n, history):
+    """Proposal: a uniformly drawn past path of the level below, extended.
+
+    `term` maps a path of the level below to its terminal coordinate.
+    """
+    B, T = u.shape[1:]
+    p = (u[0] * (n + 1)).astype(np.intp)
+    np.minimum(p, n, out=p)
+    drawn = history[np.arange(B)[:, None], p].astype(np.intp)
+    yterm = term.take(drawn)
+    proposal = drawn * s_new + _cdf_draw(cdf, yterm, u[1])
+    # accept[c, b, t]: step t accepts when the current prefix terminal is c
+    accept = u[2] < g.take(yterm) / g[:, None, None]
+    alphabet = np.arange(g.size)[:, None, None]
+    pos = _scan(np.where(accept, yterm, alphabet), term.take(cur // s_new))
+    last = np.where(accept.ravel().take(pos), np.arange(T), -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    # the state is the proposal of the last accepted step, else `cur`
+    held = np.concatenate([cur[:, None], proposal], axis=1).ravel()
+    return held.take(last + 1 + np.arange(B)[:, None] * (T + 1))
+
+
+def _step_fk_rank_one(cdf, weights, term, s_new, cur, u, n, counts):
+    """Redraw from the reweighted occupation measure, then extend."""
+    drawn = _weighted_redraw(counts, weights, u[0])
+    return drawn * s_new + _cdf_draw(cdf, term.take(drawn), u[1])
+
+
+def _step_annealing(k_cdf, l_cdf, weights, eps, cur, u, n, counts):
+    """Kernel move with weight eps, else reweighted redraw plus move.
+
+    The redraw target reuses the kernel move's uniform, as layout 1 fixes.
+    """
+    drawn = _weighted_redraw(counts, weights, u[1])
+    redraw = _cdf_draw(l_cdf, drawn, u[2])
+    return _kernel_scan(k_cdf, cur, u[1], move=u[0] < eps, other=redraw)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    step: Callable
+    reads: str  # of the level below: "history", "counts" or ""
+    width: int  # states per (width, T, B) bulk array of the rule
+
+
+def _rules(config: EngineConfig) -> list[_Rule]:
+    model = config.model
+    sizes = [sp.size for sp in config.level_spaces()]
+    rules = [_Rule(partial(_step_chain, _row_cdf(model.level0_kernel.matrix)), "", sizes[0])]
+    for k in range(1, config.levels + 1):
+        if isinstance(model, ann.AnnealingModel):
+            step = partial(
+                _step_annealing,
+                _row_cdf(model.kernels_k[k].matrix),
+                _row_cdf(model.kernels_l[k].matrix),
+                ann.potential_fn(model, k - 1).values,
+                model.epsilon,
             )
-            cdf = np.cumsum(w)
-            cdf[-1] = 1.0
-            self.init_cdfs.append(cdf)
-        self.m0_cdf = _row_cdf(model.level0_kernel.matrix)
-        if self.is_fk:
-            self.kernel_type = model.kernel_type
-            self.base_sizes = [sp.size for sp in model.base_spaces[: self.levels + 1]]
-            self.step_cdfs = [None] + [
-                _row_cdf(model.transitions[k - 1].matrix) for k in range(1, self.levels + 1)
-            ]
-            self.potentials = [model.potentials[k].values for k in range(self.levels)]
-            # potential of a full level-k path state (terminal coordinate)
-            self.state_weights = [
-                self.potentials[k][np.arange(self.sizes[k]) % self.base_sizes[k]]
-                for k in range(self.levels)
-            ]
+            rules.append(_Rule(step, "counts", sizes[k]))
+            continue
+        s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
+        cdf = _row_cdf(model.transitions[k - 1].matrix)
+        g = model.potentials[k - 1].values
+        term = np.arange(sizes[k - 1]) % s_prev
+        if model.kernel_type == "mh":
+            step = partial(_step_fk_mh, cdf, g, term, s_new)
+            rules.append(_Rule(step, "history", max(s_prev, s_new)))
         else:
-            self.epsilon = model.epsilon
-            self.k_cdfs = [None] + [
-                _row_cdf(model.kernels_k[k].matrix) for k in range(1, self.levels + 1)
-            ]
-            self.l_cdfs = [None] + [
-                _row_cdf(model.kernels_l[k].matrix) for k in range(1, self.levels + 1)
-            ]
-            self.state_weights = [
-                ann.potential_fn(model, k).values for k in range(self.levels)
-            ]
+            # potential of a level-(k-1) path state: that of its terminal
+            step = partial(_step_fk_rank_one, cdf, g[term], term, s_new)
+            rules.append(_Rule(step, "counts", max(sizes[k - 1], s_new)))
+    return rules
 
-    # --- level transitions, vectorized over a batch ---------------------
 
-    def step_level0(self, cur: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _cdf_draw(self.m0_cdf[cur], u[:, 0])
-
-    def step_fk_mh(self, k: int, cur: np.ndarray, drawn_paths: np.ndarray,
-                   u: np.ndarray) -> np.ndarray:
-        """Proposal = drawn level-(k-1) path extended by one base move."""
-        s_new = self.base_sizes[k]
-        s_prev = self.base_sizes[k - 1]
-        yterm = drawn_paths % s_prev
-        ynew = _cdf_draw(self.step_cdfs[k][yterm], u[:, 1])
-        proposal = drawn_paths * s_new + ynew
-        cur_pref_term = (cur // s_new) % s_prev
-        g = self.potentials[k - 1]
-        ratio = g[yterm] / g[cur_pref_term]
-        return np.where(u[:, 2] < ratio, proposal, cur)
-
-    def step_fk_rank_one(self, k: int, counts_prev: np.ndarray,
-                         u: np.ndarray) -> np.ndarray:
-        """Redraw from the reweighted occupation measure, then extend."""
-        s_new = self.base_sizes[k]
-        s_prev = self.base_sizes[k - 1]
-        w = counts_prev * self.state_weights[k - 1][None, :]
-        cw = np.cumsum(w, axis=1)
-        target = u[:, 0] * cw[:, -1]
-        drawn = np.minimum((cw < target[:, None]).sum(axis=1), cw.shape[1] - 1)
-        ynew = _cdf_draw(self.step_cdfs[k][drawn % s_prev], u[:, 1])
-        return drawn * s_new + ynew
-
-    def step_annealing(self, k: int, cur: np.ndarray, counts_prev: np.ndarray,
-                       u: np.ndarray) -> np.ndarray:
-        """One kernel move with weight eps, else reweighted redraw + move."""
-        yk = _cdf_draw(self.k_cdfs[k][cur], u[:, 1])
-        w = counts_prev * self.state_weights[k - 1][None, :]
-        cw = np.cumsum(w, axis=1)
-        target = u[:, 1] * cw[:, -1]
-        drawn = np.minimum((cw < target[:, None]).sum(axis=1), cw.shape[1] - 1)
-        yl = _cdf_draw(self.l_cdfs[k][drawn], u[:, 2])
-        return np.where(u[:, 0] < self.epsilon, yk, yl)
+def _initial_cdf(config: EngineConfig, k: int, size: int) -> np.ndarray:
+    if config.initial_dists is None:
+        return _row_cdf(np.full((1, size), 1.0 / size))
+    return _row_cdf(config.initial_dists[k].weights[None, :])
 
 
 def run_batch(
@@ -269,10 +381,12 @@ def run_batch(
     keep_history: bool = True,
     block: int = 2048,
 ) -> BatchResult:
-    """Run the given replicate ids in lockstep.
+    """Run the given replicate ids, one level at a time per block of time steps.
 
     `checkpoints` is an iterable of iteration indices ``n`` at which the
     per-level occupation counts of states ``0..n`` are snapshotted.
+    `block` is the number of time steps whose uniforms are drawn at once;
+    the trajectories do not depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
     checkpoints = sorted(set(int(n) for n in checkpoints))
@@ -280,66 +394,66 @@ def run_batch(
         raise ValueError(
             f"checkpoint {checkpoints[-1]} exceeds iterations {config.iterations}"
         )
-    tables = _Tables(config)
-    B = len(replicates)
-    n_max = config.iterations
-    L = config.levels
-    gens = [
-        [stream(config.seed, r, k) for k in range(L + 1)] for r in replicates
+    spaces = config.level_spaces()
+    sizes = [sp.size for sp in spaces]
+    rules = _rules(config)
+    B, N, L = len(replicates), config.iterations, config.levels
+    gens = [[stream(config.seed, r, k) for r in replicates] for k in range(L + 1)]
+    keep = [
+        keep_history or (k < L and rules[k + 1].reads == "history") for k in range(L + 1)
     ]
+    hist = [np.zeros((B, N + 1), dtype=np.uint16) if kept else None for kept in keep]
 
-    hist = [np.zeros((B, n_max + 1), dtype=np.int32) for _ in range(L + 1)]
-    counts = [np.zeros((B, tables.sizes[k]), dtype=np.int64) for k in range(L + 1)]
-    rows = np.arange(B)
-
+    cur, counts = [], []
     for k in range(L + 1):
-        u0 = np.array([gens[i][k].random() for i in range(B)])
-        x0 = np.minimum((tables.init_cdfs[k] < u0[:, None]).sum(axis=1), tables.sizes[k] - 1)
-        hist[k][:, 0] = x0
-        np.add.at(counts[k], (rows, x0), 1)
+        u0 = np.array([g.random() for g in gens[k]])
+        x0 = _cdf_draw(_initial_cdf(config, k, sizes[k]), 0, u0)
+        if keep[k]:
+            hist[k][:, 0] = x0
+        cur.append(x0)
+        counts.append(_row_counts(x0[:, None], sizes[k]))
+    snaps = {n: [None] * (L + 1) for n in checkpoints}
+    if 0 in snaps:
+        snaps[0] = list(counts)
 
-    snapshots: dict[int, tuple[np.ndarray, ...]] = {}
-    if 0 in checkpoints:
-        snapshots[0] = tuple(c.copy() for c in counts)
-
-    t0 = 0
-    while t0 < n_max:
-        blen = min(block, n_max - t0)
-        uni = [
-            np.stack([gens[i][k].random((blen, DRAWS_PER_STEP)) for i in range(B)])
-            for k in range(L + 1)
-        ]
-        for t in range(blen):
-            n = t0 + t
-            new_states = []
-            for k in range(L + 1):
-                u = uni[k][:, t, :]
-                cur = hist[k][:, n]
-                if k == 0:
-                    nxt = tables.step_level0(cur, u)
-                elif tables.is_fk and tables.kernel_type == "mh":
-                    p = np.minimum((u[:, 0] * (n + 1)).astype(np.int64), n)
-                    drawn = hist[k - 1][rows, p]
-                    nxt = tables.step_fk_mh(k, cur, drawn, u)
-                elif tables.is_fk:
-                    nxt = tables.step_fk_rank_one(k, counts[k - 1], u)
-                else:
-                    nxt = tables.step_annealing(k, cur, counts[k - 1], u)
-                new_states.append(nxt)
-            for k in range(L + 1):
-                hist[k][:, n + 1] = new_states[k]
-                np.add.at(counts[k], (rows, new_states[k]), 1)
-            if n + 1 in checkpoints:
-                snapshots[n + 1] = tuple(c.copy() for c in counts)
-        t0 += blen
+    drawn = np.empty((B, block, DRAWS_PER_STEP))
+    for t0 in range(0, N, block):
+        T = min(block, N - t0)
+        n = np.arange(t0, t0 + T)
+        for k, rule in enumerate(rules):
+            for i, g in enumerate(gens[k]):
+                g.random(out=drawn[i, :T])
+            xs = np.empty((B, T), dtype=np.intp)
+            x = cur[k]
+            sub = max(1, BLOCK_CELLS // (B * rule.width))
+            for lo in range(0, T, sub):
+                hi = min(lo + sub, T)
+                u = np.ascontiguousarray(drawn[:, lo:hi].transpose(2, 0, 1))
+                lower = hist[k - 1] if rule.reads == "history" else None
+                if rule.reads == "counts":
+                    lower = _running_counts(first, below[:, lo:hi], sizes[k - 1])
+                    first = first + _row_counts(below[:, lo:hi], sizes[k - 1])
+                xs[:, lo:hi] = rule.step(x, u, n[lo:hi], lower)
+                x = xs[:, hi - 1]
+            if keep[k]:
+                hist[k][:, t0 + 1 : t0 + T + 1] = xs
+            first, below = counts[k], xs
+            done = 0
+            for c in checkpoints:
+                if t0 < c <= t0 + T:
+                    counts[k] = counts[k] + _row_counts(xs[:, done : c - t0], sizes[k])
+                    snaps[c][k] = counts[k]
+                    done = c - t0
+            counts[k] = counts[k] + _row_counts(xs[:, done:], sizes[k])
+            cur[k] = x
 
     return BatchResult(
         config=config,
         replicates=replicates,
-        spaces=tables.spaces,
+        spaces=spaces,
         states=tuple(hist) if keep_history else None,
         final_counts=tuple(counts),
-        checkpoint_counts=snapshots,
+        checkpoint_counts={c: tuple(v) for c, v in snaps.items()},
     )
 
 
@@ -362,73 +476,26 @@ def transition_samples(
 ) -> np.ndarray:
     """Draw `size` next states for one level given a frozen lower history.
 
-    Exercises exactly the per-level transition rules of :func:`run_batch`,
-    so the empirical law can be tested against the oracle kernel row for
-    the occupation measure of `history_states`.
+    Applies exactly the level rule of :func:`run_batch`, so the empirical
+    law can be tested against the oracle kernel row for the occupation
+    measure of `history_states`.  Level 0 ignores the history.
     """
-    tables = _Tables(config)
-    if not 1 <= level <= config.levels:
-        raise ValueError(f"level must lie in 1..{config.levels}")
+    if not 0 <= level <= config.levels:
+        raise ValueError(f"level must lie in 0..{config.levels}")
     history_states = np.asarray(history_states, dtype=np.int64)
-    if history_states.size == 0:
+    if level > 0 and history_states.size == 0:
         raise ValueError("history must contain at least one state")
-    u = rng.random((size, DRAWS_PER_STEP))
-    cur = np.full(size, int(current), dtype=np.int64)
-    if tables.is_fk and tables.kernel_type == "mh":
-        p = np.minimum((u[:, 0] * history_states.size).astype(np.int64),
-                       history_states.size - 1)
-        return tables.step_fk_mh(level, cur, history_states[p], u)
-    # counts broadcast over the batch axis: the history is shared
-    counts = np.bincount(history_states, minlength=tables.sizes[level - 1])[None, :]
-    if tables.is_fk:
-        return tables.step_fk_rank_one(level, counts, u)
-    return tables.step_annealing(level, cur, counts, u)
-
-
-def step_mh(history: ChainHistory, level: int, rng: np.random.Generator) -> int:
-    """One Metropolis-Hastings move at `level` given the recorded history."""
-    if not isinstance(history.config.model, fk.FKModel):
-        raise TypeError("step_mh requires a Feynman-Kac model")
-    return int(
-        transition_samples(
-            history.config, level, history.states[level - 1],
-            int(history.states[level][-1]), rng, 1,
-        )[0]
-    )
-
-
-def step_annealing(history: ChainHistory, level: int, rng: np.random.Generator) -> int:
-    """One mixture-kernel move at `level` given the recorded history."""
-    if not isinstance(history.config.model, ann.AnnealingModel):
-        raise TypeError("step_annealing requires an annealing model")
-    return int(
-        transition_samples(
-            history.config, level, history.states[level - 1],
-            int(history.states[level][-1]), rng, 1,
-        )[0]
-    )
-
-
-def sample_geometric_kernel(
-    model: ann.AnnealingModel, level: int, state: int, rng: np.random.Generator
-) -> int:
-    """Sample the geometrically averaged kernel without materializing it.
-
-    Performs ``N`` base-kernel moves with ``N`` geometric of success
-    probability ``1 - eps``; capped (with an error) at a step count whose
-    overshoot probability is negligible for any eps < 1 in practice.
-    """
-    eps = model.epsilon
-    steps = 0
-    cdf = None
-    while rng.random() < eps:
-        steps += 1
-        if steps > GEOMETRIC_STEP_CAP:
-            raise RuntimeError(f"geometric step count exceeded {GEOMETRIC_STEP_CAP}")
-        if cdf is None:
-            cdf = _row_cdf(model.kernels_k[level].matrix)
-        state = min(int((cdf[state] < rng.random()).sum()), model.space.size - 1)
-    return state
+    rule = _rules(config)[level]
+    u = rng.random((size, 1, DRAWS_PER_STEP)).transpose(2, 0, 1)
+    cur = np.full(size, int(current), dtype=np.intp)
+    lower = None
+    if rule.reads == "history":
+        lower = np.broadcast_to(history_states, (size, history_states.size))
+    elif rule.reads == "counts":
+        counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
+        lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))
+    n = np.array([history_states.size - 1])
+    return rule.step(cur, u, n, lower)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +522,31 @@ def fluctuation_field(
     return math.sqrt(n + 1) * float((eta.weights - pi_k.weights) @ f.values)
 
 
+def _digits(values) -> np.ndarray:
+    """Decimal digits of each value as one NUL-padded row of ASCII bytes."""
+    text = np.asarray(values).astype("S")
+    return text.view(np.uint8).reshape(text.size, -1)
+
+
 def export_trajectories_csv(result: BatchResult, fh) -> None:
-    """Write trajectories as ``replicate,level,iteration,state_index`` rows."""
+    """Write trajectories as ``replicate,level,iteration,state_index`` rows.
+
+    Each (replicate, level) block is laid out as fixed-width byte rows
+    with NUL padding, which is dropped before writing.
+    """
     if result.states is None:
         raise ValueError("histories were not retained for this batch")
     fh.write("replicate,level,iteration,state_index\n")
+    iterations = _digits(np.arange(result.iterations + 1))
     for i, r in enumerate(result.replicates):
         for k, arr in enumerate(result.states):
-            col = arr[i]
-            for n in range(col.size):
-                fh.write(f"{r},{k},{n},{col[n]}\n")
+            prefix = np.frombuffer(f"{r},{k},".encode(), dtype=np.uint8)
+            states = _digits(np.arange(result.spaces[k].size))[arr[i]]
+            rows = np.hstack([
+                np.broadcast_to(prefix, (len(iterations), prefix.size)),
+                iterations,
+                np.full((len(iterations), 1), ord(","), dtype=np.uint8),
+                states,
+                np.full((len(iterations), 1), ord("\n"), dtype=np.uint8),
+            ]).astype(np.uint8, copy=False).ravel()
+            fh.write(rows[rows != 0].tobytes().decode("ascii"))

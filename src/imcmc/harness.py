@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import oracle
 from .engine import EngineConfig, run_batch
@@ -282,6 +281,23 @@ class FluctuationReport:
         )
 
 
+def normality_stats(z: np.ndarray) -> tuple[float, float, float]:
+    """Skewness, excess kurtosis and Kolmogorov-Smirnov distance to N(0, 1).
+
+    Moments are the biased (population) ones; the KS statistic is the
+    largest gap between the empirical CDF of `z` and the normal CDF.
+    """
+    d = z - z.mean()
+    m2 = float(np.mean(d**2))
+    skew = float(np.mean(d**3)) / m2**1.5
+    exkurt = float(np.mean(d**4)) / m2**2 - 3.0
+    x = np.sort(z)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    i = np.arange(1, x.size + 1)
+    ks = float(max((i / x.size - cdf).max(), (cdf - (i - 1) / x.size).max()))
+    return skew, exkurt, ks
+
+
 def bias_allowance(n: int, k: int, c_bias: float = DEFAULT_C_BIAS) -> float:
     """Finite-horizon allowance factor ``c * (log(n+1))^k / sqrt(n+1)``."""
     return c_bias * math.log(n + 1) ** k / math.sqrt(n + 1)
@@ -312,9 +328,7 @@ def empirical_fluctuations(
         skew = exkurt = ks = float("nan")
         if not degenerate and R >= 3:
             z = (x - x.mean()) / x.std(ddof=1)
-            skew = float(stats.skew(z))
-            exkurt = float(stats.kurtosis(z))
-            ks = float(stats.kstest(z, "norm").statistic)
+            skew, exkurt, ks = normality_stats(z)
         if theory is not None and col in theory:
             th = theory[col]
             se = abs(th) * math.sqrt(2.0 / (R - 1))

@@ -206,6 +206,20 @@ def test_fluctuation_field_values():
     assert engine.fluctuation_field(hist, 0, 100, const, pi) == pytest.approx(0.0, abs=1e-12)
 
 
+
+def test_export_trajectories_matches_row_loop():
+    import io
+
+    cfg = dataclasses.replace(_digest_config("fk_wide_mh"), iterations=120)
+    res = engine.run_batch(cfg, (3, 12, 305))
+    out = io.StringIO()
+    engine.export_trajectories_csv(res, out)
+    rows = ["replicate,level,iteration,state_index\n"]
+    for i, r in enumerate(res.replicates):
+        for k, arr in enumerate(res.states):
+            rows += [f"{r},{k},{n},{int(arr[i][n])}\n" for n in range(arr.shape[1])]
+    assert out.getvalue() == "".join(rows)
+
 # ---------------------------------------------------------------------------
 # single-step law against the oracle kernels
 # ---------------------------------------------------------------------------
@@ -305,9 +319,7 @@ def test_step_law_annealing():
 def test_step_law_level0():
     cfg = chain2_config()
     rng = np.random.default_rng(13)
-    tables = engine._Tables(cfg)
-    u = rng.random((10**6, engine.DRAWS_PER_STEP))
-    nxt = tables.step_level0(np.zeros(10**6, dtype=np.int64), u)
+    nxt = engine.transition_samples(cfg, 0, [], 0, rng, 10**6)
     assert chi_square_against_row(nxt, np.array([0.9, 0.1])) > 1e-3
 
 
@@ -340,32 +352,6 @@ def test_constant_potential_always_accepts():
     cur = 0  # proposals all extend path 1, so acceptance must always move
     samples = engine.transition_samples(cfg, 1, history, cur, rng, 50_000)
     assert (samples >= 2).all()  # never stays on the current path
-
-
-def test_step_wrappers():
-    cfg = toy_config(iterations=50)
-    hist = engine.run(cfg)
-    rng = np.random.default_rng(16)
-    nxt = engine.step_mh(hist, 1, rng)
-    assert 0 <= nxt < 4
-    acfg = annealing_config(iterations=50)
-    ahist = engine.run(acfg)
-    nxt = engine.step_annealing(ahist, 2, rng)
-    assert 0 <= nxt < 4
-    with pytest.raises(TypeError):
-        engine.step_annealing(hist, 1, rng)
-
-
-def test_sample_geometric_kernel_distribution():
-    cfg = annealing_config(eps=0.5)
-    model = cfg.model
-    rng = np.random.default_rng(17)
-    start = 1
-    draws = np.array([
-        engine.sample_geometric_kernel(model, 1, start, rng) for _ in range(200_000)
-    ])
-    row = ann.geometric_kernel(model, 1).matrix[start]
-    assert chi_square_against_row(draws, row) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,18 @@ def test_variance_of_variance_scales():
 # empirical summaries
 # ---------------------------------------------------------------------------
 
+def test_normality_stats_match_scipy():
+    from scipy import stats
+
+    rng = np.random.default_rng(21)
+    for z in (rng.standard_normal(3), rng.standard_normal(400), rng.exponential(size=57)):
+        z = (z - z.mean()) / z.std(ddof=1)
+        skew, exkurt, ks = harness.normality_stats(z)
+        assert skew == pytest.approx(float(stats.skew(z)), abs=1e-12)
+        assert exkurt == pytest.approx(float(stats.kurtosis(z)), abs=1e-12)
+        assert ks == pytest.approx(float(stats.kstest(z, "norm").statistic), abs=1e-12)
+
+
 def synthetic_samples(rng, R, cols, cov=None):
     dim = len(cols)
     cov = np.eye(dim) if cov is None else cov
