@@ -9,7 +9,8 @@ against the level-0 states just produced, and so on up the stack.
 
 A level's block is bulk work followed by a scan.  The bulk work builds
 every proposal, CDF draw and accept decision of the block at once,
-vectorized over (replicate, time).  What stays sequential is a one-gather
+vectorized over (replicate, time), in slices of at most
+:data:`BLOCK_CELLS` cells.  What stays sequential is a one-gather
 scan ``a[t+1] = F[t, a[t]]`` over a small alphabet:
 
 * level 0: the state, with ``F`` the kernel move from every state;
@@ -72,7 +73,8 @@ STREAM_LAYOUT_VERSION = 1
 #: and scan; CDFs this narrow are drawn by one comparison per column.
 TABLE_STATES = 8
 
-#: Most (replicate, time, state) cells in one bulk array of a level's block.
+#: Most (state, replicate, time) cells in one bulk array: a level works
+#: through its block in slices of steps this small, so its arrays stay in cache.
 BLOCK_CELLS = 1 << 16
 
 
@@ -204,7 +206,7 @@ def _cdf_draw(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
         return (cdf[rows] < u[..., None]).sum(axis=-1)
     idx = np.zeros(np.shape(u), dtype=np.intp)
     for col in cdf[:, :-1].T:
-        idx += col[rows] < u
+        idx += col.take(rows) < u
     return idx
 
 
@@ -219,12 +221,13 @@ def _scan(table: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     A, B, T = table.shape
     cell = np.arange(B * T).reshape(B, T)
-    pointers = (table * (B * T) + cell + 1).ravel()
+    pointers = (table * (B * T) + (cell + 1)).ravel()
     pos = np.empty((T, B), dtype=np.intp)
     pos[0] = a * (B * T) + cell[:, 0]
-    for t in range(T - 1):
-        pointers.take(pos[t], out=pos[t + 1], mode="clip")
-    return pos.T
+    steps, gather = list(pos), pointers.take
+    for now, nxt in zip(steps, steps[1:]):
+        gather(now, out=nxt, mode="clip")
+    return np.ascontiguousarray(pos.T)
 
 
 def _kernel_scan(cdf, x, u, move=None, other=None) -> np.ndarray:
@@ -299,20 +302,25 @@ def _step_fk_mh(cdf, g, term, s_new, cur, u, n, history):
     `term` maps a path of the level below to its terminal coordinate.
     """
     B, T = u.shape[1:]
+    H = history.shape[1]
     p = (u[0] * (n + 1)).astype(np.intp)
     np.minimum(p, n, out=p)
-    drawn = history[np.arange(B)[:, None], p].astype(np.intp)
+    p += np.arange(B)[:, None] * H
+    drawn = history.reshape(-1).take(p).astype(np.intp)
     yterm = term.take(drawn)
-    proposal = drawn * s_new + _cdf_draw(cdf, yterm, u[1])
+    # held[:, 0] is the current state and held[:, t + 1] the proposal of step t
+    held = np.empty((B, T + 1), dtype=np.intp)
+    held[:, 0] = cur
+    np.add(drawn * s_new, _cdf_draw(cdf, yterm, u[1]), out=held[:, 1:])
     # accept[c, b, t]: step t accepts when the current prefix terminal is c
     accept = u[2] < g.take(yterm) / g[:, None, None]
     alphabet = np.arange(g.size)[:, None, None]
     pos = _scan(np.where(accept, yterm, alphabet), term.take(cur // s_new))
-    last = np.where(accept.ravel().take(pos), np.arange(T), -1)
+    last = np.where(accept.ravel().take(pos), np.arange(1, T + 1), 0)
     np.maximum.accumulate(last, axis=1, out=last)
     # the state is the proposal of the last accepted step, else `cur`
-    held = np.concatenate([cur[:, None], proposal], axis=1).ravel()
-    return held.take(last + 1 + np.arange(B)[:, None] * (T + 1))
+    last += np.arange(B)[:, None] * (T + 1)
+    return held.ravel().take(last)
 
 
 def _step_fk_rank_one(cdf, weights, term, s_new, cur, u, n, counts):
@@ -335,7 +343,7 @@ def _step_annealing(k_cdf, l_cdf, weights, eps, cur, u, n, counts):
 class _Rule:
     step: Callable
     reads: str  # of the level below: "history", "counts" or ""
-    width: int  # states per (width, T, B) bulk array of the rule
+    width: int  # states per (width, B, T) bulk array of the rule
 
 
 def _rules(config: EngineConfig) -> list[_Rule]:
@@ -431,13 +439,14 @@ def run_batch(
                 u = np.ascontiguousarray(drawn[:, lo:hi].transpose(2, 0, 1))
                 lower = hist[k - 1] if rule.reads == "history" else None
                 if rule.reads == "counts":
-                    lower = _running_counts(first, below[:, lo:hi], sizes[k - 1])
-                    first = first + _row_counts(below[:, lo:hi], sizes[k - 1])
+                    lower = _running_counts(below_counts, below[:, lo:hi], sizes[k - 1])
+                    below_counts = below_counts + _row_counts(below[:, lo:hi], sizes[k - 1])
                 xs[:, lo:hi] = rule.step(x, u, n[lo:hi], lower)
                 x = xs[:, hi - 1]
             if keep[k]:
                 hist[k][:, t0 + 1 : t0 + T + 1] = xs
-            first, below = counts[k], xs
+            # what the level above reads: counts through t0, then the block
+            below_counts, below = counts[k], xs
             done = 0
             for c in checkpoints:
                 if t0 < c <= t0 + T:
@@ -490,7 +499,7 @@ def transition_samples(
     cur = np.full(size, int(current), dtype=np.intp)
     lower = None
     if rule.reads == "history":
-        lower = np.broadcast_to(history_states, (size, history_states.size))
+        lower = np.tile(history_states.astype(np.uint16), (size, 1))
     elif rule.reads == "counts":
         counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
         lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))
