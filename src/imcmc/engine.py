@@ -256,7 +256,9 @@ def _weighted_redraw(counts: np.ndarray, weights: np.ndarray, u: np.ndarray) -> 
     The target ``u * total`` never exceeds the total, so the count of
     cumulative weights below it is a valid index.
     """
-    cw = np.cumsum(counts * weights[:, None, None], axis=0)
+    cw = counts * weights[:, None, None]
+    for s in range(1, len(cw)):  # np.cumsum over axis 0, plane by plane
+        cw[s] += cw[s - 1]
     return (cw < u * cw[-1]).sum(axis=0)
 
 
@@ -276,10 +278,14 @@ def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndar
     """
     B, T = states.shape
     steps = np.zeros((size, B, T), dtype=np.int64)
+    steps[:, :, 0] = start.T
     cell = np.arange(B * T).reshape(B, T)
     np.put(steps, states[:, :-1] * (B * T) + cell[:, 1:], 1)
-    np.cumsum(steps, axis=2, out=steps)
-    steps += start.T[:, :, None]
+    if T * 64 > size * B:
+        return np.cumsum(steps, axis=2, out=steps)
+    # few long time slices: adding whole slices beats a cumsum along short rows
+    for t in range(1, T):
+        steps[:, :, t] += steps[:, :, t - 1]
     return steps
 
 
@@ -547,15 +553,18 @@ def export_trajectories_csv(result: BatchResult, fh) -> None:
         raise ValueError("histories were not retained for this batch")
     fh.write("replicate,level,iteration,state_index\n")
     iterations = _digits(np.arange(result.iterations + 1))
+    rows = len(iterations)
+    labels = [_digits(np.arange(sp.size)) for sp in result.spaces]
+    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
+    newline = np.full((rows, 1), ord("\n"), dtype=np.uint8)
     for i, r in enumerate(result.replicates):
         for k, arr in enumerate(result.states):
             prefix = np.frombuffer(f"{r},{k},".encode(), dtype=np.uint8)
-            states = _digits(np.arange(result.spaces[k].size))[arr[i]]
-            rows = np.hstack([
-                np.broadcast_to(prefix, (len(iterations), prefix.size)),
+            text = np.hstack([
+                np.broadcast_to(prefix, (rows, prefix.size)),
                 iterations,
-                np.full((len(iterations), 1), ord(","), dtype=np.uint8),
-                states,
-                np.full((len(iterations), 1), ord("\n"), dtype=np.uint8),
-            ]).astype(np.uint8, copy=False).ravel()
-            fh.write(rows[rows != 0].tobytes().decode("ascii"))
+                comma,
+                labels[k][arr[i]],
+                newline,
+            ]).ravel()
+            fh.write(text[text != 0].tobytes().decode("ascii"))

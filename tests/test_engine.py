@@ -207,6 +207,17 @@ def test_fluctuation_field_values():
 
 
 
+def test_running_counts_match_recount():
+    # short blocks of a wide space add whole time slices; long ones use cumsum
+    rng = np.random.default_rng(3)
+    for size, B, T in ((3, 2, 50), (64, 256, 4)):
+        start = rng.integers(0, 5, (B, size))
+        states = rng.integers(0, size, (B, T))
+        got = engine._running_counts(start, states, size)
+        for t in range(T):
+            want = start + engine._row_counts(states[:, :t], size)
+            assert np.array_equal(got[:, :, t], want.T)
+
 def test_export_trajectories_matches_row_loop():
     import io
 
