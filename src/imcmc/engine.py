@@ -190,8 +190,8 @@ class BatchResult:
 # arrays stack one such plane per state, (S, B, T).
 
 def _row_cdf(matrix: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(matrix, axis=-1)
-    cdf[..., -1] = 1.0
+    cdf = np.cumsum(matrix, axis=1)
+    cdf[:, -1] = 1.0
     return cdf
 
 
