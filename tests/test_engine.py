@@ -101,7 +101,6 @@ def test_level0_stream_layout_contract():
     assert np.array_equal(hist.states[0], np.array(states))
 
 
-
 def _batch_digest(res):
     """SHA-256 of states, final counts and checkpoint counts, as int64."""
     h = hashlib.sha256()
@@ -206,7 +205,6 @@ def test_fluctuation_field_values():
     assert engine.fluctuation_field(hist, 0, 100, const, pi) == pytest.approx(0.0, abs=1e-12)
 
 
-
 def test_running_counts_match_recount():
     # short blocks of a wide space add whole time slices; long ones use cumsum
     rng = np.random.default_rng(3)
@@ -217,6 +215,7 @@ def test_running_counts_match_recount():
         for t in range(T):
             want = start + engine._row_counts(states[:, :t], size)
             assert np.array_equal(got[:, :, t], want.T)
+
 
 def test_export_trajectories_matches_row_loop():
     import io
@@ -230,6 +229,7 @@ def test_export_trajectories_matches_row_loop():
         for k, arr in enumerate(res.states):
             rows += [f"{r},{k},{n},{int(arr[i][n])}\n" for n in range(arr.shape[1])]
     assert out.getvalue() == "".join(rows)
+
 
 # ---------------------------------------------------------------------------
 # single-step law against the oracle kernels
