@@ -70,7 +70,7 @@ DRAWS_PER_STEP = 3
 STREAM_LAYOUT_VERSION = 1
 
 #: Chains on at most this many states tabulate their move from every state
-#: and scan; CDFs this narrow are drawn by one comparison per column.
+#: and scan.
 TABLE_STATES = 8
 
 #: Most (state, replicate, time) cells in one bulk array: a level works
@@ -189,25 +189,22 @@ class BatchResult:
 # Bulk arrays hold a block of T steps of B replicates as (B, T); per-state
 # arrays stack one such plane per state, (S, B, T).
 
-def _row_cdf(matrix: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(matrix, axis=1)
-    cdf[:, -1] = 1.0
-    return cdf
+def _cdf_table(matrix: np.ndarray) -> np.ndarray:
+    """CDFs of the rows of `matrix`, one plane per column: (columns - 1, rows).
+
+    The last column, whose CDF is 1, is left out: no uniform lies above it.
+    """
+    return np.ascontiguousarray(np.cumsum(matrix, axis=1)[:, :-1].T)
 
 
-def _cdf_draw(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+def _cdf_draw(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index drawn with uniforms `u` from rows `rows` of the CDF table `cdf`.
 
-    The index is the count of CDF entries below ``u`` -- what
-    ``searchsorted`` returns on a monotone row; the last entry is 1 and
-    never counts.  Narrow tables compare one column at a time.
+    `rows` is an array that broadcasts against `u`.  The index is the
+    count of CDF entries below ``u`` -- what ``searchsorted`` returns on
+    a monotone row.
     """
-    if cdf.shape[1] > TABLE_STATES:
-        return (cdf[rows] < u[..., None]).sum(axis=-1)
-    idx = np.zeros(np.shape(u), dtype=np.intp)
-    for col in cdf[:, :-1].T:
-        idx += col.take(rows) < u
-    return idx
+    return (cdf.take(rows, axis=1) < u).sum(axis=0)
 
 
 def _scan(table: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -235,9 +232,9 @@ def _kernel_scan(cdf, x, u, move=None, other=None) -> np.ndarray:
 
     Where `move` is false the step goes to `other` instead.
     """
-    S = cdf.shape[0]
+    S = cdf.shape[1]
     if S <= TABLE_STATES:
-        table = np.stack([_cdf_draw(cdf, s, u) for s in range(S)])
+        table = _cdf_draw(cdf, np.arange(S)[:, None, None], u)
         if move is not None:
             table = np.where(move, table, other)
         return table.ravel().take(_scan(table, x))
@@ -281,9 +278,8 @@ def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndar
     steps[:, :, 0] = start.T
     cell = np.arange(B * T).reshape(B, T)
     np.put(steps, states[:, :-1] * (B * T) + cell[:, 1:], 1)
-    if T * 64 > size * B:
-        return np.cumsum(steps, axis=2, out=steps)
-    # few long time slices: adding whole slices beats a cumsum along short rows
+    # a cumsum along time, one whole (size, B) slice per step: np.cumsum
+    # pays per (state, replicate) row, and wide chains have many short rows
     for t in range(1, T):
         steps[:, :, t] += steps[:, :, t - 1]
     return steps
@@ -311,7 +307,8 @@ def _step_fk_mh(cdf, g, term, s_new, cur, u, n, history):
     H = history.shape[1]
     p = (u[0] * (n + 1)).astype(np.intp)
     np.minimum(p, n, out=p)
-    p += np.arange(B)[:, None] * H
+    # one history row per replicate, or a single row that every replicate reads
+    p += np.arange(history.shape[0])[:, None] * H
     drawn = history.reshape(-1).take(p).astype(np.intp)
     yterm = term.take(drawn)
     # held[:, 0] is the current state and held[:, t + 1] the proposal of step t
@@ -355,20 +352,20 @@ class _Rule:
 def _rules(config: EngineConfig) -> list[_Rule]:
     model = config.model
     sizes = [sp.size for sp in config.level_spaces()]
-    rules = [_Rule(partial(_step_chain, _row_cdf(model.level0_kernel.matrix)), "", sizes[0])]
+    rules = [_Rule(partial(_step_chain, _cdf_table(model.level0_kernel.matrix)), "", sizes[0])]
     for k in range(1, config.levels + 1):
         if isinstance(model, ann.AnnealingModel):
             step = partial(
                 _step_annealing,
-                _row_cdf(model.kernels_k[k].matrix),
-                _row_cdf(model.kernels_l[k].matrix),
+                _cdf_table(model.kernels_k[k].matrix),
+                _cdf_table(model.kernels_l[k].matrix),
                 ann.potential_fn(model, k - 1).values,
                 model.epsilon,
             )
             rules.append(_Rule(step, "counts", sizes[k]))
             continue
         s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
-        cdf = _row_cdf(model.transitions[k - 1].matrix)
+        cdf = _cdf_table(model.transitions[k - 1].matrix)
         g = model.potentials[k - 1].values
         term = np.arange(sizes[k - 1]) % s_prev
         if model.kernel_type == "mh":
@@ -383,8 +380,8 @@ def _rules(config: EngineConfig) -> list[_Rule]:
 
 def _initial_cdf(config: EngineConfig, k: int, size: int) -> np.ndarray:
     if config.initial_dists is None:
-        return _row_cdf(np.full((1, size), 1.0 / size))
-    return _row_cdf(config.initial_dists[k].weights[None, :])
+        return _cdf_table(np.full((1, size), 1.0 / size))
+    return _cdf_table(config.initial_dists[k].weights[None, :])
 
 
 def run_batch(
@@ -421,7 +418,7 @@ def run_batch(
     cur, counts = [], []
     for k in range(L + 1):
         u0 = np.array([g.random() for g in gens[k]])
-        x0 = _cdf_draw(_initial_cdf(config, k, sizes[k]), 0, u0)
+        x0 = _cdf_draw(_initial_cdf(config, k, sizes[k]), np.zeros(B, dtype=np.intp), u0)
         if keep[k]:
             hist[k][:, 0] = x0
         cur.append(x0)
@@ -505,7 +502,7 @@ def transition_samples(
     cur = np.full(size, int(current), dtype=np.intp)
     lower = None
     if rule.reads == "history":
-        lower = np.tile(history_states.astype(np.uint16), (size, 1))
+        lower = history_states.astype(np.uint16)[None, :]
     elif rule.reads == "counts":
         counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
         lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))

@@ -206,9 +206,9 @@ def test_fluctuation_field_values():
 
 
 def test_running_counts_match_recount():
-    # short blocks of a wide space add whole time slices; long ones use cumsum
+    # a long block of a narrow space, a short one of a wide space, one step
     rng = np.random.default_rng(3)
-    for size, B, T in ((3, 2, 50), (64, 256, 4)):
+    for size, B, T in ((3, 2, 50), (64, 256, 4), (5, 3, 1)):
         start = rng.integers(0, 5, (B, size))
         states = rng.integers(0, size, (B, T))
         got = engine._running_counts(start, states, size)
