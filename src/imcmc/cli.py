@@ -109,7 +109,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         rows.append(
             [
                 k, b.n0, b.m_n0, b.p_n0, operator_norm(b.resolvent),
-                b.poisson_resid, b.series_resid, d_norm,
+                b.poisson_resid, d_norm,
             ]
         )
     with open(out / "operators.csv", "w") as fh:
@@ -117,7 +117,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             fh,
             [
                 "level", "n0", "m_n0", "p_n0", "resolvent_norm",
-                "poisson_residual", "series_residual", "d_norm",
+                "poisson_residual", "d_norm",
             ],
             rows,
             meta,

@@ -47,7 +47,6 @@ together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -60,7 +59,6 @@ from .measures import (
     PROBABILITY,
     FiniteSpace,
     Measure,
-    TestFunction,
 )
 
 #: Uniform draws consumed per level per time step (fixed for stream stability).
@@ -132,25 +130,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainHistory:
-    """One replicate's trajectories, with final occupation counts."""
-
-    config: "EngineConfig"
-    replicate: int
-    spaces: tuple[FiniteSpace, ...]
-    states: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def iterations(self) -> int:
-        return self.config.iterations
-
-
-@dataclass(frozen=True, eq=False)
 class BatchResult:
     """Run of several replicates.
 
@@ -169,17 +148,6 @@ class BatchResult:
     @property
     def iterations(self) -> int:
         return self.config.iterations
-
-    def history(self, i: int) -> ChainHistory:
-        if self.states is None:
-            raise ValueError("histories were not retained for this batch")
-        return ChainHistory(
-            config=self.config,
-            replicate=self.replicates[i],
-            spaces=self.spaces,
-            states=tuple(s[i].copy() for s in self.states),
-            counts=tuple(c[i].copy() for c in self.final_counts),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +437,6 @@ def run_batch(
     )
 
 
-def run(config: EngineConfig, replicate: int = 0) -> ChainHistory:
-    """Run a single replicate (same stream layout as batched runs)."""
-    return run_batch(config, [replicate]).history(0)
-
-
 # ---------------------------------------------------------------------------
 # Single-transition sampling against frozen histories
 # ---------------------------------------------------------------------------
@@ -508,30 +471,6 @@ def transition_samples(
         lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))
     n = np.array([history_states.size - 1])
     return rule.step(cur, u, n, lower)[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# Occupation measures and fluctuation fields
-# ---------------------------------------------------------------------------
-
-def occupation(history: ChainHistory, k: int, n: int) -> Measure:
-    """Occupation measure of level `k` over states ``0..n``."""
-    if not 0 <= k <= history.levels:
-        raise ValueError(f"level {k} out of range 0..{history.levels}")
-    if not 0 <= n <= history.iterations:
-        raise ValueError(f"iteration {n} out of range 0..{history.iterations}")
-    counts = np.bincount(history.states[k][: n + 1], minlength=history.spaces[k].size)
-    return Measure(history.spaces[k], counts / (n + 1), kind=PROBABILITY)
-
-
-def fluctuation_field(
-    history: ChainHistory, k: int, n: int, f: TestFunction, pi_k: Measure
-) -> float:
-    """``sqrt(n+1) * (eta_n^(k)(f) - pi_k(f))``."""
-    eta = occupation(history, k, n)
-    if f.space != eta.space or pi_k.space != eta.space:
-        raise ValueError("function and limit measure must live on the level space")
-    return math.sqrt(n + 1) * float((eta.weights - pi_k.weights) @ f.values)
 
 
 def _digits(values) -> np.ndarray:

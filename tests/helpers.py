@@ -30,6 +30,22 @@ def two_state_chain():
     return space, M, pi
 
 
+def series_matrix(bundle):
+    """The resolvent assembled column by column from the vector series route.
+
+    Column ``x`` is the series image of the centred basis vector
+    ``e_x - pi(x)``, which equals column ``x`` of the resolvent because
+    the resolvent kills constants.
+    """
+    from imcmc import oracle
+
+    pi = bundle.invariant.weights
+    basis = np.eye(pi.size)
+    return np.column_stack(
+        [oracle.resolvent_series(bundle, basis[x] - pi[x]) for x in range(pi.size)]
+    )
+
+
 def random_fk_model(sizes=(2, 3, 2), seed=5):
     """An arbitrary positive Feynman-Kac model with the given base sizes."""
     from imcmc import fk

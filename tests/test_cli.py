@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,19 @@ def test_cmd_oracle_marginals_match_closed_form(tmp_path):
         # labels end in the terminal coordinate; state "1" is index 0
         expect = p**beta / (p**beta + q**beta)
         assert marg == pytest.approx(expect, abs=1e-12)
+
+
+def test_cmd_oracle_operators_columns(tmp_path):
+    out = tmp_path / "ops"
+    config = Path(__file__).resolve().parent.parent / "configs" / "toy_oracle.ini"
+    assert cli.main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    header, rows, _ = read_rows(out / "operators.csv")
+    assert header == [
+        "level", "n0", "m_n0", "p_n0", "resolvent_norm", "poisson_residual", "d_norm",
+    ]
+    assert len(rows) == 3
+    residuals = [float(r[header.index("poisson_residual")]) for r in rows]
+    assert all(r <= 1e-10 for r in residuals), residuals
 
 
 def test_cmd_oracle_bad_config_exit_2(tmp_path):

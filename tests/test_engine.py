@@ -42,8 +42,8 @@ def chain2_config(iterations=2000, seed=7):
 
 def test_determinism_bitwise():
     cfg = toy_config()
-    a = engine.run(cfg, replicate=3)
-    b = engine.run(cfg, replicate=3)
+    a = engine.run_batch(cfg, [3])
+    b = engine.run_batch(cfg, [3])
     for k in range(3):
         assert np.array_equal(a.states[k], b.states[k])
 
@@ -51,9 +51,10 @@ def test_determinism_bitwise():
 def test_single_run_matches_batch_row():
     cfg = annealing_config()
     batch = engine.run_batch(cfg, [0, 1, 2, 3])
-    solo = engine.run(cfg, replicate=2)
+    solo = engine.run_batch(cfg, [2])
     for k in range(3):
-        assert np.array_equal(batch.history(2).states[k], solo.states[k])
+        assert np.array_equal(batch.states[k][2], solo.states[k][0])
+        assert np.array_equal(batch.final_counts[k][2], solo.final_counts[k][0])
 
 
 def test_equal_replicate_ids_give_equal_rows():
@@ -79,8 +80,8 @@ def test_replicate_streams_uncorrelated():
 
 
 def test_different_seeds_differ():
-    a = engine.run(toy_config(seed=1), replicate=0)
-    b = engine.run(toy_config(seed=2), replicate=0)
+    a = engine.run_batch(toy_config(seed=1), [0])
+    b = engine.run_batch(toy_config(seed=2), [0])
     assert any(not np.array_equal(a.states[k], b.states[k]) for k in range(3))
 
 
@@ -88,7 +89,7 @@ def test_level0_stream_layout_contract():
     # a zero-level run is a plain chain; reproduce it by hand from the
     # documented stream layout: one init uniform, then three per sweep
     cfg = chain2_config(iterations=100, seed=5)
-    hist = engine.run(cfg, replicate=7)
+    res = engine.run_batch(cfg, [7])
     g = engine.stream(5, 7, 0)
     nu_cdf = np.array([0.5, 1.0])  # default uniform initial distribution
     m_cdf = np.array([[0.9, 1.0], [0.2, 1.0]])
@@ -98,7 +99,7 @@ def test_level0_stream_layout_contract():
         u = g.random(3)  # only the first uniform drives a level-0 move
         x = min(int((m_cdf[x] < u[0]).sum()), 1)
         states.append(x)
-    assert np.array_equal(hist.states[0], np.array(states))
+    assert np.array_equal(res.states[0][0], np.array(states))
 
 
 def _batch_digest(res):
@@ -178,31 +179,33 @@ def test_occupation_counts_sum():
 
 def test_occupation_matches_recount():
     cfg = annealing_config(iterations=400)
-    hist = engine.run(cfg, replicate=1)
+    res = engine.run_batch(cfg, [1], checkpoints=[0, 150, 400])
     for k in range(3):
-        occ = engine.occupation(hist, k, 400)
-        recount = np.bincount(hist.states[k], minlength=4) / 401
-        assert np.allclose(occ.weights, recount)
-        assert np.allclose(hist.counts[k], recount * 401)
-    assert np.allclose(
-        engine.occupation(hist, 0, 0).weights,
-        np.eye(4)[hist.states[0][0]],
-    )
+        states = res.states[k][0]
+        for n in (150, 400):
+            recount = np.bincount(states[: n + 1], minlength=4)
+            assert np.array_equal(res.checkpoint_counts[n][k][0], recount)
+        assert np.array_equal(res.final_counts[k][0], np.bincount(states, minlength=4))
+        assert np.array_equal(res.checkpoint_counts[0][k][0], np.eye(4)[states[0]])
     with pytest.raises(ValueError):
-        engine.occupation(hist, 0, 401)
+        engine.run_batch(cfg, [1], checkpoints=[401])
 
 
 def test_fluctuation_field_values():
-    cfg = toy_config(iterations=100)
-    hist = engine.run(cfg)
-    space = hist.spaces[0]
+    # the fields are read off the checkpoint counts of run_batch
+    from imcmc import harness
+
+    cfg = toy_config(levels=0, iterations=100)
+    space = cfg.level_spaces()[0]
     pi = fk.exact_path_measure(cfg.model, 0)
     f = TestFunction(space, [1.0, 0.0])
-    # n = 0 reduces to f(X_0) - pi(f)
-    expect = f.values[hist.states[0][0]] - float(pi.weights @ f.values)
-    assert engine.fluctuation_field(hist, 0, 0, f, pi) == pytest.approx(expect)
     const = TestFunction.constant(space, 2.0)
-    assert engine.fluctuation_field(hist, 0, 100, const, pi) == pytest.approx(0.0, abs=1e-12)
+    fields = harness.run_replicates(cfg, 2, [[("f", f), ("c", const)]], [0, 100], [pi])
+    first = engine.run_batch(cfg, range(2)).states[0][:, 0]
+    # n = 0 reduces to f(X_0) - pi(f)
+    expect = f.values[first] - float(pi.weights @ f.values)
+    assert fields.column(0, "f", 0) == pytest.approx(expect)
+    assert fields.column(0, "c", 100) == pytest.approx(np.zeros(2), abs=1e-12)
 
 
 def test_running_counts_match_recount():
@@ -371,14 +374,14 @@ def test_constant_potential_always_accepts():
 
 def test_level1_occupation_near_limit():
     cfg = toy_config(levels=1, iterations=100_000, seed=2024)
-    hist = engine.run(cfg)
+    res = engine.run_batch(cfg, [0], keep_history=False)
     model = cfg.model
     pi1 = fk.exact_path_measure(model, 1)
-    space = hist.spaces[1]
+    space = res.spaces[1]
     f = TestFunction(space, (np.arange(space.size) % 2 == 0).astype(float))
     spec = oracle.build_clt_spec(model, 1)
     avar = oracle.asymptotic_variance(spec, 1, f)
-    err = abs(engine.occupation(hist, 1, 100_000).weights @ f.values - pi1.weights @ f.values)
+    err = abs(res.final_counts[1][0] @ f.values / 100_001 - pi1.weights @ f.values)
     assert err <= 5.0 * math.sqrt(avar / 100_001)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from imcmc.measures import (
     operator_norm,
     tv_norm,
 )
-from helpers import random_probability, two_state_chain
+from helpers import random_probability, series_matrix, two_state_chain
 
 
 def toy_spec(p=0.25, betas=(0.5, 1.0, 1.5, 2.0), k_max=2, kernel_type="mh"):
@@ -99,12 +101,25 @@ def test_poisson_residual_detects_corruption():
     assert resid >= 1e-4
 
 
+def test_build_clt_spec_certifies_each_level_once(monkeypatch):
+    calls = []
+    certify = oracle.contraction_index
+
+    def counted(M):
+        calls.append(M.src.id)
+        return certify(M)
+
+    monkeypatch.setattr(oracle, "contraction_index", counted)
+    oracle.build_clt_spec(fk.toy_model(0.25, (0.5, 1.0, 1.5, 2.0)), 3)
+    assert len(calls) == 4
+
+
 def test_resolvent_bundle_certificates():
     spec = toy_spec(k_max=3)
     for b in spec.bundles:
         assert b.poisson_resid <= 1e-10
         assert oracle.poisson_residual(b) == b.poisson_resid
-        assert b.series_resid <= 1e-8
+        assert np.abs(series_matrix(b) - b.resolvent.matrix).max() <= 1e-8
         assert operator_norm(b.resolvent) <= b.p_n0 + 1e-9
         drift = np.abs(b.invariant.weights @ b.kernel.matrix - b.invariant.weights).max()
         assert drift <= 1e-12
@@ -152,19 +167,44 @@ def test_local_covariance_properties():
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def test_series_check_detects_perturbed_resolvent():
+    bundle = toy_spec(k_max=2).bundles[2]
+    size = bundle.space.size
+    bad = bundle.resolvent.matrix.copy()
+    bad[1, 2] += 1e-6
+    broken = dataclasses.replace(
+        bundle, resolvent=IntegralOperator(bundle.space, bundle.space, bad)
+    )
+    f = TestFunction(bundle.space, np.eye(size)[2])  # reads the perturbed column
+    const = TestFunction.constant(bundle.space, 1.0)
+    oracle.local_variance(bundle, f)
+    oracle.local_covariance(bundle, const, f)
+    with pytest.raises(oracle.OracleError):
+        oracle.local_variance(broken, f)
+    # the second argument is checked too: a constant resolves to zero
+    with pytest.raises(oracle.OracleError):
+        oracle.local_covariance(broken, const, f)
+
+
 # ---------------------------------------------------------------------------
 # semigroups and asymptotic variance
 # ---------------------------------------------------------------------------
 
 def test_d_semigroup_conventions():
     spec = toy_spec(k_max=3)
-    ident = oracle.d_semigroup(spec, 3, 2)
-    assert np.array_equal(ident.matrix, np.eye(spec.spaces[2].size))
-    single = oracle.d_semigroup(spec, 2, 2)
-    assert np.allclose(single.matrix, spec.d_ops[1].matrix)
-    left = oracle.d_semigroup(spec, 1, 3)
+
+    def images(k, l):
+        """Images of the level-`l` basis functions, one column each."""
+        basis = np.eye(spec.spaces[l].size)
+        imgs = [oracle.d_semigroup(spec, k, l, TestFunction(spec.spaces[l], e)) for e in basis]
+        assert all(img.space == spec.spaces[k - 1] for img in imgs)
+        return np.column_stack([img.values for img in imgs])
+
+    f = TestFunction(spec.spaces[2], np.arange(spec.spaces[2].size, dtype=float))
+    assert oracle.d_semigroup(spec, 3, 2, f) is f
+    assert np.allclose(images(2, 2), spec.d_ops[1].matrix)
     right = spec.d_ops[0].matrix @ (spec.d_ops[1].matrix @ spec.d_ops[2].matrix)
-    assert np.abs(left.matrix - right).max() < 1e-12
+    assert np.abs(images(1, 3) - right).max() < 1e-12
 
 
 def test_coefficient_table():
