@@ -91,9 +91,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     rows = []
     for k in range(cfg.levels + 1):
         for name, f in cfg.functions[k]:
-            sigma2 = oracle.local_variance(spec.bundles[k], f)
-            var = oracle.asymptotic_variance(spec, k, f)
-            rows.append([k, name, sigma2, var, oracle.coefficient_sq(k)])
+            terms = oracle.variance_terms(spec, k, f)
+            rows.append([k, name, terms[0], sum(terms), oracle.coefficient_sq(k)])
     with open(out / "variances.csv", "w") as fh:
         write_csv(
             fh,

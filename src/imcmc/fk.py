@@ -272,18 +272,16 @@ def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
     s_new = model.base_spaces[l].size
 
     # rows only depend on the terminal coordinate of the current prefix,
-    # so build one accepted-flow row per base state and add rejection mass
-    flows = {}
-    for a in range(g_prev.size):
-        ratio = np.minimum(1.0, g_prev[term_prev] / g_prev[a])
-        flows[a] = ((mu.weights * ratio)[:, None] * step[term_prev, :]).ravel()
+    # so build one accepted-flow row per base state, gather the rows by
+    # that terminal and add its rejection mass on the diagonal
+    ratio = np.minimum(1.0, g_prev[term_prev][None, :] / g_prev[:, None])
+    flows = ((mu.weights * ratio)[:, :, None] * step[term_prev, :]).reshape(g_prev.size, -1)
+    reject = np.array([1.0 - math.fsum(row) for row in flows])
 
-    matrix = np.zeros((ps.space.size, ps.space.size))
-    prefix_term = (np.arange(ps.space.size) // s_new) % g_prev.size
-    for x in range(ps.space.size):
-        row = flows[prefix_term[x]]
-        matrix[x] = row
-        matrix[x, x] += 1.0 - math.fsum(row)
+    states = np.arange(ps.space.size)
+    prefix_term = (states // s_new) % g_prev.size
+    matrix = flows[prefix_term]
+    matrix[states, states] += reject[prefix_term]
     return IntegralOperator(ps.space, ps.space, matrix, markov=True)
 
 

@@ -96,6 +96,11 @@ def invariant_measure(M: IntegralOperator) -> Measure:
     is guaranteed before any solve.
     """
     contraction_index(M)
+    return _stationary(M)
+
+
+def _stationary(M: IntegralOperator) -> Measure:
+    """The solve behind :func:`invariant_measure`, for a certified kernel."""
     n = M.src.size
     A = np.vstack([M.matrix.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -166,8 +171,10 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     With ``g = M^n fb`` the last term summed, every later term ``M^i g``
     is centred, so bounded by its oscillation, which shrinks by ``m_n0``
     every ``n0`` steps: the tail is below ``osc(g) n0 / (1 - m_n0)``.
-    Summation stops once that bound is below :data:`SERIES_TAIL_TOL`
-    times ``osc(fb)``; the certificate fixes how many terms that takes.
+    A markov ``M`` never raises the oscillation, so that bound only
+    tightens between checks; it is checked once per block of ``n0``
+    terms, and summation stops once it is below :data:`SERIES_TAIL_TOL`
+    times ``osc(fb)``.  The certificate fixes how many blocks that takes.
     """
     M, n0, m_n0 = bundle.kernel.matrix, bundle.n0, bundle.m_n0
     tail = n0 / (1.0 - m_n0)
@@ -176,11 +183,12 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     blocks = 1 if m_n0 <= 0.0 else math.ceil(math.log(SERIES_TAIL_TOL / tail) / math.log(m_n0))
     acc = fb.copy()
     g = fb
-    for _ in range(n0 * (blocks + 1)):
+    for _ in range(blocks + 1):
         if float(g.max() - g.min()) * tail <= target:
             return acc
-        g = M @ g
-        acc += g
+        for _ in range(n0):
+            g = M @ g
+            acc += g
     raise OracleError(
         f"resolvent series on {bundle.space.id!r} exceeded its certified term count"
     )
@@ -205,7 +213,7 @@ def resolvent_bundle(M: IntegralOperator, pi: Measure | None = None) -> Resolven
     """Assemble and certify the resolvent machinery for one kernel."""
     n0, m_n0, p_n0 = contraction_index(M)
     if pi is None:
-        pi = invariant_measure(M)
+        pi = _stationary(M)
     else:
         resid = np.abs(pi.weights @ M.matrix - pi.weights).max()
         if resid > INVARIANCE_TOL:
@@ -387,19 +395,29 @@ def d_semigroup(spec: CltSpec, k: int, l: int, f: TestFunction) -> TestFunction:
     return f
 
 
+def variance_terms(spec: CltSpec, k: int, f: TestFunction) -> list[float]:
+    """Terms ``l = 0 .. k`` of the level-`k` variance formula at `f`.
+
+    Term `l` is ``(2l)!/l!^2`` times the local variance at level ``k - l``
+    of the semigroup image of `f`; term 0 is the local variance of `f`
+    itself.
+    """
+    if not 0 <= k <= spec.level:
+        raise ValueError(f"level {k} outside the spec range 0..{spec.level}")
+    return [
+        coefficient_sq(l)
+        * local_variance(spec.bundles[k - l], d_semigroup(spec, k - l + 1, k, f))
+        for l in range(k + 1)
+    ]
+
+
 def asymptotic_variance(spec: CltSpec, k: int, f: TestFunction) -> float:
     """Limiting variance of the level-`k` fluctuation field at `f`.
 
     Sums the local variances of the semigroup images of `f` down the
-    stack, weighted by ``(2l)!/l!^2``.
+    stack, weighted by ``(2l)!/l!^2`` (see :func:`variance_terms`).
     """
-    if not 0 <= k <= spec.level:
-        raise ValueError(f"level {k} outside the spec range 0..{spec.level}")
-    total = 0.0
-    for l in range(k + 1):
-        img = d_semigroup(spec, k - l + 1, k, f)
-        total += coefficient_sq(l) * local_variance(spec.bundles[k - l], img)
-    return total
+    return sum(variance_terms(spec, k, f))
 
 
 def asymptotic_cross_covariance(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,30 @@ def test_mh_kernel_rows_and_invariance():
                 assert np.abs(mh.matrix.sum(axis=1) - 1.0).max() < 1e-12
                 target = fk.fk_map(m, l - 1, mu)
                 assert tv_norm(act_measure(target, mh) - target) < 1e-10
+
+
+def test_mh_kernel_matches_row_loop():
+    # reference: every entry from the definition, rejection mass per row
+    def row_loop(model, l, mu):
+        ps = fk.path_space(model, l)
+        g = model.potentials[l - 1].values
+        step = model.transitions[l - 1].matrix
+        s_prev, s_new = model.base_spaces[l - 1].size, model.base_spaces[l].size
+        out = np.zeros((ps.space.size, ps.space.size))
+        for x in range(ps.space.size):
+            tx = (x // s_new) % s_prev
+            for y in range(ps.space.size):
+                py, ty = y // s_new, y % s_new
+                ratio = min(1.0, g[py % s_prev] / g[tx])
+                out[x, y] = (mu.weights[py] * ratio) * step[py % s_prev, ty]
+            out[x, x] += 1.0 - math.fsum(out[x])
+        return out
+
+    rng = np.random.default_rng(13)
+    for m in (fk.toy_model(0.25, (0.5, 1.0, 1.5, 2.0)), small_model((2, 3, 2))):
+        for l in range(1, m.levels + 1):
+            mu = random_probability(rng, fk.path_space(m, l - 1).space)
+            assert np.array_equal(fk.mh_kernel(m, l, mu).matrix, row_loop(m, l, mu))
 
 
 def test_mh_kernel_constant_potential_is_rank_one():

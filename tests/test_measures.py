@@ -109,6 +109,33 @@ def test_dobrushin():
         dobrushin(IntegralOperator(space, space, [[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_dobrushin_matches_pairwise_max():
+    # the overlap form against the literal pairwise maximum, on kernels
+    # with zero entries, with repeated rows, and on a permutation
+    def pairwise(m):
+        n = len(m)
+        return max(0.5 * np.abs(m[x] - m[y]).sum() for x in range(n) for y in range(n))
+
+    rng = np.random.default_rng(12)
+    kernels = []
+    for i in range(19):
+        n = int(rng.integers(2, 41))
+        m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+        m[np.arange(n), rng.integers(0, n, n)] += 0.01
+        m /= m.sum(axis=1, keepdims=True)
+        if i % 3 == 0:
+            m = m[rng.integers(0, n, n)]
+        kernels.append(m)
+    perm = np.eye(17)[rng.permutation(17)]
+    kernels.append(perm)
+    for m in kernels:
+        sp = FiniteSpace("k", len(m))
+        beta = dobrushin(IntegralOperator(sp, sp, m, markov=True))
+        assert abs(beta - pairwise(m)) <= 1e-15
+    sp = FiniteSpace("perm", len(perm))
+    assert dobrushin(IntegralOperator(sp, sp, perm, markov=True)) == 1.0
+
+
 def test_compose():
     space, M, _ = two_state_chain()
     ident = IntegralOperator.identity(space)

@@ -112,6 +112,42 @@ def test_build_clt_spec_certifies_each_level_once(monkeypatch):
     monkeypatch.setattr(oracle, "contraction_index", counted)
     oracle.build_clt_spec(fk.toy_model(0.25, (0.5, 1.0, 1.5, 2.0)), 3)
     assert len(calls) == 4
+    # without a supplied measure, the invariant solve reuses the certificate
+    calls.clear()
+    oracle.resolvent_bundle(two_state_chain()[1])
+    assert len(calls) == 1
+
+
+def test_resolvent_series_checks_tail_per_block():
+    # a 12-state ring Metropolis chain certifies only at n0 = 3
+    n = 12
+    sp = FiniteSpace("ring12", n)
+    proposal = np.zeros((n, n))
+    for x in range(n):
+        proposal[x, (x + 1) % n] = proposal[x, (x - 1) % n] = 0.5
+    model = ann.make_metropolis_model(
+        sp, 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n), (0.3,), 0.3,
+        IntegralOperator(sp, sp, proposal, markov=True),
+    )
+    b = oracle.resolvent_bundle(model.level0_kernel)
+    assert b.n0 == 3
+    fb = np.eye(n)[0] - b.invariant.weights[0]
+    got = oracle.resolvent_series(b, fb)
+    assert np.abs(got - b.resolvent.matrix @ fb).max() <= 1e-11
+
+    # replay the partial sums to find how many terms were summed
+    M, tail = b.kernel.matrix, b.n0 / (1.0 - b.m_n0)
+    target = oracle.SERIES_TAIL_TOL * (fb.max() - fb.min())
+    acc, g, oscs = fb.copy(), fb, [fb.max() - fb.min()]
+    while not np.array_equal(acc, got):
+        assert len(oscs) <= 10_000, "no partial sum reproduces the series"
+        g = M @ g
+        acc += g
+        oscs.append(g.max() - g.min())
+    terms = len(oscs) - 1
+    assert terms % b.n0 == 0
+    assert oscs[terms] * tail <= target
+    assert oscs[terms - b.n0] * tail > target
 
 
 def test_resolvent_bundle_certificates():
