@@ -22,6 +22,13 @@ certificate bounds its tail.  The two images must agree entrywise;
 disagreement raises :class:`OracleError` rather than silently returning
 either value.  The first-order semigroups act on vectors too, so past
 the one solve and its certificates no operator product is formed.
+
+Each level's certificate is a power ``M^n0``, ``n0 = 2^k`` reached by
+repeated squaring, with the Doeblin bound ``m_n0 = 1 - sum_y min_x
+M^n0(x, y)`` on its Dobrushin coefficient; the search ends at
+Wielandt's bound ``(S - 1)^2 + 1``, by which every ergodic kernel on
+``S`` states has a positive column.  The vector series steps by that
+power.
 """
 
 from __future__ import annotations
@@ -41,13 +48,9 @@ from .measures import (
     TestFunction,
     act_measure,
     apply_operator,
-    dobrushin,
     operator_norm,
     tv_norm,
 )
-
-#: Largest power probed when searching for a contraction index.
-MAX_CONTRACTION_POWER = 64
 
 #: Tolerances of the oracle algebra (see the acceptance suite).
 INVARIANCE_TOL = 1e-12
@@ -67,24 +70,49 @@ class OracleError(RuntimeError):
 # Invariant measures and resolvents
 # ---------------------------------------------------------------------------
 
-def contraction_index(M: IntegralOperator) -> tuple[int, float, float]:
-    """Smallest ``n0 <= 64`` with ``beta(M^n0) < 1``, with its bound.
+def _doeblin(power: np.ndarray) -> float:
+    """Doeblin bound ``1 - sum_y min_x power(x, y)`` on ``beta(power)``, in [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - float(power.min(axis=0).sum())))
 
-    Returns ``(n0, m_n0, p_n0)`` where ``m_n0 = beta(M^n0)`` and
+
+def contraction_index(M: IntegralOperator) -> tuple[int, float, float, np.ndarray]:
+    """A power ``n0 = 2^k`` with ``beta(M^n0) <= m_n0 < 1``, with its bound.
+
+    Returns ``(n0, m_n0, p_n0, M^n0)``.  ``m_n0`` is the Doeblin bound
+    ``1 - sum_y min_x M^n0(x, y)``, which is never below the Dobrushin
+    coefficient ``beta(M^n0)`` and costs one pass over the matrix;
     ``p_n0 = 2 n0 / (1 - m_n0)`` bounds the resolvent operator norm.
+    The powers ``M, M^2, M^4, ...`` are found by repeated squaring of the
+    raw matrix.  The first with ``m < 1`` certifies; squaring goes on
+    while it lowers ``p``, which it cannot once ``m <= 1/2``.
+
+    ``M^n0`` has a positive column, so ``m_n0 < 1``, exactly when some
+    state is reached in ``n0`` steps from every state.  By Wielandt's
+    bound, every kernel on ``S`` states with a single aperiodic closed
+    class has one by the power ``(S - 1)^2 + 1``; a kernel with none by
+    then is not uniformly ergodic, and raises :class:`OracleError`.
     """
     if not M.markov or M.src != M.dst:
         raise ValueError("contraction index requires a markov kernel on one space")
-    power = M
-    for n in range(1, MAX_CONTRACTION_POWER + 1):
-        beta = dobrushin(power)
-        if beta < 1.0:
-            return n, beta, 2.0 * n / (1.0 - beta)
-        power = IntegralOperator(M.src, M.dst, power.matrix @ M.matrix, markov=True)
-    raise OracleError(
-        f"kernel on {M.src.id!r} is not uniformly ergodic at oracle scale "
-        f"(no contraction index up to {MAX_CONTRACTION_POWER})"
-    )
+    wielandt = (M.src.size - 1) ** 2 + 1
+    n, power = 1, M.matrix
+    m = _doeblin(power)
+    while m >= 1.0:
+        if n >= wielandt:
+            raise OracleError(
+                f"kernel on {M.src.id!r} is not uniformly ergodic: M^{n} has no "
+                f"positive column, and {n} reaches Wielandt's bound {wielandt}"
+            )
+        n, power = 2 * n, power @ power
+        m = _doeblin(power)
+    while m > 0.5:
+        square = power @ power
+        m_square = _doeblin(square)
+        if m_square >= 2.0 * m - 1.0:  # 4n / (1 - m_square) >= 2n / (1 - m)
+            break
+        n, power, m = 2 * n, square, m_square
+    power.setflags(write=False)
+    return n, m, 2.0 * n / (1.0 - m), power
 
 
 def invariant_measure(M: IntegralOperator) -> Measure:
@@ -148,8 +176,10 @@ class ResolventBundle:
 
     Construction validates the Poisson equation and the operator-norm
     bound ``||P|| <= p(n0)``, and keeps the attained Poisson residual for
-    reporting.  The series route is checked on each function resolved
-    through the bundle (see :func:`local_variance`).
+    reporting.  ``power`` is the certified power ``M^n0`` as a raw matrix
+    (the kernel's own matrix when ``n0 = 1``).  The series route is
+    checked on each function resolved through the bundle (see
+    :func:`local_variance`).
     """
 
     kernel: IntegralOperator
@@ -158,6 +188,7 @@ class ResolventBundle:
     n0: int
     m_n0: float
     p_n0: float
+    power: np.ndarray
     poisson_resid: float
 
     @property
@@ -168,27 +199,31 @@ class ResolventBundle:
 def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     """Series route to the resolvent image ``sum_{n>=0} M^n fb`` of a centred vector.
 
-    With ``g = M^n fb`` the last term summed, every later term ``M^i g``
-    is centred, so bounded by its oscillation, which shrinks by ``m_n0``
-    every ``n0`` steps: the tail is below ``osc(g) n0 / (1 - m_n0)``.
-    A markov ``M`` never raises the oscillation, so that bound only
-    tightens between checks; it is checked once per block of ``n0``
-    terms, and summation stops once it is below :data:`SERIES_TAIL_TOL`
-    times ``osc(fb)``.  The certificate fixes how many blocks that takes.
+    The series is summed in blocks of ``n0`` terms,
+    ``sum_{i<n0} M^i sum_{j>=0} h_j`` with ``h_j = (M^n0)^j fb``, so each
+    block costs one product with the certified power.  Every later
+    ``h_i`` is centred, so bounded by its oscillation, which shrinks by
+    ``m_n0`` per block; past ``h_J`` the tail is below
+    ``osc(h_J) n0 / (1 - m_n0)`` once ``sum_{i<n0} M^i`` (norm ``n0``) is
+    applied.  Summation stops once that is below :data:`SERIES_TAIL_TOL`
+    times ``osc(fb)``, and the certificate fixes how many blocks that
+    takes.  The ``n0 - 1`` products with ``M`` come last, once.
     """
-    M, n0, m_n0 = bundle.kernel.matrix, bundle.n0, bundle.m_n0
+    M, power, n0, m_n0 = bundle.kernel.matrix, bundle.power, bundle.n0, bundle.m_n0
     tail = n0 / (1.0 - m_n0)
     target = SERIES_TAIL_TOL * float(fb.max() - fb.min())
     # blocks of n0 steps after which m_n0^blocks * tail <= SERIES_TAIL_TOL
     blocks = 1 if m_n0 <= 0.0 else math.ceil(math.log(SERIES_TAIL_TOL / tail) / math.log(m_n0))
     acc = fb.copy()
-    g = fb
+    h = fb
     for _ in range(blocks + 1):
-        if float(g.max() - g.min()) * tail <= target:
-            return acc
-        for _ in range(n0):
-            g = M @ g
-            acc += g
+        if float(h.max() - h.min()) * tail <= target:
+            out = acc
+            for _ in range(n0 - 1):
+                out = acc + M @ out
+            return out
+        h = power @ h
+        acc += h
     raise OracleError(
         f"resolvent series on {bundle.space.id!r} exceeded its certified term count"
     )
@@ -211,7 +246,7 @@ def poisson_residual(M, pi: Measure | None = None, P: IntegralOperator | None = 
 
 def resolvent_bundle(M: IntegralOperator, pi: Measure | None = None) -> ResolventBundle:
     """Assemble and certify the resolvent machinery for one kernel."""
-    n0, m_n0, p_n0 = contraction_index(M)
+    n0, m_n0, p_n0, power = contraction_index(M)
     if pi is None:
         pi = _stationary(M)
     else:
@@ -237,6 +272,7 @@ def resolvent_bundle(M: IntegralOperator, pi: Measure | None = None) -> Resolven
         n0=n0,
         m_n0=m_n0,
         p_n0=p_n0,
+        power=power,
         poisson_resid=p_resid,
     )
 

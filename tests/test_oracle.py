@@ -10,6 +10,7 @@ from imcmc.measures import (
     IntegralOperator,
     TestFunction,
     act_measure,
+    dobrushin,
     operator_norm,
     tv_norm,
 )
@@ -24,6 +25,18 @@ def annealing_spec(eps=0.3, k_max=2):
     sp = FiniteSpace("S", 4)
     m = ann.make_metropolis_model(sp, np.array([0.0, 1.0, 2.0, 3.0]), (0.3, 0.6, 0.9, 1.2), eps)
     return oracle.build_clt_spec(m, k_max)
+
+
+def ring_model(n, betas=(0.3,), eps=0.3):
+    """Metropolis annealing on an n-state ring with nearest-neighbour moves."""
+    sp = FiniteSpace(f"ring{n}", n)
+    proposal = np.zeros((n, n))
+    for x in range(n):
+        proposal[x, (x + 1) % n] = proposal[x, (x - 1) % n] = 0.5
+    return ann.make_metropolis_model(
+        sp, 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n), betas, eps,
+        IntegralOperator(sp, sp, proposal, markov=True),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +68,100 @@ def test_invariant_measure_cross_module():
 
 def test_contraction_index():
     _, M, _ = two_state_chain()
-    n0, m_n0, p_n0 = oracle.contraction_index(M)
+    n0, m_n0, p_n0, _ = oracle.contraction_index(M)
     assert n0 == 1 and m_n0 == pytest.approx(0.7) and p_n0 == pytest.approx(2 / 0.3)
-    spec = annealing_spec(eps=0.3)
-    n0, m_n0, _ = oracle.contraction_index(spec.kernels[1])
-    assert n0 == 1 and m_n0 <= 0.3 + 1e-12
     # a pure permutation never contracts
     sp = FiniteSpace("perm", 3)
     perm = IntegralOperator(sp, sp, np.roll(np.eye(3), 1, axis=1), markov=True)
-    with pytest.raises(oracle.OracleError):
+    with pytest.raises(oracle.OracleError, match="M\\^8 has no positive column"):
         oracle.contraction_index(perm)
+
+
+def _exact_beta_search(sp, m):
+    """First exact ``beta(M^n) < 1`` over the powers ``n <= 64``, or None."""
+    power = m
+    for _ in range(64):
+        beta = dobrushin(IntegralOperator(sp, sp, power, markov=True))
+        if beta < 1.0:
+            return beta
+        power = power @ m
+    return None
+
+
+def _positive_column_by_wielandt(m):
+    """Exact route: some column of the boolean power ``M^(2^k)``, ``2^k >= (S-1)^2 + 1``, is all true."""
+    reach, n = (m > 0).astype(np.int64), 1
+    while n < (m.shape[0] - 1) ** 2 + 1:
+        reach, n = (reach @ reach > 0).astype(np.int64), 2 * n
+    return bool(reach.all(axis=0).any())
+
+
+def test_doeblin_certificates_on_sparse_kernels():
+    rng = np.random.default_rng(10)
+    rejected, ergodic, beta_rejected = set(), set(), set()
+    for i in range(400):
+        n = int(rng.integers(2, 31))
+        m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.6))
+        m[np.arange(n), rng.integers(0, n, n)] += rng.random(n)  # no empty row
+        m /= m.sum(axis=1, keepdims=True)
+        sp = FiniteSpace(f"sparse{i}", n)
+        M = IntegralOperator(sp, sp, m, markov=True)
+        if _positive_column_by_wielandt(m):
+            ergodic.add(i)
+        beta = _exact_beta_search(sp, m)
+        if beta is None:
+            beta_rejected.add(i)
+        try:
+            n0, m_n0, p_n0, power = oracle.contraction_index(M)
+        except oracle.OracleError:
+            rejected.add(i)
+            # the exact-beta search accepts such a kernel only when beta rounds below 1
+            assert beta is None or beta >= 1.0 - 1e-15
+            continue
+        assert n0 & (n0 - 1) == 0 and 0.0 <= m_n0 < 1.0
+        assert p_n0 == 2.0 * n0 / (1.0 - m_n0)
+        assert np.allclose(power, np.linalg.matrix_power(m, n0), rtol=0.0, atol=1e-13)
+        assert m_n0 >= dobrushin(IntegralOperator(sp, sp, power, markov=True)) - 1e-15
+        b = oracle.resolvent_bundle(M)
+        assert operator_norm(b.resolvent) <= p_n0
+    assert rejected == set(range(400)) - ergodic
+    assert beta_rejected <= rejected and 0 < len(rejected) < 40
+
+
+def test_wielandt_kernel_is_certified():
+    # i -> i+1, and the last state -> {0, 1}: primitive with exponent (8-1)^2+1 = 50
+    n = 8
+    m = np.zeros((n, n))
+    m[np.arange(n - 1), np.arange(1, n)] = 1.0
+    m[n - 1, :2] = 0.5
+    sp = FiniteSpace("wielandt8", n)
+    assert (np.linalg.matrix_power(m, 49) == 0).any()
+    assert (np.linalg.matrix_power(m, 50) > 0).all()
+    b = oracle.resolvent_bundle(IntegralOperator(sp, sp, m, markov=True))
+    assert b.m_n0 < 1.0 and operator_norm(b.resolvent) <= b.p_n0
+    cycle = IntegralOperator(sp, sp, np.roll(np.eye(n), 1, axis=1), markov=True)
+    with pytest.raises(oracle.OracleError, match="Wielandt's bound 50"):
+        oracle.contraction_index(cycle)
+
+
+def test_mixture_levels_certify_in_one_step():
+    for eps in (0.1, 0.3, 0.7):
+        for model in (
+            ann.make_metropolis_model(
+                FiniteSpace("S", 4), np.array([0.0, 1.0, 2.0, 3.0]), (0.3, 0.6, 0.9, 1.2), eps
+            ),
+            ring_model(64, betas=(0.3, 0.6, 0.9), eps=eps),
+        ):
+            spec = oracle.build_clt_spec(model, model.levels)
+            for b in spec.bundles[1:]:
+                assert b.n0 == 1 and b.m_n0 <= eps + 1e-12
+                assert b.power is b.kernel.matrix
+
+
+@pytest.mark.parametrize("size", [256, 512])
+def test_wide_rings_are_certified(size):
+    b = oracle.resolvent_bundle(ring_model(size).level0_kernel)
+    assert b.m_n0 < 1.0 and operator_norm(b.resolvent) <= b.p_n0
 
 
 # ---------------------------------------------------------------------------
@@ -119,35 +216,44 @@ def test_build_clt_spec_certifies_each_level_once(monkeypatch):
 
 
 def test_resolvent_series_checks_tail_per_block():
-    # a 12-state ring Metropolis chain certifies only at n0 = 3
-    n = 12
-    sp = FiniteSpace("ring12", n)
-    proposal = np.zeros((n, n))
-    for x in range(n):
-        proposal[x, (x + 1) % n] = proposal[x, (x - 1) % n] = 0.5
-    model = ann.make_metropolis_model(
-        sp, 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n), (0.3,), 0.3,
-        IntegralOperator(sp, sp, proposal, markov=True),
-    )
-    b = oracle.resolvent_bundle(model.level0_kernel)
-    assert b.n0 == 3
+    # the 12-state ring's level-0 chain certifies only at n0 = 16
+    b = oracle.resolvent_bundle(ring_model(12).level0_kernel)
+    assert b.n0 == 16
+    n = b.space.size
     fb = np.eye(n)[0] - b.invariant.weights[0]
     got = oracle.resolvent_series(b, fb)
     assert np.abs(got - b.resolvent.matrix @ fb).max() <= 1e-11
 
-    # replay the partial sums to find how many terms were summed
+    # replay the blocks h_j = (M^n0)^j fb to find how many were summed
     M, tail = b.kernel.matrix, b.n0 / (1.0 - b.m_n0)
     target = oracle.SERIES_TAIL_TOL * (fb.max() - fb.min())
-    acc, g, oscs = fb.copy(), fb, [fb.max() - fb.min()]
-    while not np.array_equal(acc, got):
-        assert len(oscs) <= 10_000, "no partial sum reproduces the series"
-        g = M @ g
+
+    def spread(acc):
+        out = acc
+        for _ in range(b.n0 - 1):
+            out = acc + M @ out
+        return out
+
+    acc, h, oscs = fb.copy(), fb, [fb.max() - fb.min()]
+    while not np.array_equal(spread(acc), got):
+        assert len(oscs) <= 1_000, "no partial sum reproduces the series"
+        h = b.power @ h
+        acc += h
+        oscs.append(h.max() - h.min())
+    assert oscs[-1] * tail <= target
+    assert oscs[-2] * tail > target
+
+    # at n0 = 1 the blocked series is the term-by-term sum, bit for bit
+    b1 = annealing_spec().bundles[1]
+    assert b1.n0 == 1
+    fb = np.arange(4.0) - b1.invariant.weights @ np.arange(4.0)
+    tail = 1.0 / (1.0 - b1.m_n0)
+    target = oracle.SERIES_TAIL_TOL * (fb.max() - fb.min())
+    acc, g = fb.copy(), fb
+    while (g.max() - g.min()) * tail > target:
+        g = b1.kernel.matrix @ g
         acc += g
-        oscs.append(g.max() - g.min())
-    terms = len(oscs) - 1
-    assert terms % b.n0 == 0
-    assert oscs[terms] * tail <= target
-    assert oscs[terms - b.n0] * tail > target
+    assert np.array_equal(oracle.resolvent_series(b1, fb), acc)
 
 
 def test_resolvent_bundle_certificates():
