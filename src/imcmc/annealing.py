@@ -32,13 +32,14 @@ import numpy as np
 from .measures import (
     PROBABILITY,
     FiniteSpace,
+    FirstOrderOperator,
     IntegralOperator,
     Measure,
     TestFunction,
     compose,
     integrate,
 )
-from .fk import KERNEL_INVARIANCE_TOL, boltzmann_gibbs, transport_kernel
+from .fk import KERNEL_INVARIANCE_TOL, boltzmann_gibbs
 
 
 def _gibbs_weights(values: np.ndarray, beta: float, reference: np.ndarray) -> np.ndarray:
@@ -228,21 +229,22 @@ def mixture_invariant_measure(model: AnnealingModel, l: int, mu: Measure) -> Mea
     return annealing_map(model, l - 1, mu)
 
 
-def first_order_D(model: AnnealingModel, l: int, eta: Measure) -> IntegralOperator:
+def first_order_D(model: AnnealingModel, l: int, eta: Measure) -> FirstOrderOperator:
     """First-order expansion operator of the level map around `eta`.
 
     The transport realization of the reweighting step at `eta`, scaled by
     ``1/eta(G_l)`` and pushed through ``L_{l+1}`` and the geometric
-    kernel.  Not markov (constant mass ``1/eta(G_l)``).
+    kernel.  Not markov (constant mass ``1/eta(G_l)``).  It is kept as
+    the transport and the dense step, so no operator product is formed.
     """
     if not 0 <= l < model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
     G = potential_fn(model, l)
     denom = integrate(eta, G)
-    S = transport_kernel(eta, G)
     step = compose(model.kernels_l[l + 1], geometric_kernel(model, l + 1))
-    return IntegralOperator(
-        model.space, model.space, (S.matrix / denom) @ step.matrix, markov=False
+    return FirstOrderOperator(
+        model.space, model.space, G.values, boltzmann_gibbs(eta, G).weights, 1.0 / denom,
+        step.matrix,
     )
 
 

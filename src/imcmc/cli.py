@@ -34,7 +34,6 @@ from . import __version__, oracle
 from .config import ConfigError, RunConfig, load_config
 from .engine import export_trajectories_csv, run_batch
 from .harness import verify_theorem, weight_limit_table
-from .measures import operator_norm
 from .reporting import write_csv
 
 EXIT_OK = 0
@@ -104,12 +103,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     rows = []
     for k in range(cfg.levels + 1):
         b = spec.bundles[k]
-        d_norm = operator_norm(spec.d_ops[k]) if k < cfg.levels else float("nan")
+        d_norm = spec.d_ops[k].scale if k < cfg.levels else float("nan")
         rows.append(
-            [
-                k, b.n0, b.m_n0, b.p_n0, operator_norm(b.resolvent),
-                b.poisson_resid, d_norm,
-            ]
+            [k, b.n0, b.m_n0, b.p_n0, b.resolvent.norm(), b.poisson_resid, d_norm]
         )
     with open(out / "operators.csv", "w") as fh:
         write_csv(

@@ -233,12 +233,6 @@ def _build_annealing_model(sec) -> ann.AnnealingModel:
         raise ConfigError("model", str(e))
 
 
-def _level_spaces(model, levels: int):
-    if isinstance(model, fk.FKModel):
-        return [fk.path_space(model, k) for k in range(levels + 1)]
-    return [None] * (levels + 1)
-
-
 def _build_functions(sec, model, levels: int) -> list[list[tuple[str, TestFunction]]]:
     out: list[list[tuple[str, TestFunction]]] = [[] for _ in range(levels + 1)]
     if isinstance(model, fk.FKModel):

@@ -17,6 +17,10 @@ from a supplied measure and appends one base transition.
 
 Path potentials depend on the terminal coordinate only; that keeps every
 operator here in closed form.
+
+The functions that build level objects take an optional `paths`, the
+level path spaces by level (see :func:`path_space`), so that a caller
+building a whole stack enumerates each path space once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import numpy as np
 
 from .measures import (
     PROBABILITY,
+    FactoredKernel,
     FiniteSpace,
+    FirstOrderOperator,
     IntegralOperator,
     Measure,
     TestFunction,
@@ -157,6 +163,10 @@ def path_space(model: FKModel, l: int) -> PathSpace:
     )
 
 
+def _path(model: FKModel, l: int, paths) -> PathSpace:
+    return path_space(model, l) if paths is None else paths[l]
+
+
 def _terminal_indices(ps: PathSpace) -> np.ndarray:
     return np.arange(ps.space.size) % ps.base_sizes[-1]
 
@@ -172,7 +182,8 @@ def path_extension(model: FKModel, l: int) -> IntegralOperator:
 
     The row of a path `x` puts mass ``L'_{l+1}(term(x), y)`` on the path
     ``(x, y)`` and zero elsewhere: the prefix is kept, one coordinate is
-    appended.
+    appended.  A dense test reference: :func:`first_order_D` applies the
+    extension by reshaping.
     """
     ps, ps_next = path_space(model, l), path_space(model, l + 1)
     s_new = model.base_spaces[l + 1].size
@@ -183,7 +194,7 @@ def path_extension(model: FKModel, l: int) -> IntegralOperator:
     return IntegralOperator(ps.space, ps_next.space, matrix, markov=True)
 
 
-def exact_path_measure(model: FKModel, l: int) -> Measure:
+def exact_path_measure(model: FKModel, l: int, paths=None) -> Measure:
     """The level-`l` limit law, by direct enumeration of weighted paths."""
     if not 0 <= l <= model.levels:
         raise ValueError(f"level {l} out of range 0..{model.levels}")
@@ -195,7 +206,7 @@ def exact_path_measure(model: FKModel, l: int) -> Measure:
     total = w.sum()
     if total <= 0.0:
         raise ValueError(f"level {l} path weights sum to {total}; cannot normalize")
-    return Measure(path_space(model, l).space, w / total, kind=PROBABILITY)
+    return Measure(_path(model, l, paths).space, w / total, kind=PROBABILITY)
 
 
 def boltzmann_gibbs(mu: Measure, G: TestFunction) -> Measure:
@@ -213,7 +224,8 @@ def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
 
     ``S(x, y) = G(x) 1{y=x} + (1 - G(x)) * bg(mu)(y)`` with ``bg`` the
     normalized reweighting of `mu` by `G`; it satisfies ``mu S = bg(mu)``.
-    Requires `G` valued in ``(0, 1]``.
+    Requires `G` valued in ``(0, 1]``.  A dense test reference: the
+    first-order operators apply the transport without its matrix.
     """
     if G.values.min() <= 0.0 or G.values.max() > 1.0:
         raise ValueError(
@@ -226,7 +238,7 @@ def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
     return IntegralOperator(mu.space, mu.space, matrix, markov=True)
 
 
-def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:
+def fk_map(model: FKModel, l: int, mu: Measure, paths=None) -> Measure:
     """One step of the measure-valued flow: reweight at level `l`, extend.
 
     Maps a probability measure on the level-`l` path space to one on the
@@ -235,19 +247,19 @@ def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:
     """
     if l >= model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
-    ps = path_space(model, l)
+    ps = _path(model, l, paths)
     if mu.space != ps.space:
         raise ValueError(
             f"measure lives on {mu.space.id!r}, expected level-{l} path space "
             f"{ps.space.id!r}"
         )
-    psi = boltzmann_gibbs(mu, path_potential(model, l))
     term = _terminal_indices(ps)
+    psi = boltzmann_gibbs(mu, TestFunction(ps.space, model.potentials[l].values[term]))
     w = (psi.weights[:, None] * model.transitions[l].matrix[term, :]).ravel()
-    return Measure(path_space(model, l + 1).space, w, kind=PROBABILITY)
+    return Measure(_path(model, l + 1, paths).space, w, kind=PROBABILITY)
 
 
-def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
+def mh_factors(model: FKModel, l: int, mu: Measure, paths=None) -> FactoredKernel:
     """Independence Metropolis-Hastings kernel for level `l`, indexed by `mu`.
 
     The proposal draws a level-``l-1`` path from `mu` and appends one
@@ -255,12 +267,16 @@ def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
     accepted with probability ``min(1, G'_{l-1}(term(y_prefix)) /
     G'_{l-1}(term(x_prefix)))`` and the rejection mass sits on the
     diagonal.  Its invariant measure is ``fk_map(model, l-1, mu)``.
+
+    A row depends on the current state only through the terminal of its
+    prefix, so the kernel is kept in factors: one class per base state of
+    level ``l-1``, with one accepted-flow row and one rejection mass each.
     """
     if l < 1:
         raise ValueError("the level-0 kernel is homogeneous; use model.level0_kernel")
     if l > model.levels:
         raise ValueError(f"level {l} out of range 1..{model.levels}")
-    ps_prev, ps = path_space(model, l - 1), path_space(model, l)
+    ps_prev, ps = _path(model, l - 1, paths), _path(model, l, paths)
     if mu.space != ps_prev.space:
         raise ValueError(
             f"measure lives on {mu.space.id!r}, expected level-{l-1} path space "
@@ -271,21 +287,19 @@ def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
     step = model.transitions[l - 1].matrix
     s_new = model.base_spaces[l].size
 
-    # rows only depend on the terminal coordinate of the current prefix,
-    # so build one accepted-flow row per base state, gather the rows by
-    # that terminal and add its rejection mass on the diagonal
     ratio = np.minimum(1.0, g_prev[term_prev][None, :] / g_prev[:, None])
     flows = ((mu.weights * ratio)[:, :, None] * step[term_prev, :]).reshape(g_prev.size, -1)
     reject = np.array([1.0 - math.fsum(row) for row in flows])
-
-    states = np.arange(ps.space.size)
-    prefix_term = (states // s_new) % g_prev.size
-    matrix = flows[prefix_term]
-    matrix[states, states] += reject[prefix_term]
-    return IntegralOperator(ps.space, ps.space, matrix, markov=True)
+    prefix_term = (np.arange(ps.space.size) // s_new) % g_prev.size
+    return FactoredKernel(ps.space, prefix_term, flows, reject)
 
 
-def first_order_D(model: FKModel, l: int, eta: Measure) -> IntegralOperator:
+def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
+    """The kernel of :func:`mh_factors` as a dense matrix: a test reference."""
+    return mh_factors(model, l, mu).to_operator()
+
+
+def first_order_D(model: FKModel, l: int, eta: Measure, paths=None) -> FirstOrderOperator:
     """First-order expansion operator of the level map around `eta`.
 
     For measures ``mu`` near ``eta`` the flow satisfies
@@ -293,27 +307,28 @@ def first_order_D(model: FKModel, l: int, eta: Measure) -> IntegralOperator:
     with ``D`` the transport kernel at `eta` scaled by ``1/eta(G_l)``
     and composed with the path extension.  `D` maps level-`l` paths to
     level-``l+1`` paths; it is not markov (constant mass ``1/eta(G_l)``).
+    It is kept as the transport and the extension's rows, so applying it
+    costs ``O(S_{l+1})``.
     """
     if l >= model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
-    G = path_potential(model, l)
+    ps, ps_next = _path(model, l, paths), _path(model, l + 1, paths)
+    term = _terminal_indices(ps)
+    G = TestFunction(ps.space, model.potentials[l].values[term])
     denom = integrate(eta, G)
     if denom <= 0.0:
         raise ValueError(f"eta(G_{l}) = {denom}; expansion undefined")
-    S = transport_kernel(eta, G)
-    ext = path_extension(model, l)
-    ps, ps_next = path_space(model, l), path_space(model, l + 1)
-    return IntegralOperator(
-        ps.space, ps_next.space, (S.matrix / denom) @ ext.matrix, markov=False
+    return FirstOrderOperator(
+        ps.space, ps_next.space, G.values, boltzmann_gibbs(eta, G).weights, 1.0 / denom,
+        model.transitions[l].matrix[term],
     )
 
 
-def rank_one_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
+def rank_one_kernel(model: FKModel, l: int, mu: Measure, paths=None) -> FactoredKernel:
     """Memoryless level kernel: every row redraws from ``fk_map(model, l-1, mu)``."""
     if l < 1:
         raise ValueError("the level-0 kernel is homogeneous; use model.level0_kernel")
-    target = fk_map(model, l - 1, mu)
-    return IntegralOperator.rank_one(path_space(model, l).space, target)
+    return FactoredKernel.rank_one(fk_map(model, l - 1, mu, paths))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Dense measure / kernel algebra on finite state spaces.
+"""Measure / kernel algebra on finite state spaces.
 
 This module is the numerical foundation for everything else: enumerated
 state spaces, signed and probability measures as weight vectors, integral
-operators as dense matrices, and the handful of norms and coefficients
-(total variation, oscillation, Dobrushin contraction) the rest of the
-package reasons with.
+operators as dense matrices, markov kernels kept in class factors
+(:class:`FactoredKernel`), first-order operators kept as a transport and
+a step (:class:`FirstOrderOperator`), and the handful of norms and
+coefficients (total variation, oscillation, Dobrushin contraction) the
+rest of the package reasons with.
 
 Conventions
 -----------
@@ -16,8 +18,10 @@ Conventions
 * Product spaces are indexed mixed-radix with the LEFT factor as the
   high digit: ``index(x_0, ..., x_l) = (...((x_0*s_1 + x_1)*s_2 + x_2)...)``.
   This order is fixed so golden files stay stable.
-* Spaces are capped at ``MAX_STATES`` states; the oracle is dense by
-  design and is not meant to scale past desk-size models.
+* Spaces are capped at ``MAX_STATES`` states.  The oracle keeps every
+  level kernel in factors and never forms an ``S x S`` matrix for a
+  Feynman-Kac level past level 0; kernels without that structure (level
+  0, annealing levels) are factored trivially and stay dense.
 * All values are immutable after construction (weight arrays are marked
   read-only) and safe to share across threads.
 """
@@ -29,6 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Hard cap on the size of any enumerated space (12 binary coordinates).
+#: The oracle's factored Feynman-Kac levels cost ``O(S b)`` for ``b``
+#: terminal classes; level 0 and annealing levels stay dense (``S^2``
+#: memory, ``S^3`` time), and the engine keeps histories as uint16.
 MAX_STATES = 4096
 
 #: Default absolute tolerance for the oracle algebra.
@@ -249,6 +256,179 @@ class IntegralOperator:
         """Operator with every row equal to `mu` (constant redraw from `mu`)."""
         m = np.tile(mu.weights, (src.size, 1))
         return IntegralOperator(src, mu.space, m, markov=(mu.kind == PROBABILITY))
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredKernel:
+    """A markov kernel ``M = E F + diag(r[c])`` on one space, kept in factors.
+
+    Every state ``x`` has a class ``c(x)`` among ``b`` classes, none
+    empty; ``E`` is the ``S x b`` class indicator, ``F`` (`flows`) the
+    ``b x S`` flow rows and ``r`` (`reject`) the ``b`` rejection masses,
+    so row ``x`` of ``M`` is ``F[c(x)]`` plus ``r[c(x)]`` on the
+    diagonal.  Storing and applying it costs ``O(S b)``.  A general
+    kernel is the case ``b = S``, ``c`` the identity, ``F = M``, ``r = 0``
+    (:meth:`dense`).  Markov rows are up to the builder (:meth:`dense`
+    and :meth:`rank_one` take validated inputs, ``fk.mh_factors`` sets
+    ``r = 1 - sum F``); the factors are stored unchecked, since the powers
+    :meth:`squared` makes drift off unit row sums by rounding.
+    """
+
+    space: FiniteSpace
+    classes: np.ndarray
+    flows: np.ndarray
+    reject: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.classes, dtype=np.intp)
+        F = np.asarray(self.flows, dtype=float)
+        r = np.asarray(self.reject, dtype=float)
+        b = r.shape[0] if r.ndim == 1 else -1
+        if c.shape != (self.space.size,) or F.shape != (b, self.space.size):
+            raise ValueError(
+                f"factored kernel on {self.space.id!r}: classes {c.shape}, flows "
+                f"{F.shape} and reject {r.shape} do not fit {self.space.size} states"
+            )
+        if c.min() < 0 or c.max() >= b or np.bincount(c, minlength=b).min() == 0:
+            raise ValueError(
+                f"factored kernel on {self.space.id!r}: the class map must cover "
+                f"0..{b - 1}"
+            )
+        for name, a in (("classes", c), ("flows", F), ("reject", r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @staticmethod
+    def dense(M: IntegralOperator) -> "FactoredKernel":
+        """A markov kernel on one space as ``b = S`` singleton classes."""
+        if not M.markov or M.src != M.dst:
+            raise ValueError("a factored kernel requires a markov kernel on one space")
+        n = M.src.size
+        return FactoredKernel(M.src, np.arange(n), M.matrix, np.zeros(n))
+
+    @staticmethod
+    def rank_one(mu: Measure) -> "FactoredKernel":
+        """Constant redraw from the probability `mu`: one class, no rejection."""
+        if mu.kind != PROBABILITY:
+            raise ValueError("a rank-one kernel redraws from a probability measure")
+        return FactoredKernel(
+            mu.space, np.zeros(mu.space.size, dtype=np.intp), mu.weights[None, :],
+            np.zeros(1),
+        )
+
+    @property
+    def b(self) -> int:
+        return self.reject.shape[0]
+
+    def _segments(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.classes, kind="stable")
+        return order, np.searchsorted(self.classes[order], np.arange(self.b))
+
+    def class_sums(self, a: np.ndarray) -> np.ndarray:
+        """``a E``: entries of `a` summed over each class, along the last axis.
+
+        With ``b = S`` every class is one state, and ordering the entries
+        by class is the whole sum.
+        """
+        order, starts = self._segments()
+        a = np.take(a, order, axis=-1)
+        return a if self.b == self.space.size else np.add.reduceat(a, starts, axis=-1)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """``M h``, as ``(F h)[c] + r[c] h``."""
+        c = self.classes
+        return (self.flows @ h)[c] + self.reject[c] * h
+
+    def act(self, w: np.ndarray) -> np.ndarray:
+        """``w M``, as ``(w E) F + w r[c]``."""
+        return self.class_sums(w) @ self.flows + w * self.reject[self.classes]
+
+    def squared(self) -> "FactoredKernel":
+        """``M^2`` in factors: ``F_2 = (F E) F + F diag(r[c]) + diag(r) F``, ``r_2 = r^2``.
+
+        ``diag(r[c]) E = E diag(r)``, so the rejection part of one factor
+        moves through the class indicator of the other.  Costs
+        ``O(S b^2)``.
+        """
+        F, r = self.flows, self.reject
+        flows = self.class_sums(F) @ F
+        if r.any():
+            flows += F * r[self.classes] + r[:, None] * F
+        return FactoredKernel(self.space, self.classes, flows, r * r)
+
+    def to_operator(self) -> IntegralOperator:
+        """The kernel as a dense markov matrix: a test reference.
+
+        Each row gathers the flow row of its class and adds the class's
+        rejection mass on the diagonal.
+        """
+        states = np.arange(self.space.size)
+        matrix = self.flows[self.classes]
+        matrix[states, states] += self.reject[self.classes]
+        return IntegralOperator(self.space, self.space, matrix, markov=True)
+
+    def column_min(self) -> np.ndarray:
+        """``min_x M(x, y)`` for every state ``y``.
+
+        The rows of one class differ only on the diagonal, and ``r >= 0``
+        only raises it, so the minimum over a class is its flow row,
+        except for a state alone in its class, whose column keeps its
+        rejection mass.
+        """
+        low = self.flows.min(axis=0)
+        c = self.classes
+        alone = np.flatnonzero(np.bincount(c, minlength=self.b)[c] == 1)
+        alone = alone[self.reject[c[alone]] > 0.0]
+        if alone.size:
+            cols = self.flows[:, alone]
+            cols[c[alone], np.arange(alone.size)] += self.reject[c[alone]]
+            low[alone] = cols.min(axis=0)
+        return low
+
+
+@dataclass(frozen=True, eq=False)
+class FirstOrderOperator:
+    """``D = T Q / eta(G)`` from `src` into `dst`, applied without a matrix.
+
+    ``T(x, y) = G(x) 1{y = x} + (1 - G(x)) psi(y)`` is the transport of
+    the reweighting by the `potential` ``G`` at ``eta``, with ``psi`` the
+    reweighted ``eta`` (`redraw`); ``Q`` is a markov step whose row ``x``
+    puts ``rows[x]`` on ``w = rows.shape[1]`` states of `dst`: the states
+    ``x w .. x w + w - 1`` when ``dst`` has ``src.size * w`` states (a
+    path extension), all of ``dst`` when it has ``w``.  ``T`` and ``Q``
+    are nonnegative and markov, so the sup-norm operator norm of ``D`` is
+    exactly ``scale = 1 / eta(G)``.
+    """
+
+    src: FiniteSpace
+    dst: FiniteSpace
+    potential: np.ndarray
+    redraw: np.ndarray
+    scale: float
+    rows: np.ndarray
+
+    def __post_init__(self):
+        n, w = self.src.size, self.rows.shape[1]
+        if self.rows.shape[0] != n or self.dst.size not in (w, n * w):
+            raise ValueError(
+                f"first-order operator {self.src.id!r}->{self.dst.id!r}: step rows "
+                f"{self.rows.shape} fit neither a path extension nor a full step"
+            )
+
+    def apply(self, f: TestFunction) -> TestFunction:
+        """``D f``, a function on `src`."""
+        _check_space(self.dst, f.space, "first-order operator")
+        q = (self.rows * f.values.reshape(-1, self.rows.shape[1])).sum(axis=1)
+        g = self.potential
+        return TestFunction(self.src, self.scale * (g * q + (1.0 - g) * float(self.redraw @ q)))
+
+    def act(self, mu: Measure) -> Measure:
+        """``mu D``, a signed measure on `dst`."""
+        _check_space(self.src, mu.space, "first-order operator")
+        g = self.potential
+        nu = mu.weights * g + float(mu.weights @ (1.0 - g)) * self.redraw
+        w = (nu[:, None] * self.rows).reshape(-1, self.dst.size).sum(axis=0)
+        return Measure(self.dst, self.scale * w, kind=SIGNED)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Exact finite-state computations behind the fluctuation theory.
 
 Everything the statistical harness compares against is produced here in
-closed form with dense linear algebra: invariant measures, resolvent
-operators solving the Poisson equation, contraction indices, the local
-(co)variance of time averages under a fixed kernel, the first-order
-semigroups propagating errors across levels, and the resulting
-asymptotic variance of the occupation-measure fluctuation fields
+closed form: invariant measures, resolvent operators solving the
+Poisson equation, contraction indices, the local (co)variance of time
+averages under a fixed kernel, the first-order semigroups propagating
+errors across levels, and the resulting asymptotic variance of the
+occupation-measure fluctuation fields
 
     U_n^(k)(f) = sqrt(n+1) * (eta_n^(k)(f) - pi_k(f)),
 
@@ -14,19 +14,26 @@ sigma2_{k-l}(D_{(k-l)+1,k} f)`` with ``sigma2_j`` the local variance of
 the level-``j`` kernel at its limit measure and ``D_{a,b}`` the product
 ``D_a D_{a+1} ... D_b`` of first-order operators (identity when a > b).
 
-Every resolvent image is computed by two independent routes: one dense
-linear solve per level gives the resolvent ``P``, and each centred
-function ``fb`` that a (co)variance needs is also resolved by the
-vector series ``sum_{n>=0} M^n fb``, summed until the contraction
-certificate bounds its tail.  The two images must agree entrywise;
-disagreement raises :class:`OracleError` rather than silently returning
-either value.  The first-order semigroups act on vectors too, so past
-the one solve and its certificates no operator product is formed.
+Every level kernel is a :class:`~imcmc.measures.FactoredKernel`
+``M = E F + diag(r[c])`` with ``b`` classes: one per terminal of the
+prefix on a Feynman-Kac Metropolis-Hastings level, one on a rank-one
+level, and ``b = S`` singleton classes on level 0 and on annealing
+levels.  Its resolvent is the ``b x S`` block ``V = F P`` from one
+``b x b`` solve (:func:`resolvent`); within a class the rows of ``P``
+differ only on the diagonal, so the Poisson defect and ``||P||`` of the
+whole matrix are read off ``V``.  A Feynman-Kac level past level 0 thus
+never forms an ``S x S`` matrix.
+
+Every resolvent image is computed by two independent routes: ``P fb``
+from ``V``, and the vector series ``sum_{n>=0} M^n fb``, summed until
+the contraction certificate bounds its tail.  The two images must agree
+entrywise; disagreement raises :class:`OracleError` rather than silently
+returning either value.  The first-order semigroups act on vectors too.
 
 Each level's certificate is a power ``M^n0``, ``n0 = 2^k`` reached by
-repeated squaring, with the Doeblin bound ``m_n0 = 1 - sum_y min_x
-M^n0(x, y)`` on its Dobrushin coefficient; the search ends at
-Wielandt's bound ``(S - 1)^2 + 1``, by which every ergodic kernel on
+repeated squaring of the factors, with the Doeblin bound ``m_n0 = 1 -
+sum_y min_x M^n0(x, y)`` on its Dobrushin coefficient; the search ends
+at Wielandt's bound ``(S - 1)^2 + 1``, by which every ergodic kernel on
 ``S`` states has a positive column.  The vector series steps by that
 power.
 """
@@ -42,14 +49,11 @@ from . import annealing as ann
 from . import fk
 from .measures import (
     PROBABILITY,
+    FactoredKernel,
     FiniteSpace,
-    IntegralOperator,
+    FirstOrderOperator,
     Measure,
     TestFunction,
-    act_measure,
-    apply_operator,
-    operator_norm,
-    tv_norm,
 )
 
 #: Tolerances of the oracle algebra (see the acceptance suite).
@@ -61,6 +65,10 @@ SERIES_AGREEMENT_TOL = 1e-8
 #: of the oscillation of the function it resolves.
 SERIES_TAIL_TOL = 1e-12
 
+#: Rows of ``V`` taken at a time where a whole-matrix pass would otherwise
+#: hold a second ``b x S`` array (``b = S`` on dense levels).
+ROW_BLOCK = 256
+
 
 class OracleError(RuntimeError):
     """Internal inconsistency or a kernel outside the oracle's reach."""
@@ -70,21 +78,32 @@ class OracleError(RuntimeError):
 # Invariant measures and resolvents
 # ---------------------------------------------------------------------------
 
-def _doeblin(power: np.ndarray) -> float:
+def _factored(M) -> FactoredKernel:
+    return M if isinstance(M, FactoredKernel) else FactoredKernel.dense(M)
+
+
+def _row_blocks(n: int):
+    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
+
+
+def _doeblin(power: FactoredKernel) -> float:
     """Doeblin bound ``1 - sum_y min_x power(x, y)`` on ``beta(power)``, in [0, 1]."""
-    return min(1.0, max(0.0, 1.0 - float(power.min(axis=0).sum())))
+    return min(1.0, max(0.0, 1.0 - float(power.column_min().sum())))
 
 
-def contraction_index(M: IntegralOperator) -> tuple[int, float, float, np.ndarray]:
+def contraction_index(M) -> tuple[int, float, float, FactoredKernel]:
     """A power ``n0 = 2^k`` with ``beta(M^n0) <= m_n0 < 1``, with its bound.
 
-    Returns ``(n0, m_n0, p_n0, M^n0)``.  ``m_n0`` is the Doeblin bound
+    `M` is a :class:`FactoredKernel` or a markov
+    :class:`IntegralOperator` on one space.  Returns ``(n0, m_n0, p_n0,
+    M^n0)``, the power in factors.  ``m_n0`` is the Doeblin bound
     ``1 - sum_y min_x M^n0(x, y)``, which is never below the Dobrushin
-    coefficient ``beta(M^n0)`` and costs one pass over the matrix;
+    coefficient ``beta(M^n0)`` and costs one pass over the factors;
     ``p_n0 = 2 n0 / (1 - m_n0)`` bounds the resolvent operator norm.
     The powers ``M, M^2, M^4, ...`` are found by repeated squaring of the
-    raw matrix.  The first with ``m < 1`` certifies; squaring goes on
-    while it lowers ``p``, which it cannot once ``m <= 1/2``.
+    factors (:meth:`FactoredKernel.squared`).  The first with ``m < 1``
+    certifies; squaring goes on while it lowers ``p``, which it cannot
+    once ``m <= 1/2``.
 
     ``M^n0`` has a positive column, so ``m_n0 < 1``, exactly when some
     state is reached in ``n0`` steps from every state.  By Wielandt's
@@ -92,82 +111,159 @@ def contraction_index(M: IntegralOperator) -> tuple[int, float, float, np.ndarra
     class has one by the power ``(S - 1)^2 + 1``; a kernel with none by
     then is not uniformly ergodic, and raises :class:`OracleError`.
     """
-    if not M.markov or M.src != M.dst:
-        raise ValueError("contraction index requires a markov kernel on one space")
-    wielandt = (M.src.size - 1) ** 2 + 1
-    n, power = 1, M.matrix
+    kernel = _factored(M)
+    wielandt = (kernel.space.size - 1) ** 2 + 1
+    n, power = 1, kernel
     m = _doeblin(power)
     while m >= 1.0:
         if n >= wielandt:
             raise OracleError(
-                f"kernel on {M.src.id!r} is not uniformly ergodic: M^{n} has no "
+                f"kernel on {kernel.space.id!r} is not uniformly ergodic: M^{n} has no "
                 f"positive column, and {n} reaches Wielandt's bound {wielandt}"
             )
-        n, power = 2 * n, power @ power
+        n, power = 2 * n, power.squared()
         m = _doeblin(power)
     while m > 0.5:
-        square = power @ power
+        square = power.squared()
         m_square = _doeblin(square)
         if m_square >= 2.0 * m - 1.0:  # 4n / (1 - m_square) >= 2n / (1 - m)
             break
         n, power, m = 2 * n, square, m_square
-    power.setflags(write=False)
     return n, m, 2.0 * n / (1.0 - m), power
 
 
-def invariant_measure(M: IntegralOperator) -> Measure:
+def invariant_measure(M) -> Measure:
     """Unique invariant probability of an ergodic markov kernel.
 
-    Solved as the least-squares solution of the stationarity equations
-    plus normalization; falls back to power iteration if the dense solve
-    degrades.  The contraction index is established first so uniqueness
-    is guaranteed before any solve.
+    The contraction index is established first so uniqueness is
+    guaranteed before any solve (see :func:`_stationary`).
     """
-    contraction_index(M)
-    return _stationary(M)
+    kernel = _factored(M)
+    contraction_index(kernel)
+    return _stationary(kernel)
 
 
-def _stationary(M: IntegralOperator) -> Measure:
-    """The solve behind :func:`invariant_measure`, for a certified kernel."""
-    n = M.src.size
-    A = np.vstack([M.matrix.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = np.abs(w @ M.matrix - w).max()
+def _class_kernel(kernel: FactoredKernel) -> np.ndarray:
+    """``K = (F diag(1/d[c])) E`` with ``d = 1 - r``, a fresh ``b x b`` array.
+
+    ``K d = d``, and the class masses of an invariant measure are left
+    invariant for ``K``.
+    """
+    K = kernel.class_sums(kernel.flows)
+    K /= 1.0 - kernel.reject
+    return K
+
+
+def _stationary(kernel: FactoredKernel) -> Measure:
+    """The invariant probability of a certified kernel, through its classes.
+
+    ``pi M = pi`` reads ``pi (1 - r[c]) = (pi E) F``: the class masses
+    ``nu = pi E`` satisfy ``nu K = nu`` (:func:`_class_kernel`), solved
+    as the least-squares solution of those equations plus normalization,
+    and ``pi = (nu F) / (1 - r[c])``.  Falls back to power iteration if
+    the solve degrades.
+    """
+    b = kernel.b
+    d = 1.0 - kernel.reject
+    A = np.vstack([_class_kernel(kernel).T - np.eye(b), np.ones((1, b))])
+    rhs = np.zeros(b + 1)
+    rhs[-1] = 1.0
+    nu, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    w = (nu @ kernel.flows) / d[kernel.classes]
+    w /= w.sum()
+    resid = np.abs(kernel.act(w) - w).max()
     if resid > INVARIANCE_TOL or w.min() < -INVARIANCE_TOL:
-        w = np.full(n, 1.0 / n)
+        w = np.full(kernel.space.size, 1.0 / kernel.space.size)
         for it in range(10**6):
-            w_next = w @ M.matrix
+            w_next = kernel.act(w)
             if np.abs(w_next - w).max() <= 1e-13:
                 w = w_next
                 break
             w = w_next
         else:
             raise OracleError(
-                f"power iteration did not reach 1e-13 on {M.src.id!r} "
+                f"power iteration did not reach 1e-13 on {kernel.space.id!r} "
                 f"within 10^6 iterations"
             )
     w = np.maximum(w, 0.0)
-    return Measure(M.src, w / w.sum(), kind=PROBABILITY)
+    return Measure(kernel.space, w / w.sum(), kind=PROBABILITY)
 
 
-def resolvent(M: IntegralOperator, pi: Measure) -> IntegralOperator:
-    """Poisson-equation solution operator ``P = sum_n (M^n - 1 (x) pi)``.
+@dataclass(frozen=True, eq=False)
+class Resolvent:
+    """``P = sum_n (M^n - 1 (x) pi)`` of a factored kernel, held as ``V = F P``.
 
-    Computed through the fundamental matrix ``Z = (I - M + 1 (x) pi)^{-1}``
-    as ``P = Z - 1 (x) pi``; satisfies ``(M - I) P = 1 (x) pi - I`` and
-    ``pi P = 0``.
+    The Poisson equation ``(I - M) P = I - 1 (x) pi`` reads, row by row,
+    ``(1 - r[c(x)]) P(x, .) = e_x - pi + V[c(x)]``, so the ``b x S``
+    block `flow` holds the whole matrix: within a class, rows differ
+    only on the diagonal.
     """
-    if M.src != M.dst or pi.space != M.src:
+
+    kernel: FactoredKernel
+    invariant: Measure
+    flow: np.ndarray
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """``P h = (h - pi(h) + (V h)[c]) / (1 - r[c])``."""
+        c = self.kernel.classes
+        return (h - float(self.invariant.weights @ h) + (self.flow @ h)[c]) / (
+            1.0 - self.kernel.reject[c]
+        )
+
+    def norm(self) -> float:
+        """The exact sup-norm operator norm ``max_x sum_y |P(x, y)|``.
+
+        Row ``x`` sums ``|V[c(x)] - pi|`` with the diagonal entry moved
+        by one, over ``1 - r[c(x)]``.
+        """
+        k, pi, V = self.kernel, self.invariant.weights, self.flow
+        sums = np.concatenate([np.abs(V[rows] - pi).sum(axis=1) for rows in _row_blocks(k.b)])
+        c = k.classes
+        diag = V[c, np.arange(c.size)] - pi
+        norms = (sums[c] - np.abs(diag) + np.abs(diag + 1.0)) / (1.0 - k.reject[c])
+        return float(norms.max())
+
+
+def resolvent(M, pi: Measure) -> Resolvent:
+    """Poisson-equation solution operator ``P = sum_n (M^n - 1 (x) pi)``, in factors.
+
+    `M` is a :class:`FactoredKernel` or a markov :class:`IntegralOperator`
+    on one space.  With ``d = 1 - r``, ``w = pi / d[c]`` and the class
+    kernel ``K`` (:func:`_class_kernel`), ``V = F P`` solves
+    ``(I - K) V = F diag(1/d[c]) - (K 1) (x) pi`` and ``(w E) V = (sum w)
+    pi - w`` (this is ``pi P = 0``).  ``I - K`` is singular with null
+    vector ``d``; bordering it as ``B = I - K + d (x) (w E)``, which fixes
+    ``d`` (``B d = d``), gives one ``b x b`` solve,
+
+        ``V = Y - d (x) w + ((sum w) d - Y 1) (x) pi``,
+        ``Y = B^{-1} F diag(1/d[c])``.
+
+    The right side is ``F`` itself, the column scaling is done in place,
+    and no ``S x S`` identity is formed.
+    """
+    kernel = _factored(M)
+    if pi.space != kernel.space:
         raise ValueError("resolvent requires a kernel and measure on one space")
-    resid = np.abs(pi.weights @ M.matrix - pi.weights).max()
+    resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
     if resid > INVARIANCE_TOL:
         raise ValueError(f"measure is not invariant for the kernel (residual {resid:.3e})")
-    n = M.src.size
-    one_pi = np.outer(np.ones(n), pi.weights)
-    Z = np.linalg.solve(np.eye(n) - M.matrix + one_pi, np.eye(n))
-    return IntegralOperator(M.src, M.src, Z - one_pi, markov=False)
+    d = 1.0 - kernel.reject
+    if d.min() <= 0.0:
+        raise OracleError(f"a class of {kernel.space.id!r} rejects every move")
+    dc = d[kernel.classes]
+    w = pi.weights / dc
+    B = _class_kernel(kernel)
+    np.negative(B, out=B)
+    B[np.diag_indices(kernel.b)] += 1.0
+    B += np.outer(d, kernel.class_sums(w))
+    V = np.linalg.solve(B, kernel.flows)
+    del B
+    V /= dc
+    u = w.sum() * d - V.sum(axis=1)
+    for rows in _row_blocks(kernel.b):
+        V[rows] += np.outer(u[rows], pi.weights) - np.outer(d[rows], w)
+    V.setflags(write=False)
+    return Resolvent(kernel, pi, V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,25 +271,25 @@ class ResolventBundle:
     """A kernel with its invariant measure, resolvent, and certificates.
 
     Construction validates the Poisson equation and the operator-norm
-    bound ``||P|| <= p(n0)``, and keeps the attained Poisson residual for
-    reporting.  ``power`` is the certified power ``M^n0`` as a raw matrix
-    (the kernel's own matrix when ``n0 = 1``).  The series route is
-    checked on each function resolved through the bundle (see
-    :func:`local_variance`).
+    bound ``||P|| <= p(n0)`` over the whole matrix, and keeps the
+    attained Poisson residual for reporting.  ``power`` is the certified
+    power ``M^n0`` in factors (the kernel itself when ``n0 = 1``).  The
+    series route is checked on each function resolved through the bundle
+    (see :func:`local_variance`).
     """
 
-    kernel: IntegralOperator
+    kernel: FactoredKernel
     invariant: Measure
-    resolvent: IntegralOperator
+    resolvent: Resolvent
     n0: int
     m_n0: float
     p_n0: float
-    power: np.ndarray
+    power: FactoredKernel
     poisson_resid: float
 
     @property
     def space(self) -> FiniteSpace:
-        return self.kernel.src
+        return self.kernel.space
 
 
 def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
@@ -207,9 +303,10 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     ``osc(h_J) n0 / (1 - m_n0)`` once ``sum_{i<n0} M^i`` (norm ``n0``) is
     applied.  Summation stops once that is below :data:`SERIES_TAIL_TOL`
     times ``osc(fb)``, and the certificate fixes how many blocks that
-    takes.  The ``n0 - 1`` products with ``M`` come last, once.
+    takes.  The ``n0 - 1`` products with ``M`` come last, once.  Every
+    product is one ``O(S b)`` application of the factors.
     """
-    M, power, n0, m_n0 = bundle.kernel.matrix, bundle.power, bundle.n0, bundle.m_n0
+    M, power, n0, m_n0 = bundle.kernel, bundle.power, bundle.n0, bundle.m_n0
     tail = n0 / (1.0 - m_n0)
     target = SERIES_TAIL_TOL * float(fb.max() - fb.min())
     # blocks of n0 steps after which m_n0^blocks * tail <= SERIES_TAIL_TOL
@@ -220,53 +317,66 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
         if float(h.max() - h.min()) * tail <= target:
             out = acc
             for _ in range(n0 - 1):
-                out = acc + M @ out
+                out = acc + M.apply(out)
             return out
-        h = power @ h
+        h = power.apply(h)
         acc += h
     raise OracleError(
         f"resolvent series on {bundle.space.id!r} exceeded its certified term count"
     )
 
 
-def poisson_residual(M, pi: Measure | None = None, P: IntegralOperator | None = None) -> float:
+def poisson_residual(P) -> float:
     """Max entrywise defect of the Poisson equation and of ``pi P = 0``.
 
-    Accepts either a :class:`ResolventBundle` or the explicit
-    ``(kernel, invariant, resolvent)`` triple.
+    Takes a :class:`Resolvent` or a :class:`ResolventBundle`.  Row ``x``
+    of ``(M - I) P - (1 (x) pi - I)`` is ``(F P)[c(x)] - V[c(x)]``: the
+    ``e_x`` terms cancel.  ``F P = G - (G 1) (x) pi + (G E) V`` with
+    ``G = F diag(1/d[c])``, so the whole matrix's defect is the defect of
+    the ``b x S`` system for ``V``, taken a block of rows at a time.
     """
-    if isinstance(M, ResolventBundle):
-        M, pi, P = M.kernel, M.invariant, M.resolvent
-    n = M.src.size
-    one_pi = np.outer(np.ones(n), pi.weights)
-    eq = (M.matrix - np.eye(n)) @ P.matrix - (one_pi - np.eye(n))
-    ortho = pi.weights @ P.matrix
-    return float(max(np.abs(eq).max(), np.abs(ortho).max()))
+    if isinstance(P, ResolventBundle):
+        P = P.resolvent
+    k, pi, V = P.kernel, P.invariant.weights, P.flow
+    dc = 1.0 - k.reject[k.classes]
+    worst = 0.0
+    for rows in _row_blocks(k.b):
+        G = k.flows[rows] / dc
+        FP = G - G.sum(axis=1)[:, None] * pi + k.class_sums(G) @ V
+        worst = max(worst, float(np.abs(FP - V[rows]).max()))
+    w = pi / dc
+    ortho = w - w.sum() * pi + k.class_sums(w) @ V
+    return max(worst, float(np.abs(ortho).max()))
 
 
-def resolvent_bundle(M: IntegralOperator, pi: Measure | None = None) -> ResolventBundle:
-    """Assemble and certify the resolvent machinery for one kernel."""
-    n0, m_n0, p_n0, power = contraction_index(M)
+def resolvent_bundle(M, pi: Measure | None = None) -> ResolventBundle:
+    """Assemble and certify the resolvent machinery for one kernel.
+
+    `M` is a :class:`FactoredKernel` or a markov :class:`IntegralOperator`
+    on one space.
+    """
+    kernel = _factored(M)
+    n0, m_n0, p_n0, power = contraction_index(kernel)
     if pi is None:
-        pi = _stationary(M)
+        pi = _stationary(kernel)
     else:
-        resid = np.abs(pi.weights @ M.matrix - pi.weights).max()
+        resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
         if resid > INVARIANCE_TOL:
             raise OracleError(
-                f"supplied measure is not invariant on {M.src.id!r} "
+                f"supplied measure is not invariant on {kernel.space.id!r} "
                 f"(residual {resid:.3e})"
             )
-    P = resolvent(M, pi)
-    p_resid = poisson_residual(M, pi, P)
+    P = resolvent(kernel, pi)
+    p_resid = poisson_residual(P)
     if p_resid > POISSON_TOL:
-        raise OracleError(f"Poisson residual {p_resid:.3e} on {M.src.id!r}")
-    norm = operator_norm(P)
+        raise OracleError(f"Poisson residual {p_resid:.3e} on {kernel.space.id!r}")
+    norm = P.norm()
     if norm > p_n0 * (1.0 + 1e-12):
         raise OracleError(
             f"resolvent norm {norm:.6g} exceeds contraction bound {p_n0:.6g}"
         )
     return ResolventBundle(
-        kernel=M,
+        kernel=kernel,
         invariant=pi,
         resolvent=P,
         n0=n0,
@@ -288,7 +398,7 @@ def _resolved(bundle: ResolventBundle, f: TestFunction) -> tuple[np.ndarray, np.
             f"function on {f.space.id!r} does not match bundle space {bundle.space.id!r}"
         )
     fb = f.values - float(bundle.invariant.weights @ f.values)
-    Pf = bundle.resolvent.matrix @ fb
+    Pf = bundle.resolvent.apply(fb)
     gap = float(np.abs(Pf - resolvent_series(bundle, fb)).max())
     if gap > SERIES_AGREEMENT_TOL * max(1.0, float(np.abs(Pf).max())):
         raise OracleError(
@@ -320,10 +430,10 @@ def local_covariance(bundle: ResolventBundle, f: TestFunction, g: TestFunction) 
     diagonal coincides with :func:`local_variance`.  Both images are
     cross-checked against the series route.
     """
-    M = bundle.kernel.matrix
+    M = bundle.kernel
     _, Pf = _resolved(bundle, f)
     _, Pg = _resolved(bundle, g)
-    C = M @ (Pf * Pg) - (M @ Pf) * (M @ Pg)
+    C = M.apply(Pf * Pg) - M.apply(Pf) * M.apply(Pg)
     return float(bundle.invariant.weights @ C)
 
 
@@ -360,43 +470,46 @@ class CltSpec:
     """Everything the variance formula needs for levels ``0 .. level``.
 
     ``kernels[l]`` is the level-`l` sampling kernel frozen at the limit
-    measures, ``pis[l]`` its invariant measure, ``bundles[l]`` the
-    certified resolvent machinery, and ``d_ops[l]`` the first-order
-    operator from level ``l`` into level ``l+1`` (``D_{l+1}``) evaluated
-    at the limit.
+    measures, in factors, ``pis[l]`` its invariant measure,
+    ``bundles[l]`` the certified resolvent machinery, and ``d_ops[l]``
+    the first-order operator from level ``l`` into level ``l+1``
+    (``D_{l+1}``) evaluated at the limit.
     """
 
     model: object
     level: int
     spaces: tuple[FiniteSpace, ...]
     pis: tuple[Measure, ...]
-    kernels: tuple[IntegralOperator, ...]
+    kernels: tuple[FactoredKernel, ...]
     bundles: tuple[ResolventBundle, ...]
-    d_ops: tuple[IntegralOperator, ...]
+    d_ops: tuple[FirstOrderOperator, ...]
 
 
 def build_clt_spec(model, k_max: int) -> CltSpec:
-    """Assemble the oracle stack for an FK or annealing model."""
+    """Assemble the oracle stack for an FK or annealing model.
+
+    An FK model's path spaces are enumerated once here and passed to
+    every level builder.
+    """
     if isinstance(model, fk.FKModel):
         if k_max > model.levels:
             raise ValueError(f"k_max={k_max} exceeds model levels {model.levels}")
-        spaces = tuple(fk.path_space(model, l).space for l in range(k_max + 1))
-        pis = tuple(fk.exact_path_measure(model, l) for l in range(k_max + 1))
-        kernels = [model.level0_kernel]
+        paths = tuple(fk.path_space(model, l) for l in range(k_max + 1))
+        spaces = tuple(ps.space for ps in paths)
+        pis = tuple(fk.exact_path_measure(model, l, paths) for l in range(k_max + 1))
+        level_kernel = fk.rank_one_kernel if model.kernel_type == "rank_one" else fk.mh_factors
+        kernels = [FactoredKernel.dense(model.level0_kernel)]
         for l in range(1, k_max + 1):
-            if model.kernel_type == "rank_one":
-                kernels.append(fk.rank_one_kernel(model, l, pis[l - 1]))
-            else:
-                kernels.append(fk.mh_kernel(model, l, pis[l - 1]))
-        d_ops = tuple(fk.first_order_D(model, l, pis[l]) for l in range(k_max))
+            kernels.append(level_kernel(model, l, pis[l - 1], paths))
+        d_ops = tuple(fk.first_order_D(model, l, pis[l], paths) for l in range(k_max))
     elif isinstance(model, ann.AnnealingModel):
         if k_max > model.levels:
             raise ValueError(f"k_max={k_max} exceeds model levels {model.levels}")
         spaces = tuple(model.space for _ in range(k_max + 1))
         pis = tuple(ann.gibbs_measure(model, l) for l in range(k_max + 1))
-        kernels = [model.level0_kernel]
+        kernels = [FactoredKernel.dense(model.level0_kernel)]
         for l in range(1, k_max + 1):
-            kernels.append(ann.mixture_kernel(model, l, pis[l - 1]))
+            kernels.append(FactoredKernel.dense(ann.mixture_kernel(model, l, pis[l - 1])))
         d_ops = tuple(ann.first_order_D(model, l, pis[l]) for l in range(k_max))
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -427,7 +540,7 @@ def d_semigroup(spec: CltSpec, k: int, l: int, f: TestFunction) -> TestFunction:
     if k < 1:
         raise ValueError("semigroup products start at operator index 1")
     for j in range(l, k - 1, -1):
-        f = apply_operator(spec.d_ops[j - 1], f)
+        f = spec.d_ops[j - 1].apply(f)
     return f
 
 
@@ -480,233 +593,3 @@ def asymptotic_cross_covariance(
             spec.bundles[m], img_f, img_g
         )
     return total
-
-
-# ---------------------------------------------------------------------------
-# First-order remainder checks
-# ---------------------------------------------------------------------------
-
-def remainder_norm(map_fn, eta: Measure, mu: Measure, D: IntegralOperator, t: float) -> float:
-    """TV norm of the expansion remainder at ``eta + t (mu - eta)``.
-
-    ``map_fn`` sends probability measures to probability measures; the
-    remainder is ``map_fn(mu_t) - map_fn(eta) - (mu_t - eta) D``.
-    """
-    mu_t = Measure(
-        eta.space, eta.weights + t * (mu.weights - eta.weights), kind=PROBABILITY
-    )
-    lead = act_measure(mu_t - eta, D)
-    diff = map_fn(mu_t) - map_fn(eta) - lead
-    return tv_norm(diff)
-
-
-def remainder_ratios(map_fn, eta, mu, D, scales=(1e-2, 5e-3, 2.5e-3)) -> list[float]:
-    """Remainder-norm ratios between successive halvings of the scale.
-
-    Quadratic remainders give ratios near 4; pairs whose norms are both
-    below 1e-14 are reported as exactly 4 (linear maps, zero remainder).
-    """
-    norms = [remainder_norm(map_fn, eta, mu, D, t) for t in scales]
-    ratios = []
-    for a, b in zip(norms, norms[1:]):
-        if a < 1e-14 and b < 1e-14:
-            ratios.append(4.0)
-        else:
-            ratios.append(a / b if b > 0 else float("inf"))
-    return ratios
-
-
-# ---------------------------------------------------------------------------
-# Two-state closed forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ToyClosedForm:
-    """Closed-form report for the two-state tempering preset.
-
-    ``marginals[l]`` is the level-`l` two-point marginal, ``base_steps[l]``
-    the matrix appending coordinate ``l`` (valid for ``l >= 1``), and
-    ``d_ops[l]`` the first-order operator from level-`l` paths into
-    level-``l+1`` paths, all evaluated directly from the closed forms.
-    """
-
-    p: float
-    betas: tuple[float, ...]
-    marginals: tuple[np.ndarray, ...]
-    base_steps: tuple[np.ndarray | None, ...]
-    path_measures: tuple[np.ndarray, ...]
-    transports: tuple[np.ndarray, ...]
-    d_ops: tuple[np.ndarray, ...]
-
-
-def toy_closed_form(p: float, betas) -> ToyClosedForm:
-    """Evaluate every two-state closed form for schedule `betas`.
-
-    Independent of the general path-space machinery: marginals come from
-    ``p^b / (p^b + q^b)``, base steps from the displayed two-by-two form,
-    path weights from the explicit product, and the first-order operators
-    from their displayed entries.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    betas = tuple(float(b) for b in betas)
-    q = 1.0 - p
-    L = len(betas) - 1
-
-    def marginal(l):
-        a, b = p ** betas[l], q ** betas[l]
-        return np.array([a / (a + b), b / (a + b)])
-
-    marginals = tuple(marginal(l) for l in range(L + 1))
-    base_steps: list[np.ndarray | None] = [None]
-    for l in range(1, L + 1):
-        m = marginals[l]
-        base_steps.append(np.array([[1.0 - m[1], m[1]], [m[0], 1.0 - m[0]]]))
-
-    g = [
-        np.array([p ** (betas[l + 1] - betas[l]), q ** (betas[l + 1] - betas[l])])
-        for l in range(L)
-    ]
-
-    # explicit product weights: init * steps * potentials along the path
-    path_measures = []
-    for l in range(L + 1):
-        size = 2 ** (l + 1)
-        w = np.empty(size)
-        for idx in range(size):
-            digits = [(idx >> (l - k)) & 1 for k in range(l + 1)]
-            val = marginals[0][digits[0]]
-            for k in range(1, l + 1):
-                val *= base_steps[k][digits[k - 1], digits[k]]
-            for k in range(l):
-                val *= g[k][digits[k]]
-            w[idx] = val
-        path_measures.append(w / w.sum())
-    path_measures = tuple(path_measures)
-
-    transports = []
-    d_ops = []
-    for l in range(L):
-        size = 2 ** (l + 1)
-        term = np.arange(size) % 2
-        pi_l = path_measures[l]
-        denom = float(marginals[l] @ g[l])
-        # transport rows: keep the path with weight G, else redraw from
-        # the reweighted path measure
-        redraw = pi_l * g[l][term] / denom
-        S = np.diag(g[l][term]) + np.outer(1.0 - g[l][term], redraw)
-        transports.append(S)
-        D = np.zeros((size, 2 * size))
-        pi_next = path_measures[l + 1]
-        for x in range(size):
-            gx = g[l][term[x]]
-            D[x] = (1.0 - gx) * pi_next
-            D[x, 2 * x : 2 * x + 2] += gx * base_steps[l + 1][term[x]]
-        d_ops.append(D / denom)
-
-    return ToyClosedForm(
-        p=p,
-        betas=betas,
-        marginals=marginals,
-        base_steps=tuple(base_steps),
-        path_measures=path_measures,
-        transports=tuple(transports),
-        d_ops=tuple(d_ops),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stacked product model across levels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ProductModel:
-    """Joint view of levels ``0 .. l``: product kernel, limit, first-order op."""
-
-    level: int
-    space: FiniteSpace
-    kernel: IntegralOperator
-    limit: Measure
-    d_op: IntegralOperator
-
-
-def _component_map(spec: CltSpec, k: int, mu: Measure) -> Measure:
-    model = spec.model
-    if isinstance(model, fk.FKModel):
-        return fk.fk_map(model, k, mu)
-    return ann.annealing_map(model, k, mu)
-
-
-def product_limit(spec: CltSpec, l: int) -> Measure:
-    from .measures import tensor
-
-    out = spec.pis[0]
-    for k in range(1, l + 1):
-        out = tensor(out, spec.pis[k])
-    return out
-
-
-def product_model(spec: CltSpec, l: int) -> ProductModel:
-    """Tensor the level stack ``0 .. l`` into a single joint model.
-
-    The joint kernel moves every coordinate with its own level kernel,
-    the joint limit is the product of the level limits, and the joint
-    first-order operator into levels ``0 .. l+1`` is assembled from the
-    per-level operators with the limit measures filling the remaining
-    output coordinates.
-    """
-    from .measures import tensor
-
-    if l + 1 > spec.level:
-        raise ValueError(
-            f"product model at l={l} needs the spec built through level {l + 1}"
-        )
-    kernel = spec.kernels[0]
-    for k in range(1, l + 1):
-        kernel = tensor(kernel, spec.kernels[k])
-    limit = product_limit(spec, l)
-
-    sizes = [sp.size for sp in spec.spaces[: l + 2]]
-    src_size = math.prod(sizes[: l + 1])
-    dst_size = math.prod(sizes)
-    dst_space = product_limit(spec, l + 1).space
-
-    # coordinate digits of every joint source state
-    digits = np.empty((src_size, l + 1), dtype=np.int64)
-    rem = np.arange(src_size)
-    for k in range(l, -1, -1):
-        digits[:, k] = rem % sizes[k]
-        rem //= sizes[k]
-
-    matrix = np.zeros((src_size, dst_size))
-    for k in range(l + 1):
-        D = spec.d_ops[k].matrix  # level k -> level k+1
-        low = spec.pis[0].weights
-        for m in range(1, k + 1):
-            low = np.outer(low, spec.pis[m].weights).ravel()
-        high = np.ones(1)
-        for m in range(k + 2, l + 2):
-            high = np.outer(high, spec.pis[m].weights).ravel()
-        block = np.einsum("a,rb,c->rabc", low, D[digits[:, k]], high)
-        matrix += block.reshape(src_size, dst_size)
-
-    d_op = IntegralOperator(limit.space, dst_space, matrix, markov=False)
-    return ProductModel(level=l, space=limit.space, kernel=kernel, limit=limit, d_op=d_op)
-
-
-def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
-    """Joint level map: first coordinate pinned at the level-0 limit,
-    every later coordinate given by the component map of the matching
-    marginal of `mu`."""
-    from .measures import tensor
-
-    sizes = [sp.size for sp in spec.spaces[: l + 1]]
-    if mu.space.size != math.prod(sizes):
-        raise ValueError("measure does not live on the joint space of levels 0..l")
-    cube = mu.weights.reshape(sizes)
-    out = spec.pis[0]
-    for k in range(l + 1):
-        axes = tuple(a for a in range(l + 1) if a != k)
-        marg = Measure(spec.spaces[k], cube.sum(axis=axes), kind=PROBABILITY)
-        out = tensor(out, _component_map(spec, k, marg))
-    return out

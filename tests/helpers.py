@@ -30,6 +30,52 @@ def two_state_chain():
     return space, M, pi
 
 
+def dense_resolvent(M, pi):
+    """Dense reference for the resolvent: ``P = Z - 1 (x) pi``, ``Z = (I - M + 1 (x) pi)^{-1}``.
+
+    `M` is a markov :class:`IntegralOperator`; returns the ``S x S`` matrix.
+    """
+    n = M.src.size
+    one_pi = np.outer(np.ones(n), pi.weights)
+    return np.linalg.solve(np.eye(n) - M.matrix + one_pi, np.eye(n)) - one_pi
+
+
+def dense_poisson_residual(M, pi, P):
+    """Max entrywise defect of ``(M - I) P = 1 (x) pi - I`` and ``pi P = 0`` on matrices."""
+    n = M.shape[0]
+    eq = (M - np.eye(n)) @ P - (np.outer(np.ones(n), pi) - np.eye(n))
+    return float(max(np.abs(eq).max(), np.abs(pi @ P).max()))
+
+
+def resolvent_matrix(P):
+    """The whole matrix of a factored resolvent, row ``x`` read off ``V[c(x)]``."""
+    k = P.kernel
+    n = k.space.size
+    rows = np.eye(n) - P.invariant.weights + P.flow[k.classes]
+    return rows / (1.0 - k.reject[k.classes])[:, None]
+
+
+def operator_matrix(D):
+    """The matrix of a first-order operator, column ``y`` its image of ``e_y``."""
+    basis = np.eye(D.dst.size)
+    return np.column_stack([D.apply(TestFunction(D.dst, e)).values for e in basis])
+
+
+def dense_first_order_D(model, l, eta):
+    """Dense reference ``T (x) Q / eta(G)`` of ``first_order_D`` for FK and annealing models."""
+    from imcmc import annealing as ann
+    from imcmc import fk
+    from imcmc.measures import compose, integrate
+
+    if isinstance(model, fk.FKModel):
+        G = fk.path_potential(model, l)
+        step = fk.path_extension(model, l).matrix
+    else:
+        G = ann.potential_fn(model, l)
+        step = compose(model.kernels_l[l + 1], ann.geometric_kernel(model, l + 1)).matrix
+    return fk.transport_kernel(eta, G).matrix @ step / integrate(eta, G)
+
+
 def series_matrix(bundle):
     """The resolvent assembled column by column from the vector series route.
 

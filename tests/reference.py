@@ -1,0 +1,262 @@
+"""Reference routes that the tests compare the package against.
+
+None of these runs in the package: the two-state closed forms are an
+independent second opinion on the general path-space machinery, the
+remainder checks probe the first-order expansions numerically, and the
+stacked product model assembles the whole level stack as one joint
+kernel with dense matrices.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from imcmc import annealing as ann
+from imcmc import fk
+from imcmc.measures import (
+    PROBABILITY,
+    FiniteSpace,
+    FirstOrderOperator,
+    IntegralOperator,
+    Measure,
+    act_measure,
+    tensor,
+    tv_norm,
+)
+from imcmc.oracle import CltSpec
+
+
+# ---------------------------------------------------------------------------
+# First-order remainder checks
+# ---------------------------------------------------------------------------
+
+def remainder_norm(map_fn, eta: Measure, mu: Measure, D, t: float) -> float:
+    """TV norm of the expansion remainder at ``eta + t (mu - eta)``.
+
+    ``map_fn`` sends probability measures to probability measures; the
+    remainder is ``map_fn(mu_t) - map_fn(eta) - (mu_t - eta) D``, with
+    `D` a :class:`FirstOrderOperator` or a dense :class:`IntegralOperator`.
+    """
+    mu_t = Measure(
+        eta.space, eta.weights + t * (mu.weights - eta.weights), kind=PROBABILITY
+    )
+    if isinstance(D, FirstOrderOperator):
+        lead = D.act(mu_t - eta)
+    else:
+        lead = act_measure(mu_t - eta, D)
+    diff = map_fn(mu_t) - map_fn(eta) - lead
+    return tv_norm(diff)
+
+
+def remainder_ratios(map_fn, eta, mu, D, scales=(1e-2, 5e-3, 2.5e-3)) -> list[float]:
+    """Remainder-norm ratios between successive halvings of the scale.
+
+    Quadratic remainders give ratios near 4; pairs whose norms are both
+    below 1e-14 are reported as exactly 4 (linear maps, zero remainder).
+    """
+    norms = [remainder_norm(map_fn, eta, mu, D, t) for t in scales]
+    ratios = []
+    for a, b in zip(norms, norms[1:]):
+        if a < 1e-14 and b < 1e-14:
+            ratios.append(4.0)
+        else:
+            ratios.append(a / b if b > 0 else float("inf"))
+    return ratios
+
+
+# ---------------------------------------------------------------------------
+# Two-state closed forms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ToyClosedForm:
+    """Closed-form report for the two-state tempering preset.
+
+    ``marginals[l]`` is the level-`l` two-point marginal, ``base_steps[l]``
+    the matrix appending coordinate ``l`` (valid for ``l >= 1``), and
+    ``d_ops[l]`` the first-order operator from level-`l` paths into
+    level-``l+1`` paths, all evaluated directly from the closed forms.
+    """
+
+    p: float
+    betas: tuple[float, ...]
+    marginals: tuple[np.ndarray, ...]
+    base_steps: tuple[np.ndarray | None, ...]
+    path_measures: tuple[np.ndarray, ...]
+    transports: tuple[np.ndarray, ...]
+    d_ops: tuple[np.ndarray, ...]
+
+
+def toy_closed_form(p: float, betas) -> ToyClosedForm:
+    """Evaluate every two-state closed form for schedule `betas`.
+
+    Independent of the general path-space machinery: marginals come from
+    ``p^b / (p^b + q^b)``, base steps from the displayed two-by-two form,
+    path weights from the explicit product, and the first-order operators
+    from their displayed entries.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    betas = tuple(float(b) for b in betas)
+    q = 1.0 - p
+    L = len(betas) - 1
+
+    def marginal(l):
+        a, b = p ** betas[l], q ** betas[l]
+        return np.array([a / (a + b), b / (a + b)])
+
+    marginals = tuple(marginal(l) for l in range(L + 1))
+    base_steps: list[np.ndarray | None] = [None]
+    for l in range(1, L + 1):
+        m = marginals[l]
+        base_steps.append(np.array([[1.0 - m[1], m[1]], [m[0], 1.0 - m[0]]]))
+
+    g = [
+        np.array([p ** (betas[l + 1] - betas[l]), q ** (betas[l + 1] - betas[l])])
+        for l in range(L)
+    ]
+
+    # explicit product weights: init * steps * potentials along the path
+    path_measures = []
+    for l in range(L + 1):
+        size = 2 ** (l + 1)
+        w = np.empty(size)
+        for idx in range(size):
+            digits = [(idx >> (l - k)) & 1 for k in range(l + 1)]
+            val = marginals[0][digits[0]]
+            for k in range(1, l + 1):
+                val *= base_steps[k][digits[k - 1], digits[k]]
+            for k in range(l):
+                val *= g[k][digits[k]]
+            w[idx] = val
+        path_measures.append(w / w.sum())
+    path_measures = tuple(path_measures)
+
+    transports = []
+    d_ops = []
+    for l in range(L):
+        size = 2 ** (l + 1)
+        term = np.arange(size) % 2
+        pi_l = path_measures[l]
+        denom = float(marginals[l] @ g[l])
+        # transport rows: keep the path with weight G, else redraw from
+        # the reweighted path measure
+        redraw = pi_l * g[l][term] / denom
+        S = np.diag(g[l][term]) + np.outer(1.0 - g[l][term], redraw)
+        transports.append(S)
+        D = np.zeros((size, 2 * size))
+        pi_next = path_measures[l + 1]
+        for x in range(size):
+            gx = g[l][term[x]]
+            D[x] = (1.0 - gx) * pi_next
+            D[x, 2 * x : 2 * x + 2] += gx * base_steps[l + 1][term[x]]
+        d_ops.append(D / denom)
+
+    return ToyClosedForm(
+        p=p,
+        betas=betas,
+        marginals=marginals,
+        base_steps=tuple(base_steps),
+        path_measures=path_measures,
+        transports=tuple(transports),
+        d_ops=tuple(d_ops),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Stacked product model across levels
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ProductModel:
+    """Joint view of levels ``0 .. l``: product kernel, limit, first-order op."""
+
+    level: int
+    space: FiniteSpace
+    kernel: IntegralOperator
+    limit: Measure
+    d_op: IntegralOperator
+
+
+def _component_map(spec: CltSpec, k: int, mu: Measure) -> Measure:
+    model = spec.model
+    if isinstance(model, fk.FKModel):
+        return fk.fk_map(model, k, mu)
+    return ann.annealing_map(model, k, mu)
+
+
+def product_limit(spec: CltSpec, l: int) -> Measure:
+    out = spec.pis[0]
+    for k in range(1, l + 1):
+        out = tensor(out, spec.pis[k])
+    return out
+
+
+def _dense_rows(D: FirstOrderOperator) -> np.ndarray:
+    """The matrix of `D`, one point mass pushed through it per row."""
+    return np.stack([D.act(Measure.dirac(D.src, x)).weights for x in range(D.src.size)])
+
+
+def product_model(spec: CltSpec, l: int) -> ProductModel:
+    """Tensor the level stack ``0 .. l`` into a single joint model.
+
+    The joint kernel moves every coordinate with its own level kernel,
+    the joint limit is the product of the level limits, and the joint
+    first-order operator into levels ``0 .. l+1`` is assembled from the
+    per-level operators with the limit measures filling the remaining
+    output coordinates.
+    """
+    if l + 1 > spec.level:
+        raise ValueError(
+            f"product model at l={l} needs the spec built through level {l + 1}"
+        )
+    kernel = spec.kernels[0].to_operator()
+    for k in range(1, l + 1):
+        kernel = tensor(kernel, spec.kernels[k].to_operator())
+    limit = product_limit(spec, l)
+
+    sizes = [sp.size for sp in spec.spaces[: l + 2]]
+    src_size = math.prod(sizes[: l + 1])
+    dst_size = math.prod(sizes)
+    dst_space = product_limit(spec, l + 1).space
+
+    # coordinate digits of every joint source state
+    digits = np.empty((src_size, l + 1), dtype=np.int64)
+    rem = np.arange(src_size)
+    for k in range(l, -1, -1):
+        digits[:, k] = rem % sizes[k]
+        rem //= sizes[k]
+
+    matrix = np.zeros((src_size, dst_size))
+    for k in range(l + 1):
+        D = _dense_rows(spec.d_ops[k])  # level k -> level k+1
+        low = spec.pis[0].weights
+        for m in range(1, k + 1):
+            low = np.outer(low, spec.pis[m].weights).ravel()
+        high = np.ones(1)
+        for m in range(k + 2, l + 2):
+            high = np.outer(high, spec.pis[m].weights).ravel()
+        block = np.einsum("a,rb,c->rabc", low, D[digits[:, k]], high)
+        matrix += block.reshape(src_size, dst_size)
+
+    d_op = IntegralOperator(limit.space, dst_space, matrix, markov=False)
+    return ProductModel(level=l, space=limit.space, kernel=kernel, limit=limit, d_op=d_op)
+
+
+def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
+    """Joint level map: first coordinate pinned at the level-0 limit,
+    every later coordinate given by the component map of the matching
+    marginal of `mu`."""
+    sizes = [sp.size for sp in spec.spaces[: l + 1]]
+    if mu.space.size != math.prod(sizes):
+        raise ValueError("measure does not live on the joint space of levels 0..l")
+    cube = mu.weights.reshape(sizes)
+    out = spec.pis[0]
+    for k in range(l + 1):
+        axes = tuple(a for a in range(l + 1) if a != k)
+        marg = Measure(spec.spaces[k], cube.sum(axis=axes), kind=PROBABILITY)
+        out = tensor(out, _component_map(spec, k, marg))
+    return out

@@ -13,7 +13,7 @@ from imcmc.measures import (
     dobrushin,
     tv_norm,
 )
-from imcmc.oracle import remainder_ratios
+from reference import remainder_ratios
 from helpers import random_probability
 
 

@@ -312,7 +312,7 @@ def test_step_law_fk_rank_one():
     cur = 3
     counts = np.bincount(history, minlength=space_prev.size)
     eta = Measure.probability(space_prev, counts / counts.sum())
-    row = fk.rank_one_kernel(model, 2, eta).matrix[cur]
+    row = fk.rank_one_kernel(model, 2, eta).to_operator().matrix[cur]
     samples = engine.transition_samples(cfg, 2, history, cur, rng, 10**6)
     assert chi_square_against_row(samples, row) > 1e-3
 
