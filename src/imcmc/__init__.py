@@ -16,8 +16,6 @@ from .measures import (
     integrate,
     operator_norm,
     oscillation,
-    product_space,
-    tensor,
     tv_norm,
 )
 

@@ -39,7 +39,7 @@ from .measures import (
     compose,
     integrate,
 )
-from .fk import KERNEL_INVARIANCE_TOL, boltzmann_gibbs
+from .fk import KERNEL_INVARIANCE_TOL, PathSpace, boltzmann_gibbs
 
 
 def _gibbs_weights(values: np.ndarray, beta: float, reference: np.ndarray) -> np.ndarray:
@@ -69,8 +69,8 @@ class AnnealingModel:
         validated to leave the level-`l` Gibbs measure invariant.
     reference : Measure, optional
         Strictly positive reference measure, uniform when omitted.
-    level0_kernel : IntegralOperator, optional
-        Homogeneous kernel driving level 0; defaults to ``K_0``.
+
+    Level 0 is driven by ``K_0`` (:attr:`level0_kernel`).
     """
 
     space: FiniteSpace
@@ -80,7 +80,6 @@ class AnnealingModel:
     kernels_k: tuple[IntegralOperator, ...]
     kernels_l: tuple[IntegralOperator, ...]
     reference: Measure | None = None
-    level0_kernel: IntegralOperator | None = None
 
     def __post_init__(self):
         if self.potential.space != self.space:
@@ -112,22 +111,21 @@ class AnnealingModel:
                         f"{name}[{l}] does not leave the level-{l} Gibbs measure "
                         f"invariant (residual {resid:.3e})"
                     )
-        if self.level0_kernel is None:
-            object.__setattr__(self, "level0_kernel", self.kernels_k[0])
-        k0 = self.level0_kernel
-        if not k0.markov or k0.src != self.space or k0.dst != self.space:
-            raise ValueError("level0_kernel must be a markov kernel on the model space")
-        pi0 = gibbs_measure(self, 0).weights
-        resid = np.abs(pi0 @ k0.matrix - pi0).max()
-        if resid > KERNEL_INVARIANCE_TOL:
-            raise ValueError(
-                f"level0_kernel does not leave the level-0 Gibbs measure invariant "
-                f"(residual {resid:.3e})"
-            )
 
     @property
     def levels(self) -> int:
         return len(self.betas) - 1
+
+    @property
+    def level0_kernel(self) -> IntegralOperator:
+        """The homogeneous kernel driving level 0: ``K_0``."""
+        return self.kernels_k[0]
+
+    def level_space(self, k: int) -> PathSpace:
+        """The space of level `k`: the model space, every state its own terminal."""
+        if not 0 <= k <= self.levels:
+            raise ValueError(f"level {k} out of range 0..{self.levels}")
+        return PathSpace(self.space, np.arange(self.space.size))
 
 
 def gibbs_measure(model: AnnealingModel, l: int) -> Measure:
@@ -170,20 +168,6 @@ def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     return IntegralOperator(model.space, model.space, mat, markov=True)
 
 
-def geometric_kernel_series(model: AnnealingModel, l: int, terms: int) -> np.ndarray:
-    """Truncated series ``(1-eps) sum_{k<=terms} eps^k K_l^k`` (cross-check path)."""
-    eps = model.epsilon
-    K = model.kernels_k[l].matrix
-    acc = np.eye(model.space.size)
-    power = np.eye(model.space.size)
-    coeff = 1.0
-    for _ in range(terms):
-        power = power @ K
-        coeff *= eps
-        acc = acc + coeff * power
-    return (1.0 - eps) * acc
-
-
 def annealing_map(model: AnnealingModel, l: int, mu: Measure) -> Measure:
     """Level map: reweight by ``G_l``, apply ``L_{l+1}``, then the geometric kernel.
 
@@ -215,18 +199,6 @@ def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperat
     rho = psi.weights @ model.kernels_l[l].matrix
     matrix = eps * model.kernels_k[l].matrix + (1.0 - eps) * np.tile(rho, (model.space.size, 1))
     return IntegralOperator(model.space, model.space, matrix, markov=True)
-
-
-def mixture_invariant_measure(model: AnnealingModel, l: int, mu: Measure) -> Measure:
-    """The measure actually fixed by ``mixture_kernel(model, l, mu)``.
-
-    Solving ``nu = eps nu K_l + (1-eps) bg(mu) L_l`` gives
-    ``nu = bg(mu) L_l K_{eps,l}``, which is exactly
-    ``annealing_map(model, l-1, mu)``; the two construction routes agree.
-    """
-    if l < 1:
-        raise ValueError("level must be >= 1")
-    return annealing_map(model, l - 1, mu)
 
 
 def first_order_D(model: AnnealingModel, l: int, eta: Measure) -> FirstOrderOperator:
@@ -272,11 +244,6 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
         off = math.fsum(flow[x, y] for y in range(n) if y != x)
         matrix[x, x] = 1.0 - off
     return IntegralOperator(pi.space, pi.space, matrix, markov=True)
-
-
-def default_metropolis(model: AnnealingModel, l: int, proposal: IntegralOperator) -> IntegralOperator:
-    """Metropolis kernel targeting the level-`l` Gibbs measure."""
-    return metropolis_kernel(gibbs_measure(model, l), proposal)
 
 
 def make_metropolis_model(

@@ -145,7 +145,6 @@ def cmd_verify(cfg: RunConfig, inject: bool) -> int:
         checkpoints=cfg.checkpoints,
         inject_variance_error=inject,
         workers=cfg.workers,
-        return_samples=True,
     )
     with open(out / "fluctuations.csv", "w") as fh:
         report.to_csv(fh, _metadata(cfg))

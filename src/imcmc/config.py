@@ -63,7 +63,7 @@ import numpy as np
 from . import annealing as ann
 from . import fk
 from .engine import EngineConfig
-from .measures import FiniteSpace, IntegralOperator, Measure, TestFunction
+from .measures import MAX_STATES, FiniteSpace, IntegralOperator, Measure, TestFunction
 from .reporting import config_digest
 
 
@@ -152,6 +152,8 @@ def _build_fk_model(sec) -> fk.FKModel:
     if "spaces" not in sec:
         raise ConfigError("model.spaces", "required for an explicit fk model")
     sizes = _ints("model.spaces", sec["spaces"])
+    if not sizes or not all(1 <= s <= MAX_STATES for s in sizes):
+        raise ConfigError("model.spaces", f"sizes must lie in 1..{MAX_STATES}, got {sizes}")
     spaces = tuple(FiniteSpace(id=f"S'{l}", size=s) for l, s in enumerate(sizes))
     L = len(sizes) - 1
     if "initial" not in sec:
@@ -198,7 +200,10 @@ def _build_annealing_model(sec) -> ann.AnnealingModel:
         if key not in sec:
             raise ConfigError(f"model.{key}", "required for an annealing model")
     values = _floats("model.potential", sec["potential"])
-    size = int(sec["size"]) if "size" in sec else values.size
+    size = _ints("model.size", sec["size"]) if "size" in sec else [values.size]
+    if len(size) != 1 or not 1 <= size[0] <= MAX_STATES:
+        raise ConfigError("model.size", f"must be one integer in 1..{MAX_STATES}, got {size}")
+    (size,) = size
     if size != values.size:
         raise ConfigError("model.potential", f"expected {size} entries, got {values.size}")
     space = FiniteSpace(id="S", size=size)
@@ -233,13 +238,9 @@ def _build_annealing_model(sec) -> ann.AnnealingModel:
         raise ConfigError("model", str(e))
 
 
-def _build_functions(sec, model, levels: int) -> list[list[tuple[str, TestFunction]]]:
-    out: list[list[tuple[str, TestFunction]]] = [[] for _ in range(levels + 1)]
-    if isinstance(model, fk.FKModel):
-        paths = [fk.path_space(model, k) for k in range(levels + 1)]
-        spaces = [ps.space for ps in paths]
-    else:
-        spaces = [model.space] * (levels + 1)
+def _build_functions(sec, spaces: list[fk.PathSpace]) -> list[list[tuple[str, TestFunction]]]:
+    out: list[list[tuple[str, TestFunction]]] = [[] for _ in spaces]
+    levels = len(spaces) - 1
     for key, value in sec.items():
         name, _, lvl = key.partition("@")
         value = value.strip()
@@ -250,28 +251,21 @@ def _build_functions(sec, model, levels: int) -> list[list[tuple[str, TestFuncti
                 raise ConfigError(f"functions.{key}", f"bad level suffix {lvl!r}")
             if not 0 <= k <= levels:
                 raise ConfigError(f"functions.{key}", f"level {k} out of range 0..{levels}")
-            out[k].append((name, TestFunction(spaces[k], _floats(f"functions.{key}", value))))
+            out[k].append((name, TestFunction(spaces[k].space, _floats(f"functions.{key}", value))))
             continue
         if value.startswith("terminal_indicator(") and value.endswith(")"):
             idx = int(value[len("terminal_indicator(") : -1])
-            for k in range(levels + 1):
-                if isinstance(model, fk.FKModel):
-                    ps = paths[k]
-                    base = ps.base_sizes[-1]
-                    if not 0 <= idx < base:
-                        raise ConfigError(f"functions.{key}", f"state {idx} out of range")
-                    vals = (np.arange(ps.space.size) % base == idx).astype(float)
-                else:
-                    if not 0 <= idx < model.space.size:
-                        raise ConfigError(f"functions.{key}", f"state {idx} out of range")
-                    vals = (np.arange(model.space.size) == idx).astype(float)
-                out[k].append((name, TestFunction(spaces[k], vals)))
+            for k, ps in enumerate(spaces):
+                vals = (ps.terminal == idx).astype(float)
+                if not vals.any():
+                    raise ConfigError(f"functions.{key}", f"state {idx} out of range")
+                out[k].append((name, TestFunction(ps.space, vals)))
         elif value.startswith("indicator(") and value.endswith(")"):
             idx = int(value[len("indicator(") : -1])
-            for k in range(levels + 1):
-                if not 0 <= idx < spaces[k].size:
+            for k, ps in enumerate(spaces):
+                if not 0 <= idx < ps.space.size:
                     raise ConfigError(f"functions.{key}", f"state {idx} out of range at level {k}")
-                out[k].append((name, TestFunction.indicator(spaces[k], idx)))
+                out[k].append((name, TestFunction.indicator(ps.space, idx)))
         else:
             raise ConfigError(
                 f"functions.{key}",
@@ -326,8 +320,14 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError("engine.checkpoints", "entries must lie in 0..iterations")
     workers = int(esec["workers"]) if "workers" in esec else None
 
+    spaces = []
+    for k in range(levels + 1):
+        try:
+            spaces.append(model.level_space(k))
+        except ValueError as e:
+            raise ConfigError("engine.levels", f"level {k}: {e}")
     if "functions" in parser and len(parser["functions"]) > 0:
-        functions = _build_functions(parser["functions"], model, levels)
+        functions = _build_functions(parser["functions"], spaces)
     else:
         raise ConfigError("functions", "missing section")
 

@@ -55,11 +55,7 @@ import numpy as np
 
 from . import annealing as ann
 from . import fk
-from .measures import (
-    PROBABILITY,
-    FiniteSpace,
-    Measure,
-)
+from .measures import FiniteSpace
 
 #: Uniform draws consumed per level per time step (fixed for stream stability).
 DRAWS_PER_STEP = 3
@@ -88,45 +84,26 @@ def stream(seed: int, replicate: int, level: int) -> np.random.Generator:
 class EngineConfig:
     """A model, how many levels to stack, and how long to run.
 
-    ``initial_dists`` supplies the level starting distributions
-    (uniform on each level space when omitted).
+    Every level starts from the uniform distribution on its space.
     """
 
     model: object
     levels: int
     iterations: int
     seed: int
-    initial_dists: tuple[Measure, ...] | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not isinstance(self.model, (fk.FKModel, ann.AnnealingModel)):
             raise TypeError(f"unsupported model type {type(self.model).__name__}")
-        if self.initial_dists is not None:
-            object.__setattr__(self, "initial_dists", tuple(self.initial_dists))
         if not 0 <= self.levels <= self.model.levels:
             raise ValueError(
                 f"levels must lie in 0..{self.model.levels}, got {self.levels}"
             )
-        spaces = self.level_spaces()
-        if self.initial_dists is not None:
-            if len(self.initial_dists) != self.levels + 1:
-                raise ValueError(
-                    f"expected {self.levels + 1} initial distributions, "
-                    f"got {len(self.initial_dists)}"
-                )
-            for k, nu in enumerate(self.initial_dists):
-                if nu.kind != PROBABILITY or nu.space != spaces[k]:
-                    raise ValueError(
-                        f"initial distribution {k} must be a probability on the "
-                        f"level-{k} space"
-                    )
 
     def level_spaces(self) -> tuple[FiniteSpace, ...]:
-        if isinstance(self.model, fk.FKModel):
-            return tuple(fk.path_space(self.model, k).space for k in range(self.levels + 1))
-        return tuple(self.model.space for _ in range(self.levels + 1))
+        return tuple(self.model.level_space(k).space for k in range(self.levels + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +296,8 @@ class _Rule:
 
 def _rules(config: EngineConfig) -> list[_Rule]:
     model = config.model
-    sizes = [sp.size for sp in config.level_spaces()]
+    spaces = [model.level_space(k) for k in range(config.levels + 1)]
+    sizes = [ps.space.size for ps in spaces]
     rules = [_Rule(partial(_step_chain, _cdf_table(model.level0_kernel.matrix)), "", sizes[0])]
     for k in range(1, config.levels + 1):
         if isinstance(model, ann.AnnealingModel):
@@ -335,7 +313,7 @@ def _rules(config: EngineConfig) -> list[_Rule]:
         s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
         cdf = _cdf_table(model.transitions[k - 1].matrix)
         g = model.potentials[k - 1].values
-        term = np.arange(sizes[k - 1]) % s_prev
+        term = spaces[k - 1].terminal
         if model.kernel_type == "mh":
             step = partial(_step_fk_mh, cdf, g, term, s_new)
             rules.append(_Rule(step, "history", max(s_prev, s_new)))
@@ -344,12 +322,6 @@ def _rules(config: EngineConfig) -> list[_Rule]:
             step = partial(_step_fk_rank_one, cdf, g[term], term, s_new)
             rules.append(_Rule(step, "counts", max(sizes[k - 1], s_new)))
     return rules
-
-
-def _initial_cdf(config: EngineConfig, k: int, size: int) -> np.ndarray:
-    if config.initial_dists is None:
-        return _cdf_table(np.full((1, size), 1.0 / size))
-    return _cdf_table(config.initial_dists[k].weights[None, :])
 
 
 def run_batch(
@@ -386,7 +358,8 @@ def run_batch(
     cur, counts = [], []
     for k in range(L + 1):
         u0 = np.array([g.random() for g in gens[k]])
-        x0 = _cdf_draw(_initial_cdf(config, k, sizes[k]), np.zeros(B, dtype=np.intp), u0)
+        uniform = _cdf_table(np.full((1, sizes[k]), 1.0 / sizes[k]))
+        x0 = _cdf_draw(uniform, np.zeros(B, dtype=np.intp), u0)
         if keep[k]:
             hist[k][:, 0] = x0
         cur.append(x0)

@@ -18,15 +18,15 @@ from a supplied measure and appends one base transition.
 Path potentials depend on the terminal coordinate only; that keeps every
 operator here in closed form.
 
-The functions that build level objects take an optional `paths`, the
-level path spaces by level (see :func:`path_space`), so that a caller
-building a whole stack enumerates each path space once.
+A model enumerates each level's path space once, on first use
+(:func:`path_space`), and every builder here, the engine and the
+configuration read the terminal coordinates of its paths from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,7 @@ class FKModel:
     potentials: tuple[TestFunction, ...]
     level0_kernel: IntegralOperator | None = None
     kernel_type: str = "mh"
+    _paths: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         L = self.levels
@@ -122,59 +123,55 @@ class FKModel:
     def levels(self) -> int:
         return len(self.base_spaces) - 1
 
+    def level_space(self, k: int) -> "PathSpace":
+        """The level-`k` path space (:func:`path_space`)."""
+        return path_space(self, k)
+
 
 @dataclass(frozen=True, eq=False)
 class PathSpace:
-    """Enumerated product space of base coordinates ``0 .. level``."""
+    """The states of one level and the terminal coordinate of each.
 
-    level: int
+    On a Feynman-Kac level the states are the paths of base coordinates
+    ``0 .. level`` and `terminal` maps each to its last coordinate, the
+    low mixed-radix digit.  An annealing level is the model space, every
+    state its own terminal.  `terminal` is read-only.
+    """
+
     space: FiniteSpace
-    base_sizes: tuple[int, ...]
+    terminal: np.ndarray
 
-    def terminal(self, idx):
-        """Terminal coordinate of path index `idx` (low mixed-radix digit)."""
-        return idx % self.base_sizes[-1]
-
-    def prefix(self, idx):
-        """Index of the path with the terminal coordinate dropped."""
-        return idx // self.base_sizes[-1]
-
-    def append(self, prefix_idx, coord):
-        """Index of ``prefix_idx`` extended by terminal coordinate `coord`."""
-        return prefix_idx * self.base_sizes[-1] + coord
+    def __post_init__(self):
+        self.terminal.setflags(write=False)
 
 
 def path_space(model: FKModel, l: int) -> PathSpace:
-    """Path space for level `l`, mixed-radix with coordinate 0 as high digit."""
+    """Path space for level `l`, mixed-radix with coordinate 0 as high digit.
+
+    Enumerated once per model and level, on first use: the levels above
+    those a run stacks are never built, and may exceed ``MAX_STATES``.
+    """
+    ps = model._paths.get(l)
+    if ps is not None:
+        return ps
     if not 0 <= l <= model.levels:
         raise ValueError(f"level {l} out of range 0..{model.levels}")
     spaces = model.base_spaces[: l + 1]
-    if l == 0:
-        return PathSpace(level=0, space=spaces[0], base_sizes=(spaces[0].size,))
-    labels = spaces[0].labels
-    for sp in spaces[1:]:
-        labels = tuple(f"{a}.{b}" for a in labels for b in sp.labels)
-    size = math.prod(sp.size for sp in spaces)
-    ident = f"{spaces[0].id}^(0:{l})"
-    return PathSpace(
-        level=l,
-        space=FiniteSpace(id=ident, size=size, labels=labels),
-        base_sizes=tuple(sp.size for sp in spaces),
-    )
-
-
-def _path(model: FKModel, l: int, paths) -> PathSpace:
-    return path_space(model, l) if paths is None else paths[l]
-
-
-def _terminal_indices(ps: PathSpace) -> np.ndarray:
-    return np.arange(ps.space.size) % ps.base_sizes[-1]
+    space = spaces[0]
+    if l > 0:
+        labels = spaces[0].labels
+        for sp in spaces[1:]:
+            labels = tuple(f"{a}.{b}" for a in labels for b in sp.labels)
+        size = math.prod(sp.size for sp in spaces)
+        space = FiniteSpace(id=f"{spaces[0].id}^(0:{l})", size=size, labels=labels)
+    ps = PathSpace(space, np.arange(space.size) % spaces[-1].size)
+    return model._paths.setdefault(l, ps)
 
 
 def path_potential(model: FKModel, l: int) -> TestFunction:
     """Level-`l` potential lifted to the path space (terminal coordinate only)."""
     ps = path_space(model, l)
-    return TestFunction(ps.space, model.potentials[l].values[_terminal_indices(ps)])
+    return TestFunction(ps.space, model.potentials[l].values[ps.terminal])
 
 
 def path_extension(model: FKModel, l: int) -> IntegralOperator:
@@ -187,26 +184,26 @@ def path_extension(model: FKModel, l: int) -> IntegralOperator:
     """
     ps, ps_next = path_space(model, l), path_space(model, l + 1)
     s_new = model.base_spaces[l + 1].size
-    rows = model.transitions[l].matrix[_terminal_indices(ps)]
+    rows = model.transitions[l].matrix[ps.terminal]
     matrix = np.zeros((ps.space.size, ps_next.space.size))
     cols = np.arange(ps.space.size)[:, None] * s_new + np.arange(s_new)[None, :]
     np.put_along_axis(matrix, cols, rows, axis=1)
     return IntegralOperator(ps.space, ps_next.space, matrix, markov=True)
 
 
-def exact_path_measure(model: FKModel, l: int, paths=None) -> Measure:
+def exact_path_measure(model: FKModel, l: int) -> Measure:
     """The level-`l` limit law, by direct enumeration of weighted paths."""
     if not 0 <= l <= model.levels:
         raise ValueError(f"level {l} out of range 0..{model.levels}")
     w = model.initial.weights.copy()
     for k in range(1, l + 1):
-        term = np.arange(w.size) % model.base_spaces[k - 1].size
+        term = path_space(model, k - 1).terminal
         g = model.potentials[k - 1].values[term]
         w = ((w * g)[:, None] * model.transitions[k - 1].matrix[term, :]).ravel()
     total = w.sum()
     if total <= 0.0:
         raise ValueError(f"level {l} path weights sum to {total}; cannot normalize")
-    return Measure(_path(model, l, paths).space, w / total, kind=PROBABILITY)
+    return Measure(path_space(model, l).space, w / total, kind=PROBABILITY)
 
 
 def boltzmann_gibbs(mu: Measure, G: TestFunction) -> Measure:
@@ -238,7 +235,7 @@ def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
     return IntegralOperator(mu.space, mu.space, matrix, markov=True)
 
 
-def fk_map(model: FKModel, l: int, mu: Measure, paths=None) -> Measure:
+def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:
     """One step of the measure-valued flow: reweight at level `l`, extend.
 
     Maps a probability measure on the level-`l` path space to one on the
@@ -247,19 +244,19 @@ def fk_map(model: FKModel, l: int, mu: Measure, paths=None) -> Measure:
     """
     if l >= model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
-    ps = _path(model, l, paths)
+    ps = path_space(model, l)
     if mu.space != ps.space:
         raise ValueError(
             f"measure lives on {mu.space.id!r}, expected level-{l} path space "
             f"{ps.space.id!r}"
         )
-    term = _terminal_indices(ps)
+    term = ps.terminal
     psi = boltzmann_gibbs(mu, TestFunction(ps.space, model.potentials[l].values[term]))
     w = (psi.weights[:, None] * model.transitions[l].matrix[term, :]).ravel()
-    return Measure(_path(model, l + 1, paths).space, w, kind=PROBABILITY)
+    return Measure(path_space(model, l + 1).space, w, kind=PROBABILITY)
 
 
-def mh_factors(model: FKModel, l: int, mu: Measure, paths=None) -> FactoredKernel:
+def mh_factors(model: FKModel, l: int, mu: Measure) -> FactoredKernel:
     """Independence Metropolis-Hastings kernel for level `l`, indexed by `mu`.
 
     The proposal draws a level-``l-1`` path from `mu` and appends one
@@ -276,22 +273,22 @@ def mh_factors(model: FKModel, l: int, mu: Measure, paths=None) -> FactoredKerne
         raise ValueError("the level-0 kernel is homogeneous; use model.level0_kernel")
     if l > model.levels:
         raise ValueError(f"level {l} out of range 1..{model.levels}")
-    ps_prev, ps = _path(model, l - 1, paths), _path(model, l, paths)
+    ps_prev, ps = path_space(model, l - 1), path_space(model, l)
     if mu.space != ps_prev.space:
         raise ValueError(
             f"measure lives on {mu.space.id!r}, expected level-{l-1} path space "
             f"{ps_prev.space.id!r}"
         )
     g_prev = model.potentials[l - 1].values
-    term_prev = _terminal_indices(ps_prev)
+    term_prev = ps_prev.terminal
     step = model.transitions[l - 1].matrix
     s_new = model.base_spaces[l].size
 
     ratio = np.minimum(1.0, g_prev[term_prev][None, :] / g_prev[:, None])
     flows = ((mu.weights * ratio)[:, :, None] * step[term_prev, :]).reshape(g_prev.size, -1)
     reject = np.array([1.0 - math.fsum(row) for row in flows])
-    prefix_term = (np.arange(ps.space.size) // s_new) % g_prev.size
-    return FactoredKernel(ps.space, prefix_term, flows, reject)
+    # a path's class is the terminal of its prefix
+    return FactoredKernel(ps.space, np.repeat(term_prev, s_new), flows, reject)
 
 
 def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
@@ -299,7 +296,7 @@ def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
     return mh_factors(model, l, mu).to_operator()
 
 
-def first_order_D(model: FKModel, l: int, eta: Measure, paths=None) -> FirstOrderOperator:
+def first_order_D(model: FKModel, l: int, eta: Measure) -> FirstOrderOperator:
     """First-order expansion operator of the level map around `eta`.
 
     For measures ``mu`` near ``eta`` the flow satisfies
@@ -312,8 +309,8 @@ def first_order_D(model: FKModel, l: int, eta: Measure, paths=None) -> FirstOrde
     """
     if l >= model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
-    ps, ps_next = _path(model, l, paths), _path(model, l + 1, paths)
-    term = _terminal_indices(ps)
+    ps, ps_next = path_space(model, l), path_space(model, l + 1)
+    term = ps.terminal
     G = TestFunction(ps.space, model.potentials[l].values[term])
     denom = integrate(eta, G)
     if denom <= 0.0:
@@ -324,11 +321,11 @@ def first_order_D(model: FKModel, l: int, eta: Measure, paths=None) -> FirstOrde
     )
 
 
-def rank_one_kernel(model: FKModel, l: int, mu: Measure, paths=None) -> FactoredKernel:
+def rank_one_kernel(model: FKModel, l: int, mu: Measure) -> FactoredKernel:
     """Memoryless level kernel: every row redraws from ``fk_map(model, l-1, mu)``."""
     if l < 1:
         raise ValueError("the level-0 kernel is homogeneous; use model.level0_kernel")
-    return FactoredKernel.rank_one(fk_map(model, l - 1, mu, paths))
+    return FactoredKernel.rank_one(fk_map(model, l - 1, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,6 @@ def weight_limit_check(k: int, n: int) -> float:
     return float((arr.values**2).sum() / n)
 
 
-def weight_overlap_check(a: int, b: int, n: int) -> float:
-    """``(1/n) sum_p s^(a)_n(p) s^(b)_n(p)`` for two different orders.
-
-    Converges to ``(a+b-2)!/((a-1)!(b-1)!)``, the coefficient carried by
-    shared fluctuation levels in cross-level covariances.
-    """
-    return float((s_weights(a, n).values * s_weights(b, n).values).sum() / n)
-
-
 def weight_limit_table(k_max: int, n: int) -> list[tuple[int, int, float, float, float]]:
     """Rows ``(k, n, partial sum, limit, relative error)`` for ``k = 1 .. k_max``."""
     if k_max > 6:
@@ -380,30 +371,22 @@ def verify_theorem(
     functions,
     n: int,
     *,
-    checkpoints=None,
-    c_bias: float = DEFAULT_C_BIAS,
+    checkpoints=(),
     inject_variance_error: bool = False,
     workers: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
-    return_samples: bool = False,
-):
+) -> tuple[FluctuationReport, FluctuationSamples]:
     """Full pipeline: oracle moments, replicated simulation, comparison.
 
     `functions` lists per level the named test functions to check.  The
-    final checkpoint `n` gates the result; earlier checkpoints (default
-    ``{1000, 10000} & [0, n]``) are reported without theory so
-    convergence trends are visible in one run.  With
-    `inject_variance_error` the theoretical variances are doubled -- a
-    self-test that the comparison has power to fail.
+    final checkpoint `n` gates the result; earlier `checkpoints` are
+    reported without theory so convergence trends are visible in one
+    run.  With `inject_variance_error` the theoretical variances are
+    doubled -- a self-test that the comparison has power to fail.
+    Returns the report and the samples it summarizes.
     """
     spec = oracle.build_clt_spec(config.model, config.levels)
-    if checkpoints is None:
-        checkpoints = sorted({m for m in (1000, 10000) if m < n} | {n})
-    else:
-        checkpoints = sorted(set(int(m) for m in checkpoints) | {n})
-    samples = run_replicates(
-        config, R, functions, checkpoints, spec.pis, workers=workers, chunk=chunk
-    )
+    checkpoints = sorted(set(int(m) for m in checkpoints) | {n})
+    samples = run_replicates(config, R, functions, checkpoints, spec.pis, workers=workers)
 
     theory: dict[SampleColumn, float] = {}
     fn_by_col: dict[SampleColumn, TestFunction] = {}
@@ -427,7 +410,4 @@ def verify_theorem(
                 cov *= 2.0
             theory_cross[(ca, cb)] = cov
 
-    report = empirical_fluctuations(
-        samples, theory, theory_cross=theory_cross, c_bias=c_bias
-    )
-    return (report, samples) if return_samples else report
+    return empirical_fluctuations(samples, theory, theory_cross=theory_cross), samples

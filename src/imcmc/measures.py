@@ -15,7 +15,7 @@ Conventions
   absolute weights.  Two distinct point masses are therefore at distance
   2, not 1; keep the factor in mind when comparing against texts that
   use the probabilists' half convention.
-* Product spaces are indexed mixed-radix with the LEFT factor as the
+* Path spaces are indexed mixed-radix with the LEFT factor as the
   high digit: ``index(x_0, ..., x_l) = (...((x_0*s_1 + x_1)*s_2 + x_2)...)``.
   This order is fixed so golden files stay stable.
 * Spaces are capped at ``MAX_STATES`` states.  The oracle keeps every
@@ -96,12 +96,6 @@ class FiniteSpace:
             )
         if len(set(self.labels)) != self.size:
             raise ValueError(f"space {self.id!r}: labels are not unique")
-
-
-def product_space(a: FiniteSpace, b: FiniteSpace, id: str | None = None) -> FiniteSpace:
-    """Product space of `a` and `b`, `a` indexing the high digit."""
-    labels = tuple(f"{la}.{lb}" for la in a.labels for lb in b.labels)
-    return FiniteSpace(id=id or f"{a.id}*{b.id}", size=a.size * b.size, labels=labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,29 +525,3 @@ def allclose(a, b, atol: float = DEFAULT_ATOL) -> bool:
         _check_space(a.dst, b.dst, "allclose")
         return bool(np.abs(a.matrix - b.matrix).max() <= atol)
     raise TypeError(f"unsupported type {type(a).__name__}")
-
-
-def tensor(a, b):
-    """Tensor product of two measures, functions, or operators.
-
-    The result lives on the product space with the left factor as the
-    high digit, so the flat index ``i*size_b + j`` pairs state ``i`` of
-    `a` with state ``j`` of `b`.
-    """
-    if isinstance(a, Measure) and isinstance(b, Measure):
-        space = product_space(a.space, b.space)
-        w = np.outer(a.weights, b.weights).ravel()
-        kind = PROBABILITY if a.kind == b.kind == PROBABILITY else SIGNED
-        return Measure(space, w, kind=kind)
-    if isinstance(a, TestFunction) and isinstance(b, TestFunction):
-        space = product_space(a.space, b.space)
-        return TestFunction(space, np.outer(a.values, b.values).ravel())
-    if isinstance(a, IntegralOperator) and isinstance(b, IntegralOperator):
-        src = product_space(a.src, b.src)
-        dst = product_space(a.dst, b.dst)
-        return IntegralOperator(src, dst, np.kron(a.matrix, b.matrix),
-                                markov=a.markov and b.markov)
-    raise TypeError(
-        f"tensor requires two measures, two functions, or two operators; "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )

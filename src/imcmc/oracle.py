@@ -78,10 +78,6 @@ class OracleError(RuntimeError):
 # Invariant measures and resolvents
 # ---------------------------------------------------------------------------
 
-def _factored(M) -> FactoredKernel:
-    return M if isinstance(M, FactoredKernel) else FactoredKernel.dense(M)
-
-
 def _row_blocks(n: int):
     return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
 
@@ -91,12 +87,11 @@ def _doeblin(power: FactoredKernel) -> float:
     return min(1.0, max(0.0, 1.0 - float(power.column_min().sum())))
 
 
-def contraction_index(M) -> tuple[int, float, float, FactoredKernel]:
+def contraction_index(kernel: FactoredKernel) -> tuple[int, float, float, FactoredKernel]:
     """A power ``n0 = 2^k`` with ``beta(M^n0) <= m_n0 < 1``, with its bound.
 
-    `M` is a :class:`FactoredKernel` or a markov
-    :class:`IntegralOperator` on one space.  Returns ``(n0, m_n0, p_n0,
-    M^n0)``, the power in factors.  ``m_n0`` is the Doeblin bound
+    Returns ``(n0, m_n0, p_n0, M^n0)`` for the kernel ``M``, the power in
+    factors.  ``m_n0`` is the Doeblin bound
     ``1 - sum_y min_x M^n0(x, y)``, which is never below the Dobrushin
     coefficient ``beta(M^n0)`` and costs one pass over the factors;
     ``p_n0 = 2 n0 / (1 - m_n0)`` bounds the resolvent operator norm.
@@ -111,7 +106,6 @@ def contraction_index(M) -> tuple[int, float, float, FactoredKernel]:
     class has one by the power ``(S - 1)^2 + 1``; a kernel with none by
     then is not uniformly ergodic, and raises :class:`OracleError`.
     """
-    kernel = _factored(M)
     wielandt = (kernel.space.size - 1) ** 2 + 1
     n, power = 1, kernel
     m = _doeblin(power)
@@ -132,13 +126,12 @@ def contraction_index(M) -> tuple[int, float, float, FactoredKernel]:
     return n, m, 2.0 * n / (1.0 - m), power
 
 
-def invariant_measure(M) -> Measure:
+def invariant_measure(kernel: FactoredKernel) -> Measure:
     """Unique invariant probability of an ergodic markov kernel.
 
     The contraction index is established first so uniqueness is
     guaranteed before any solve (see :func:`_stationary`).
     """
-    kernel = _factored(M)
     contraction_index(kernel)
     return _stationary(kernel)
 
@@ -174,16 +167,21 @@ def _stationary(kernel: FactoredKernel) -> Measure:
     resid = np.abs(kernel.act(w) - w).max()
     if resid > INVARIANCE_TOL or w.min() < -INVARIANCE_TOL:
         w = np.full(kernel.space.size, 1.0 / kernel.space.size)
+        steps = []
         for it in range(10**6):
             w_next = kernel.act(w)
-            if np.abs(w_next - w).max() <= 1e-13:
-                w = w_next
-                break
+            steps.append(float(np.abs(w_next - w).max()))
             w = w_next
+            # the steps shrink geometrically, at a rate read off the second
+            # half of the run; those still to come sum to step / (1 - rate),
+            # far more than the step itself on a slowly mixing chain
+            rate = (steps[-1] / steps[it // 2]) ** (1.0 / (it - it // 2)) if it else 1.0
+            if steps[-1] == 0.0 or (rate < 1.0 and steps[-1] / (1.0 - rate) <= 1e-14):
+                break
         else:
             raise OracleError(
-                f"power iteration did not reach 1e-13 on {kernel.space.id!r} "
-                f"within 10^6 iterations"
+                f"power iteration did not come within 1e-14 of its limit on "
+                f"{kernel.space.id!r} within 10^6 iterations"
             )
     w = np.maximum(w, 0.0)
     return Measure(kernel.space, w / w.sum(), kind=PROBABILITY)
@@ -224,11 +222,10 @@ class Resolvent:
         return float(norms.max())
 
 
-def resolvent(M, pi: Measure) -> Resolvent:
+def resolvent(kernel: FactoredKernel, pi: Measure) -> Resolvent:
     """Poisson-equation solution operator ``P = sum_n (M^n - 1 (x) pi)``, in factors.
 
-    `M` is a :class:`FactoredKernel` or a markov :class:`IntegralOperator`
-    on one space.  With ``d = 1 - r``, ``w = pi / d[c]`` and the class
+    With ``d = 1 - r``, ``w = pi / d[c]`` and the class
     kernel ``K`` (:func:`_class_kernel`), ``V = F P`` solves
     ``(I - K) V = F diag(1/d[c]) - (K 1) (x) pi`` and ``(w E) V = (sum w)
     pi - w`` (this is ``pi P = 0``).  ``I - K`` is singular with null
@@ -241,7 +238,6 @@ def resolvent(M, pi: Measure) -> Resolvent:
     The right side is ``F`` itself, the column scaling is done in place,
     and no ``S x S`` identity is formed.
     """
-    kernel = _factored(M)
     if pi.space != kernel.space:
         raise ValueError("resolvent requires a kernel and measure on one space")
     resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
@@ -326,17 +322,15 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     )
 
 
-def poisson_residual(P) -> float:
+def poisson_residual(P: Resolvent) -> float:
     """Max entrywise defect of the Poisson equation and of ``pi P = 0``.
 
-    Takes a :class:`Resolvent` or a :class:`ResolventBundle`.  Row ``x``
+    Row ``x``
     of ``(M - I) P - (1 (x) pi - I)`` is ``(F P)[c(x)] - V[c(x)]``: the
     ``e_x`` terms cancel.  ``F P = G - (G 1) (x) pi + (G E) V`` with
     ``G = F diag(1/d[c])``, so the whole matrix's defect is the defect of
     the ``b x S`` system for ``V``, taken a block of rows at a time.
     """
-    if isinstance(P, ResolventBundle):
-        P = P.resolvent
     k, pi, V = P.kernel, P.invariant.weights, P.flow
     dc = 1.0 - k.reject[k.classes]
     worst = 0.0
@@ -349,13 +343,8 @@ def poisson_residual(P) -> float:
     return max(worst, float(np.abs(ortho).max()))
 
 
-def resolvent_bundle(M, pi: Measure | None = None) -> ResolventBundle:
-    """Assemble and certify the resolvent machinery for one kernel.
-
-    `M` is a :class:`FactoredKernel` or a markov :class:`IntegralOperator`
-    on one space.
-    """
-    kernel = _factored(M)
+def resolvent_bundle(kernel: FactoredKernel, pi: Measure | None = None) -> ResolventBundle:
+    """Assemble and certify the resolvent machinery for one kernel."""
     n0, m_n0, p_n0, power = contraction_index(kernel)
     if pi is None:
         pi = _stationary(kernel)
@@ -486,43 +475,31 @@ class CltSpec:
 
 
 def build_clt_spec(model, k_max: int) -> CltSpec:
-    """Assemble the oracle stack for an FK or annealing model.
-
-    An FK model's path spaces are enumerated once here and passed to
-    every level builder.
-    """
-    if isinstance(model, fk.FKModel):
-        if k_max > model.levels:
-            raise ValueError(f"k_max={k_max} exceeds model levels {model.levels}")
-        paths = tuple(fk.path_space(model, l) for l in range(k_max + 1))
-        spaces = tuple(ps.space for ps in paths)
-        pis = tuple(fk.exact_path_measure(model, l, paths) for l in range(k_max + 1))
-        level_kernel = fk.rank_one_kernel if model.kernel_type == "rank_one" else fk.mh_factors
-        kernels = [FactoredKernel.dense(model.level0_kernel)]
-        for l in range(1, k_max + 1):
-            kernels.append(level_kernel(model, l, pis[l - 1], paths))
-        d_ops = tuple(fk.first_order_D(model, l, pis[l], paths) for l in range(k_max))
-    elif isinstance(model, ann.AnnealingModel):
-        if k_max > model.levels:
-            raise ValueError(f"k_max={k_max} exceeds model levels {model.levels}")
-        spaces = tuple(model.space for _ in range(k_max + 1))
-        pis = tuple(ann.gibbs_measure(model, l) for l in range(k_max + 1))
-        kernels = [FactoredKernel.dense(model.level0_kernel)]
-        for l in range(1, k_max + 1):
-            kernels.append(FactoredKernel.dense(ann.mixture_kernel(model, l, pis[l - 1])))
-        d_ops = tuple(ann.first_order_D(model, l, pis[l]) for l in range(k_max))
-    else:
+    """Assemble the oracle stack for an FK or annealing model."""
+    if not isinstance(model, (fk.FKModel, ann.AnnealingModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    bundles = tuple(
-        resolvent_bundle(kernels[l], pis[l]) for l in range(k_max + 1)
-    )
+    if k_max > model.levels:
+        raise ValueError(f"k_max={k_max} exceeds model levels {model.levels}")
+    levels = range(k_max + 1)
+    kernels = [FactoredKernel.dense(model.level0_kernel)]
+    if isinstance(model, fk.FKModel):
+        pis = tuple(fk.exact_path_measure(model, l) for l in levels)
+        level_kernel = fk.rank_one_kernel if model.kernel_type == "rank_one" else fk.mh_factors
+        kernels += [level_kernel(model, l, pis[l - 1]) for l in levels[1:]]
+        d_ops = tuple(fk.first_order_D(model, l, pis[l]) for l in range(k_max))
+    else:
+        pis = tuple(ann.gibbs_measure(model, l) for l in levels)
+        kernels += [
+            FactoredKernel.dense(ann.mixture_kernel(model, l, pis[l - 1])) for l in levels[1:]
+        ]
+        d_ops = tuple(ann.first_order_D(model, l, pis[l]) for l in range(k_max))
     return CltSpec(
         model=model,
         level=k_max,
-        spaces=spaces,
+        spaces=tuple(model.level_space(l).space for l in levels),
         pis=pis,
         kernels=tuple(kernels),
-        bundles=bundles,
+        bundles=tuple(resolvent_bundle(kernels[l], pis[l]) for l in levels),
         d_ops=d_ops,
     )
 

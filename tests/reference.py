@@ -2,9 +2,10 @@
 
 None of these runs in the package: the two-state closed forms are an
 independent second opinion on the general path-space machinery, the
-remainder checks probe the first-order expansions numerically, and the
+remainder checks probe the first-order expansions numerically, the
 stacked product model assembles the whole level stack as one joint
-kernel with dense matrices.
+kernel with dense matrices, and the annealing and weight-array routes
+rebuild closed forms by series and by a second construction.
 """
 
 from __future__ import annotations
@@ -16,17 +17,55 @@ import numpy as np
 
 from imcmc import annealing as ann
 from imcmc import fk
+from imcmc.harness import s_weights
 from imcmc.measures import (
     PROBABILITY,
+    SIGNED,
     FiniteSpace,
     FirstOrderOperator,
     IntegralOperator,
     Measure,
+    TestFunction,
     act_measure,
-    tensor,
     tv_norm,
 )
 from imcmc.oracle import CltSpec
+
+
+# ---------------------------------------------------------------------------
+# Product spaces and tensor products
+# ---------------------------------------------------------------------------
+
+def product_space(a: FiniteSpace, b: FiniteSpace, id: str | None = None) -> FiniteSpace:
+    """Product space of `a` and `b`, `a` indexing the high digit."""
+    labels = tuple(f"{la}.{lb}" for la in a.labels for lb in b.labels)
+    return FiniteSpace(id=id or f"{a.id}*{b.id}", size=a.size * b.size, labels=labels)
+
+
+def tensor(a, b):
+    """Tensor product of two measures, functions, or operators.
+
+    The result lives on the product space with the left factor as the
+    high digit, so the flat index ``i*size_b + j`` pairs state ``i`` of
+    `a` with state ``j`` of `b`.
+    """
+    if isinstance(a, Measure) and isinstance(b, Measure):
+        space = product_space(a.space, b.space)
+        w = np.outer(a.weights, b.weights).ravel()
+        kind = PROBABILITY if a.kind == b.kind == PROBABILITY else SIGNED
+        return Measure(space, w, kind=kind)
+    if isinstance(a, TestFunction) and isinstance(b, TestFunction):
+        space = product_space(a.space, b.space)
+        return TestFunction(space, np.outer(a.values, b.values).ravel())
+    if isinstance(a, IntegralOperator) and isinstance(b, IntegralOperator):
+        src = product_space(a.src, b.src)
+        dst = product_space(a.dst, b.dst)
+        return IntegralOperator(src, dst, np.kron(a.matrix, b.matrix),
+                                markov=a.markov and b.markov)
+    raise TypeError(
+        f"tensor requires two measures, two functions, or two operators; "
+        f"got {type(a).__name__} and {type(b).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +299,46 @@ def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
         marg = Measure(spec.spaces[k], cube.sum(axis=axes), kind=PROBABILITY)
         out = tensor(out, _component_map(spec, k, marg))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Annealing cross-checks
+# ---------------------------------------------------------------------------
+
+def geometric_kernel_series(model: ann.AnnealingModel, l: int, terms: int) -> np.ndarray:
+    """Truncated series ``(1-eps) sum_{k<=terms} eps^k K_l^k`` (cross-check path)."""
+    eps = model.epsilon
+    K = model.kernels_k[l].matrix
+    acc = np.eye(model.space.size)
+    power = np.eye(model.space.size)
+    coeff = 1.0
+    for _ in range(terms):
+        power = power @ K
+        coeff *= eps
+        acc = acc + coeff * power
+    return (1.0 - eps) * acc
+
+
+def mixture_invariant_measure(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
+    """The measure actually fixed by ``mixture_kernel(model, l, mu)``.
+
+    Solving ``nu = eps nu K_l + (1-eps) bg(mu) L_l`` gives
+    ``nu = bg(mu) L_l K_{eps,l}``, which is exactly
+    ``annealing_map(model, l-1, mu)``; the two construction routes agree.
+    """
+    if l < 1:
+        raise ValueError("level must be >= 1")
+    return ann.annealing_map(model, l - 1, mu)
+
+
+# ---------------------------------------------------------------------------
+# Weight-array overlaps
+# ---------------------------------------------------------------------------
+
+def weight_overlap_check(a: int, b: int, n: int) -> float:
+    """``(1/n) sum_p s^(a)_n(p) s^(b)_n(p)`` for two different orders.
+
+    Converges to ``(a+b-2)!/((a-1)!(b-1)!)``, the coefficient carried by
+    shared fluctuation levels in cross-level covariances.
+    """
+    return float((s_weights(a, n).values * s_weights(b, n).values).sum() / n)

