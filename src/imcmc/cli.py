@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, oracle
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_int
 from .engine import export_trajectories_csv, run_batch
 from .harness import verify_theorem, weight_limit_table
 from .reporting import write_csv
@@ -45,16 +45,16 @@ EXIT_NUMERIC = 3
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     seed = cfg.seed
     if os.environ.get("IMCMC_SEED"):
-        seed = int(os.environ["IMCMC_SEED"])
+        seed = parse_int("IMCMC_SEED", os.environ["IMCMC_SEED"])
     if args.seed is not None:
         seed = args.seed
     workers = cfg.workers
     if os.environ.get("IMCMC_WORKERS"):
-        workers = int(os.environ["IMCMC_WORKERS"])
+        workers = parse_int("IMCMC_WORKERS", os.environ["IMCMC_WORKERS"], 1)
     if getattr(args, "workers", None) is not None:
-        workers = args.workers
+        workers = parse_int("--workers", args.workers, 1)
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0))
     out = dataclasses.replace(cfg, seed=seed, workers=workers)
     if getattr(args, "out", None):
         out = dataclasses.replace(out, output_dir=args.out)
@@ -249,6 +249,17 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as e:
         print(f"linear algebra failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except _resource_errors() as e:
+        print(f"worker or memory failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+
+
+def _resource_errors() -> tuple[type[BaseException], ...]:
+    # an except clause evaluates its types only when an exception reaches
+    # it, so a run that ends normally never imports concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (BrokenProcessPool, MemoryError)
 
 
 if __name__ == "__main__":

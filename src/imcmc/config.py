@@ -89,6 +89,17 @@ def _ints(path: str, text: str) -> list[int]:
         raise ConfigError(path, f"expected a space-separated integer list, got {text!r}")
 
 
+def parse_int(path: str, text, minimum: int | None = None) -> int:
+    """One integer, at least `minimum` when given; `path` names the field."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(path, f"expected an integer, got {text!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
 def _matrix(path: str, text: str) -> np.ndarray:
     rows = [r.strip() for r in text.split(";") if r.strip()]
     data = [_floats(path, r) for r in rows]
@@ -254,14 +265,14 @@ def _build_functions(sec, spaces: list[fk.PathSpace]) -> list[list[tuple[str, Te
             out[k].append((name, TestFunction(spaces[k].space, _floats(f"functions.{key}", value))))
             continue
         if value.startswith("terminal_indicator(") and value.endswith(")"):
-            idx = int(value[len("terminal_indicator(") : -1])
+            idx = parse_int(f"functions.{key}", value[len("terminal_indicator(") : -1])
             for k, ps in enumerate(spaces):
                 vals = (ps.terminal == idx).astype(float)
                 if not vals.any():
                     raise ConfigError(f"functions.{key}", f"state {idx} out of range")
                 out[k].append((name, TestFunction(ps.space, vals)))
         elif value.startswith("indicator(") and value.endswith(")"):
-            idx = int(value[len("indicator(") : -1])
+            idx = parse_int(f"functions.{key}", value[len("indicator(") : -1])
             for k, ps in enumerate(spaces):
                 if not 0 <= idx < ps.space.size:
                     raise ConfigError(f"functions.{key}", f"state {idx} out of range at level {k}")
@@ -318,7 +329,7 @@ def parse_config(raw: bytes) -> RunConfig:
     )
     if any(n < 0 or n > iterations for n in checkpoints):
         raise ConfigError("engine.checkpoints", "entries must lie in 0..iterations")
-    workers = int(esec["workers"]) if "workers" in esec else None
+    workers = parse_int("engine.workers", esec["workers"], 1) if "workers" in esec else None
 
     spaces = []
     for k in range(levels + 1):

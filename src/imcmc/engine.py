@@ -38,8 +38,8 @@ All randomness comes from counter-based Philox streams keyed by
 keys.  Each stream is consumed in a fixed positional layout -- one
 uniform for the initial state, then exactly ``3`` uniforms per time
 step -- so a trajectory is bit-for-bit reproducible whether a replicate
-runs alone, in a vectorized batch, with any block length, or under any
-worker schedule, and distinct ``(replicate, level)`` pairs are
+runs alone, in a vectorized batch, with any block length, or in any
+worker process, and distinct ``(replicate, level)`` pairs are
 independent.  This layout is ``STREAM_LAYOUT_VERSION = 1``; a change to
 it bumps the version and the pinned trajectory digests of the tests
 together.

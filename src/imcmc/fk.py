@@ -168,29 +168,6 @@ def path_space(model: FKModel, l: int) -> PathSpace:
     return model._paths.setdefault(l, ps)
 
 
-def path_potential(model: FKModel, l: int) -> TestFunction:
-    """Level-`l` potential lifted to the path space (terminal coordinate only)."""
-    ps = path_space(model, l)
-    return TestFunction(ps.space, model.potentials[l].values[ps.terminal])
-
-
-def path_extension(model: FKModel, l: int) -> IntegralOperator:
-    """Markov extension from level-`l` paths to level-``l+1`` paths.
-
-    The row of a path `x` puts mass ``L'_{l+1}(term(x), y)`` on the path
-    ``(x, y)`` and zero elsewhere: the prefix is kept, one coordinate is
-    appended.  A dense test reference: :func:`first_order_D` applies the
-    extension by reshaping.
-    """
-    ps, ps_next = path_space(model, l), path_space(model, l + 1)
-    s_new = model.base_spaces[l + 1].size
-    rows = model.transitions[l].matrix[ps.terminal]
-    matrix = np.zeros((ps.space.size, ps_next.space.size))
-    cols = np.arange(ps.space.size)[:, None] * s_new + np.arange(s_new)[None, :]
-    np.put_along_axis(matrix, cols, rows, axis=1)
-    return IntegralOperator(ps.space, ps_next.space, matrix, markov=True)
-
-
 def exact_path_measure(model: FKModel, l: int) -> Measure:
     """The level-`l` limit law, by direct enumeration of weighted paths."""
     if not 0 <= l <= model.levels:
@@ -214,25 +191,6 @@ def boltzmann_gibbs(mu: Measure, G: TestFunction) -> Measure:
     if denom <= 0.0:
         raise ValueError(f"mu(G) = {denom}; the transform is undefined")
     return Measure(mu.space, mu.weights * G.values / denom, kind=PROBABILITY)
-
-
-def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
-    """Markov transport realization of the reweighting map.
-
-    ``S(x, y) = G(x) 1{y=x} + (1 - G(x)) * bg(mu)(y)`` with ``bg`` the
-    normalized reweighting of `mu` by `G`; it satisfies ``mu S = bg(mu)``.
-    Requires `G` valued in ``(0, 1]``.  A dense test reference: the
-    first-order operators apply the transport without its matrix.
-    """
-    if G.values.min() <= 0.0 or G.values.max() > 1.0:
-        raise ValueError(
-            f"transport kernel needs potential values in (0, 1]; range is "
-            f"[{G.values.min():.3e}, {G.values.max():.3e}]"
-        )
-    psi = boltzmann_gibbs(mu, G)
-    g = G.values
-    matrix = np.diag(g) + np.outer(1.0 - g, psi.weights)
-    return IntegralOperator(mu.space, mu.space, matrix, markov=True)
 
 
 def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:

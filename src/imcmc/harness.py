@@ -31,8 +31,9 @@ normalized squares of the weight arrays built by the recursion
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -138,17 +139,21 @@ def run_replicates(
     pis,
     *,
     workers: int | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> FluctuationSamples:
     """Evaluate the fluctuation fields over `R` independent replicates.
 
     `functions` lists, per level, pairs ``(name, TestFunction)``; `pis`
-    are the limit measures per level.  Replicates are split into chunks
-    run in lockstep; chunks may execute on a thread pool (`workers`),
-    and the result is a deterministic function of the seed alone.
+    are the limit measures per level.  Replicates run in lockstep in
+    balanced chunks of at most :data:`DEFAULT_CHUNK`.  With `workers`
+    above 1 the chunks run on that many forked processes, capped at the
+    CPUs this process may use; every worker is joined before the call
+    returns.  Each replicate draws from its own streams, so the result
+    is bit-identical for any worker count.
     """
     if R < 2:
         raise ValueError(f"need at least 2 replicates, got {R}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
     checkpoints = sorted(set(int(n) for n in checkpoints))
     columns = tuple(
         SampleColumn(k, name, n)
@@ -156,32 +161,43 @@ def run_replicates(
         for (name, _f) in functions[k]
         for n in checkpoints
     )
-    chunks = [range(lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
-
-    def run_chunk(ids):
-        res = run_batch(config, ids, checkpoints=checkpoints, keep_history=False)
-        out = np.empty((len(ids), len(columns)))
-        i = 0
-        for k in range(config.levels + 1):
-            pk = pis[k].weights
-            for name, f in functions[k]:
-                ref = float(pk @ f.values)
-                for n in checkpoints:
-                    counts = res.checkpoint_counts[n][k]
-                    emp = (counts @ f.values) / (n + 1)
-                    out[:, i] = math.sqrt(n + 1) * (emp - ref)
-                    i += 1
-        return out
-
-    if workers is not None and workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
+    run_chunk = partial(_chunk_samples, config, functions, checkpoints, pis, len(columns))
+    p = min(workers or 1, len(os.sched_getaffinity(0)))
+    size = min(DEFAULT_CHUNK, math.ceil(R / p))
+    chunks = [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
+    p = min(p, len(chunks))
+    if p == 1:
         parts = [run_chunk(ids) for ids in chunks]
-    values = np.vstack(parts)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork spares each worker a fresh import of the package.  Only
+        # BLAS runs threads of its own here, and OpenBLAS stops them
+        # around a fork.  `run_chunk` and its inputs (a few kB) go out
+        # with each chunk and only the sample arrays come back.
+        with ProcessPoolExecutor(p, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = list(pool.map(run_chunk, chunks))
     return FluctuationSamples(
-        columns=columns, values=values, replicates=tuple(range(R))
+        columns=columns, values=np.vstack(parts), replicates=tuple(range(R))
     )
+
+
+def _chunk_samples(config, functions, checkpoints, pis, width, ids) -> np.ndarray:
+    """Fluctuation-field values of the replicates `ids`, one row each."""
+    res = run_batch(config, ids, checkpoints=checkpoints, keep_history=False)
+    out = np.empty((len(ids), width))
+    i = 0
+    for k in range(config.levels + 1):
+        pk = pis[k].weights
+        for name, f in functions[k]:
+            ref = float(pk @ f.values)
+            for n in checkpoints:
+                counts = res.checkpoint_counts[n][k]
+                emp = (counts @ f.values) / (n + 1)
+                out[:, i] = math.sqrt(n + 1) * (emp - ref)
+                i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

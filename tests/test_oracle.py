@@ -602,8 +602,8 @@ def test_toy_closed_form_matches_general_machinery():
         for l in range(len(betas) - 1):
             D = fk.first_order_D(model, l, fk.exact_path_measure(model, l))
             assert np.abs(operator_matrix(D) - report.d_ops[l]).max() < 1e-12
-            S = fk.transport_kernel(
-                fk.exact_path_measure(model, l), fk.path_potential(model, l)
+            S = reference.transport_kernel(
+                fk.exact_path_measure(model, l), reference.path_potential(model, l)
             )
             assert np.abs(S.matrix - report.transports[l]).max() < 1e-12
 
