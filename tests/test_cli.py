@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import pytest
 from imcmc import cli, fk, harness
 from imcmc.config import ConfigError, parse_config
 from imcmc.reporting import read_csv
+from helpers import random_fk_model
 
 TOY = """
 [model]
@@ -182,6 +184,76 @@ def test_cmd_oracle_operators_columns(tmp_path):
     assert len(rows) == 3
     residuals = [float(r[header.index("poisson_residual")]) for r in rows]
     assert all(r <= 1e-10 for r in residuals), residuals
+
+
+def _floats_text(values):
+    return " ".join(repr(float(x)) for x in values)
+
+
+def ring_oracle_text(n=64):
+    """Metropolis annealing on an n-state ring with nearest-neighbour moves."""
+    proposal = np.zeros((n, n))
+    for x in range(n):
+        proposal[x, (x + 1) % n] = proposal[x, (x - 1) % n] = 0.5
+    return (
+        "[model]\ntype = annealing\n"
+        f"size = {n}\npotential = {_floats_text(1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))}\n"
+        "betas = 0.3 0.6 0.9\nepsilon = 0.3\n"
+        f"proposal = {'; '.join(_floats_text(r) for r in proposal)}\n"
+        "[engine]\nlevels = 2\niterations = 1000\n"
+        "[functions]\nf = indicator(0)\ng = indicator(16)\n"
+    )
+
+
+def random_fk_oracle_text(sizes=(3, 4, 4)):
+    """The explicit-FK config of ``helpers.random_fk_model(sizes)``."""
+    model = random_fk_model(sizes)
+    lines = ["[model]", "type = fk", f"spaces = {' '.join(map(str, sizes))}",
+             f"initial = {_floats_text(model.initial.weights)}"]
+    for l, t in enumerate(model.transitions, start=1):
+        lines.append(f"transition_{l} = " + "; ".join(_floats_text(r) for r in t.matrix))
+    for l, g in enumerate(model.potentials):
+        lines.append(f"potential_{l} = {_floats_text(g.values)}")
+    lines += ["[engine]", f"levels = {len(sizes) - 1}", "iterations = 1000",
+              "[functions]", "f = terminal_indicator(0)", "g = terminal_indicator(1)"]
+    return "\n".join(lines) + "\n"
+
+
+#: SHA-256 of the oracle tables, per input; a change to any oracle value,
+#: column or number format shows here.
+ORACLE_DIGESTS = {
+    "toy-oracle": {
+        "limit_measures": "c00cb309ed600a581bf307cb28af909d86e2c126451d04dcd48779209527481c",
+        "variances": "cf064dfae4e74c18b9db7628b92648fa8c054285786fb36fc3bfff9ce174c223",
+        "operators": "dfc19d6657c1047088f088b1309f8c6134d5a0be83e0c0c374ab135de759d1b9",
+    },
+    "ring-64": {
+        "limit_measures": "ce7448008a314486e0414d93005e89b75606f4d07570db1bacb586bf288c3949",
+        "variances": "cb2b8b46ed8ae1483b2ea5e53e42989f6462306796ca664da179078dff9f7d02",
+        "operators": "033bd09360fa3a1e22479dd6420765a75598ca6f40d4a6883a3adefe25ff52b9",
+    },
+    "fk-3-4-4": {
+        "limit_measures": "a21e1eb7c1e6dd61fd015e1aab83af52848621635b6ad7e6f6c2e65202553e5f",
+        "variances": "6535fd9d0401e409ad6f360c880ef294e54f862fd33ba8d9f1e8f3843e006036",
+        "operators": "fd847bf442c92dd5e0270c0a584c675a5ce52164c1250a4ebbd2316d0977dbb5",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS))
+def test_cmd_oracle_tables_are_pinned(tmp_path, case):
+    if case == "toy-oracle":
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy_oracle.ini"
+    else:
+        text = ring_oracle_text() if case == "ring-64" else random_fk_oracle_text()
+        config = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    digests = {
+        table: hashlib.sha256((out / f"{table}.csv").read_bytes()).hexdigest()
+        for table in ORACLE_DIGESTS[case]
+    }
+    assert digests == ORACLE_DIGESTS[case]
 
 
 def test_cmd_oracle_bad_config_exit_2(tmp_path):
