@@ -16,8 +16,8 @@ Commands
 Exit codes: 0 success, 1 statistical failure, 2 configuration error,
 3 numeric/internal error.  ``--seed``/``--workers`` flags override the
 ``IMCMC_SEED``/``IMCMC_WORKERS`` environment variables, which override
-the config file.  Every output is a deterministic function of the
-config bytes and the seed.
+the config file; workers are read by ``verify`` alone.  Every output is
+a deterministic function of the config bytes and the seed.
 """
 
 from __future__ import annotations
@@ -48,15 +48,17 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         seed = parse_int("IMCMC_SEED", os.environ["IMCMC_SEED"])
     if args.seed is not None:
         seed = args.seed
-    workers = cfg.workers
-    if os.environ.get("IMCMC_WORKERS"):
-        workers = parse_int("IMCMC_WORKERS", os.environ["IMCMC_WORKERS"], 1)
-    if getattr(args, "workers", None) is not None:
-        workers = parse_int("--workers", args.workers, 1)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    out = dataclasses.replace(cfg, seed=seed, workers=workers)
-    if getattr(args, "out", None):
+    out = dataclasses.replace(cfg, seed=seed)
+    if args.command == "verify":
+        workers = cfg.workers
+        if os.environ.get("IMCMC_WORKERS"):
+            workers = parse_int("IMCMC_WORKERS", os.environ["IMCMC_WORKERS"], 1)
+        if args.workers is not None:
+            workers = parse_int("--workers", args.workers, 1)
+        if workers is None:
+            workers = len(os.sched_getaffinity(0))
+        out = dataclasses.replace(out, workers=workers)
+    if args.out:
         out = dataclasses.replace(out, output_dir=args.out)
     return out
 
@@ -105,7 +107,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         b = spec.bundles[k]
         d_norm = spec.d_ops[k].scale if k < cfg.levels else float("nan")
         rows.append(
-            [k, b.n0, b.m_n0, b.p_n0, b.resolvent.norm(), b.poisson_resid, d_norm]
+            [k, b.n0, b.m_n0, b.p_n0, b.norm, b.poisson_resid, d_norm]
         )
     with open(out / "operators.csv", "w") as fh:
         write_csv(
@@ -211,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory override")
         if name == "verify":
+            p.add_argument("--workers", type=int, default=None)
             p.add_argument(
                 "--inject-variance-error", action="store_true",
                 help="self-test: double the theoretical variances (must FAIL)",

@@ -144,9 +144,6 @@ class Measure:
     def uniform(space: FiniteSpace) -> "Measure":
         return Measure(space, np.full(space.size, 1.0 / space.size), kind=PROBABILITY)
 
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
     def __sub__(self, other: "Measure") -> "Measure":
         _check_space(self.space, other.space, "measure subtraction")
         return Measure(self.space, self.weights - other.weights, kind=SIGNED)

@@ -1,11 +1,11 @@
 """Exact finite-state computations behind the fluctuation theory.
 
 Everything the statistical harness compares against is produced here in
-closed form: invariant measures, resolvent operators solving the
-Poisson equation, contraction indices, the local (co)variance of time
-averages under a fixed kernel, the first-order semigroups propagating
-errors across levels, and the resulting asymptotic variance of the
-occupation-measure fluctuation fields
+closed form: resolvent operators solving the Poisson equation,
+contraction indices, the local (co)variance of time averages under a
+fixed kernel, the first-order semigroups propagating errors across
+levels, and the resulting asymptotic variance of the occupation-measure
+fluctuation fields
 
     U_n^(k)(f) = sqrt(n+1) * (eta_n^(k)(f) - pi_k(f)),
 
@@ -13,6 +13,9 @@ namely ``Var U^(k)(f) = sum_{l=0..k} ((2l)!/l!^2) *
 sigma2_{k-l}(D_{(k-l)+1,k} f)`` with ``sigma2_j`` the local variance of
 the level-``j`` kernel at its limit measure and ``D_{a,b}`` the product
 ``D_a D_{a+1} ... D_b`` of first-order operators (identity when a > b).
+The limit measures come in closed form from the model; each level's
+kernel, limit measure, resolvent and certificates form one
+:class:`ResolventBundle`, each computed once.
 
 Every level kernel is a :class:`~imcmc.measures.FactoredKernel`
 ``M = E F + diag(r[c])`` with ``b`` classes: one per terminal of the
@@ -48,7 +51,6 @@ import numpy as np
 from . import annealing as ann
 from . import fk
 from .measures import (
-    PROBABILITY,
     FactoredKernel,
     FiniteSpace,
     FirstOrderOperator,
@@ -75,7 +77,7 @@ class OracleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Invariant measures and resolvents
+# Certificates and resolvents
 # ---------------------------------------------------------------------------
 
 def _row_blocks(n: int):
@@ -126,107 +128,11 @@ def contraction_index(kernel: FactoredKernel) -> tuple[int, float, float, Factor
     return n, m, 2.0 * n / (1.0 - m), power
 
 
-def invariant_measure(kernel: FactoredKernel) -> Measure:
-    """Unique invariant probability of an ergodic markov kernel.
+def resolvent(kernel: FactoredKernel, pi: Measure) -> np.ndarray:
+    """``V = F P`` for the Poisson solution ``P = sum_n (M^n - 1 (x) pi)``, in factors.
 
-    The contraction index is established first so uniqueness is
-    guaranteed before any solve (see :func:`_stationary`).
-    """
-    contraction_index(kernel)
-    return _stationary(kernel)
-
-
-def _class_kernel(kernel: FactoredKernel) -> np.ndarray:
-    """``K = (F diag(1/d[c])) E`` with ``d = 1 - r``, a fresh ``b x b`` array.
-
-    ``K d = d``, and the class masses of an invariant measure are left
-    invariant for ``K``.
-    """
-    K = kernel.class_sums(kernel.flows)
-    K /= 1.0 - kernel.reject
-    return K
-
-
-def _stationary(kernel: FactoredKernel) -> Measure:
-    """The invariant probability of a certified kernel, through its classes.
-
-    ``pi M = pi`` reads ``pi (1 - r[c]) = (pi E) F``: the class masses
-    ``nu = pi E`` satisfy ``nu K = nu`` (:func:`_class_kernel`), solved
-    as the least-squares solution of those equations plus normalization,
-    and ``pi = (nu F) / (1 - r[c])``.  Falls back to power iteration if
-    the solve degrades.
-    """
-    b = kernel.b
-    d = 1.0 - kernel.reject
-    A = np.vstack([_class_kernel(kernel).T - np.eye(b), np.ones((1, b))])
-    rhs = np.zeros(b + 1)
-    rhs[-1] = 1.0
-    nu, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    w = (nu @ kernel.flows) / d[kernel.classes]
-    w /= w.sum()
-    resid = np.abs(kernel.act(w) - w).max()
-    if resid > INVARIANCE_TOL or w.min() < -INVARIANCE_TOL:
-        w = np.full(kernel.space.size, 1.0 / kernel.space.size)
-        steps = []
-        for it in range(10**6):
-            w_next = kernel.act(w)
-            steps.append(float(np.abs(w_next - w).max()))
-            w = w_next
-            # the steps shrink geometrically, at a rate read off the second
-            # half of the run; those still to come sum to step / (1 - rate),
-            # far more than the step itself on a slowly mixing chain
-            rate = (steps[-1] / steps[it // 2]) ** (1.0 / (it - it // 2)) if it else 1.0
-            if steps[-1] == 0.0 or (rate < 1.0 and steps[-1] / (1.0 - rate) <= 1e-14):
-                break
-        else:
-            raise OracleError(
-                f"power iteration did not come within 1e-14 of its limit on "
-                f"{kernel.space.id!r} within 10^6 iterations"
-            )
-    w = np.maximum(w, 0.0)
-    return Measure(kernel.space, w / w.sum(), kind=PROBABILITY)
-
-
-@dataclass(frozen=True, eq=False)
-class Resolvent:
-    """``P = sum_n (M^n - 1 (x) pi)`` of a factored kernel, held as ``V = F P``.
-
-    The Poisson equation ``(I - M) P = I - 1 (x) pi`` reads, row by row,
-    ``(1 - r[c(x)]) P(x, .) = e_x - pi + V[c(x)]``, so the ``b x S``
-    block `flow` holds the whole matrix: within a class, rows differ
-    only on the diagonal.
-    """
-
-    kernel: FactoredKernel
-    invariant: Measure
-    flow: np.ndarray
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        """``P h = (h - pi(h) + (V h)[c]) / (1 - r[c])``."""
-        c = self.kernel.classes
-        return (h - float(self.invariant.weights @ h) + (self.flow @ h)[c]) / (
-            1.0 - self.kernel.reject[c]
-        )
-
-    def norm(self) -> float:
-        """The exact sup-norm operator norm ``max_x sum_y |P(x, y)|``.
-
-        Row ``x`` sums ``|V[c(x)] - pi|`` with the diagonal entry moved
-        by one, over ``1 - r[c(x)]``.
-        """
-        k, pi, V = self.kernel, self.invariant.weights, self.flow
-        sums = np.concatenate([np.abs(V[rows] - pi).sum(axis=1) for rows in _row_blocks(k.b)])
-        c = k.classes
-        diag = V[c, np.arange(c.size)] - pi
-        norms = (sums[c] - np.abs(diag) + np.abs(diag + 1.0)) / (1.0 - k.reject[c])
-        return float(norms.max())
-
-
-def resolvent(kernel: FactoredKernel, pi: Measure) -> Resolvent:
-    """Poisson-equation solution operator ``P = sum_n (M^n - 1 (x) pi)``, in factors.
-
-    With ``d = 1 - r``, ``w = pi / d[c]`` and the class
-    kernel ``K`` (:func:`_class_kernel`), ``V = F P`` solves
+    With ``d = 1 - r``, ``w = pi / d[c]`` and the class kernel
+    ``K = (F diag(1/d[c])) E`` (``K d = d``), ``V = F P`` solves
     ``(I - K) V = F diag(1/d[c]) - (K 1) (x) pi`` and ``(w E) V = (sum w)
     pi - w`` (this is ``pi P = 0``).  ``I - K`` is singular with null
     vector ``d``; bordering it as ``B = I - K + d (x) (w E)``, which fixes
@@ -236,20 +142,16 @@ def resolvent(kernel: FactoredKernel, pi: Measure) -> Resolvent:
         ``Y = B^{-1} F diag(1/d[c])``.
 
     The right side is ``F`` itself, the column scaling is done in place,
-    and no ``S x S`` identity is formed.
+    and no ``S x S`` identity is formed.  `pi` must be invariant for the
+    kernel; :func:`resolvent_bundle` checks that first.
     """
-    if pi.space != kernel.space:
-        raise ValueError("resolvent requires a kernel and measure on one space")
-    resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
-    if resid > INVARIANCE_TOL:
-        raise ValueError(f"measure is not invariant for the kernel (residual {resid:.3e})")
     d = 1.0 - kernel.reject
     if d.min() <= 0.0:
         raise OracleError(f"a class of {kernel.space.id!r} rejects every move")
     dc = d[kernel.classes]
     w = pi.weights / dc
-    B = _class_kernel(kernel)
-    np.negative(B, out=B)
+    B = kernel.class_sums(kernel.flows)
+    B /= -d
     B[np.diag_indices(kernel.b)] += 1.0
     B += np.outer(d, kernel.class_sums(w))
     V = np.linalg.solve(B, kernel.flows)
@@ -259,33 +161,79 @@ def resolvent(kernel: FactoredKernel, pi: Measure) -> Resolvent:
     for rows in _row_blocks(kernel.b):
         V[rows] += np.outer(u[rows], pi.weights) - np.outer(d[rows], w)
     V.setflags(write=False)
-    return Resolvent(kernel, pi, V)
+    return V
+
+
+def poisson_residual(kernel: FactoredKernel, pi: Measure, V: np.ndarray) -> float:
+    """Max entrywise defect of the Poisson equation and of ``pi P = 0``.
+
+    Row ``x``
+    of ``(M - I) P - (1 (x) pi - I)`` is ``(F P)[c(x)] - V[c(x)]``: the
+    ``e_x`` terms cancel.  ``F P = G - (G 1) (x) pi + (G E) V`` with
+    ``G = F diag(1/d[c])``, so the whole matrix's defect is the defect of
+    the ``b x S`` system for ``V``, taken a block of rows at a time.
+    """
+    k, pi = kernel, pi.weights
+    dc = 1.0 - k.reject[k.classes]
+    worst = 0.0
+    for rows in _row_blocks(k.b):
+        G = k.flows[rows] / dc
+        FP = G - G.sum(axis=1)[:, None] * pi + k.class_sums(G) @ V
+        worst = max(worst, float(np.abs(FP - V[rows]).max()))
+    w = pi / dc
+    ortho = w - w.sum() * pi + k.class_sums(w) @ V
+    return max(worst, float(np.abs(ortho).max()))
+
+
+def _resolvent_norm(kernel: FactoredKernel, pi: Measure, V: np.ndarray) -> float:
+    """The exact sup-norm operator norm ``max_x sum_y |P(x, y)|``.
+
+    Row ``x`` sums ``|V[c(x)] - pi|`` with the diagonal entry moved
+    by one, over ``1 - r[c(x)]``.
+    """
+    k, pi = kernel, pi.weights
+    sums = np.concatenate([np.abs(V[rows] - pi).sum(axis=1) for rows in _row_blocks(k.b)])
+    c = k.classes
+    diag = V[c, np.arange(c.size)] - pi
+    norms = (sums[c] - np.abs(diag) + np.abs(diag + 1.0)) / (1.0 - k.reject[c])
+    return float(norms.max())
 
 
 @dataclass(frozen=True, eq=False)
 class ResolventBundle:
-    """A kernel with its invariant measure, resolvent, and certificates.
+    """One level's kernel with its invariant measure, resolvent and certificates.
 
-    Construction validates the Poisson equation and the operator-norm
-    bound ``||P|| <= p(n0)`` over the whole matrix, and keeps the
-    attained Poisson residual for reporting.  ``power`` is the certified
-    power ``M^n0`` in factors (the kernel itself when ``n0 = 1``).  The
-    series route is checked on each function resolved through the bundle
-    (see :func:`local_variance`).
+    The resolvent ``P = sum_n (M^n - 1 (x) pi)`` is held as the ``b x S``
+    block ``flow = V = F P``: the Poisson equation ``(I - M) P = I - 1
+    (x) pi`` reads, row by row, ``(1 - r[c(x)]) P(x, .) = e_x - pi +
+    V[c(x)]``, so within a class the rows differ only on the diagonal.
+    ``power`` is the certified power ``M^n0`` in factors (the kernel
+    itself when ``n0 = 1``); ``poisson_resid`` is the attained Poisson
+    defect and ``norm`` the exact ``||P||``, both computed once by
+    :func:`resolvent_bundle`.  The series route is checked on each
+    function resolved through the bundle (see :func:`local_variance`).
     """
 
     kernel: FactoredKernel
     invariant: Measure
-    resolvent: Resolvent
+    flow: np.ndarray
     n0: int
     m_n0: float
     p_n0: float
     power: FactoredKernel
     poisson_resid: float
+    norm: float
 
     @property
     def space(self) -> FiniteSpace:
         return self.kernel.space
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """``P h = (h - pi(h) + (V h)[c]) / (1 - r[c])``."""
+        c = self.kernel.classes
+        return (h - float(self.invariant.weights @ h) + (self.flow @ h)[c]) / (
+            1.0 - self.kernel.reject[c]
+        )
 
 
 def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
@@ -322,44 +270,28 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     )
 
 
-def poisson_residual(P: Resolvent) -> float:
-    """Max entrywise defect of the Poisson equation and of ``pi P = 0``.
+def resolvent_bundle(kernel: FactoredKernel, pi: Measure) -> ResolventBundle:
+    """Certify a kernel with its invariant measure `pi`, and solve its resolvent.
 
-    Row ``x``
-    of ``(M - I) P - (1 (x) pi - I)`` is ``(F P)[c(x)] - V[c(x)]``: the
-    ``e_x`` terms cancel.  ``F P = G - (G 1) (x) pi + (G E) V`` with
-    ``G = F diag(1/d[c])``, so the whole matrix's defect is the defect of
-    the ``b x S`` system for ``V``, taken a block of rows at a time.
+    Raises :class:`OracleError` when the kernel is not uniformly ergodic
+    (:func:`contraction_index`), `pi` is not invariant within
+    :data:`INVARIANCE_TOL`, the Poisson defect exceeds :data:`POISSON_TOL`,
+    or ``||P||`` exceeds the bound ``p_n0``.
     """
-    k, pi, V = P.kernel, P.invariant.weights, P.flow
-    dc = 1.0 - k.reject[k.classes]
-    worst = 0.0
-    for rows in _row_blocks(k.b):
-        G = k.flows[rows] / dc
-        FP = G - G.sum(axis=1)[:, None] * pi + k.class_sums(G) @ V
-        worst = max(worst, float(np.abs(FP - V[rows]).max()))
-    w = pi / dc
-    ortho = w - w.sum() * pi + k.class_sums(w) @ V
-    return max(worst, float(np.abs(ortho).max()))
-
-
-def resolvent_bundle(kernel: FactoredKernel, pi: Measure | None = None) -> ResolventBundle:
-    """Assemble and certify the resolvent machinery for one kernel."""
+    if pi.space != kernel.space:
+        raise ValueError("a resolvent bundle requires a kernel and measure on one space")
     n0, m_n0, p_n0, power = contraction_index(kernel)
-    if pi is None:
-        pi = _stationary(kernel)
-    else:
-        resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
-        if resid > INVARIANCE_TOL:
-            raise OracleError(
-                f"supplied measure is not invariant on {kernel.space.id!r} "
-                f"(residual {resid:.3e})"
-            )
-    P = resolvent(kernel, pi)
-    p_resid = poisson_residual(P)
+    resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
+    if resid > INVARIANCE_TOL:
+        raise OracleError(
+            f"supplied measure is not invariant on {kernel.space.id!r} "
+            f"(residual {resid:.3e})"
+        )
+    V = resolvent(kernel, pi)
+    p_resid = poisson_residual(kernel, pi, V)
     if p_resid > POISSON_TOL:
         raise OracleError(f"Poisson residual {p_resid:.3e} on {kernel.space.id!r}")
-    norm = P.norm()
+    norm = _resolvent_norm(kernel, pi, V)
     if norm > p_n0 * (1.0 + 1e-12):
         raise OracleError(
             f"resolvent norm {norm:.6g} exceeds contraction bound {p_n0:.6g}"
@@ -367,12 +299,13 @@ def resolvent_bundle(kernel: FactoredKernel, pi: Measure | None = None) -> Resol
     return ResolventBundle(
         kernel=kernel,
         invariant=pi,
-        resolvent=P,
+        flow=V,
         n0=n0,
         m_n0=m_n0,
         p_n0=p_n0,
         power=power,
         poisson_resid=p_resid,
+        norm=norm,
     )
 
 
@@ -387,7 +320,7 @@ def _resolved(bundle: ResolventBundle, f: TestFunction) -> tuple[np.ndarray, np.
             f"function on {f.space.id!r} does not match bundle space {bundle.space.id!r}"
         )
     fb = f.values - float(bundle.invariant.weights @ f.values)
-    Pf = bundle.resolvent.apply(fb)
+    Pf = bundle.apply(fb)
     gap = float(np.abs(Pf - resolvent_series(bundle, fb)).max())
     if gap > SERIES_AGREEMENT_TOL * max(1.0, float(np.abs(Pf).max())):
         raise OracleError(
@@ -435,10 +368,6 @@ def coefficient_sq(l: int) -> float:
     return float(math.factorial(2 * l) // math.factorial(l) ** 2)
 
 
-def coefficient(l: int) -> float:
-    return math.sqrt(coefficient_sq(l))
-
-
 def cross_coefficient(dk: int, dj: int) -> float:
     """Limiting overlap of two iterated-Cesaro weight arrays.
 
@@ -458,20 +387,25 @@ def cross_coefficient(dk: int, dj: int) -> float:
 class CltSpec:
     """Everything the variance formula needs for levels ``0 .. level``.
 
-    ``kernels[l]`` is the level-`l` sampling kernel frozen at the limit
-    measures, in factors, ``pis[l]`` its invariant measure,
-    ``bundles[l]`` the certified resolvent machinery, and ``d_ops[l]``
-    the first-order operator from level ``l`` into level ``l+1``
-    (``D_{l+1}``) evaluated at the limit.
+    ``bundles[l]`` is the certified level-`l` record: the sampling kernel
+    frozen at the limit measures, in factors, with its invariant measure
+    ``pis[l]`` and its resolvent.  ``d_ops[l]`` is the first-order
+    operator from level ``l`` into level ``l+1`` (``D_{l+1}``) evaluated
+    at the limit.
     """
 
     model: object
     level: int
-    spaces: tuple[FiniteSpace, ...]
-    pis: tuple[Measure, ...]
-    kernels: tuple[FactoredKernel, ...]
     bundles: tuple[ResolventBundle, ...]
     d_ops: tuple[FirstOrderOperator, ...]
+
+    @property
+    def spaces(self) -> tuple[FiniteSpace, ...]:
+        return tuple(b.space for b in self.bundles)
+
+    @property
+    def pis(self) -> tuple[Measure, ...]:
+        return tuple(b.invariant for b in self.bundles)
 
 
 def build_clt_spec(model, k_max: int) -> CltSpec:
@@ -496,10 +430,7 @@ def build_clt_spec(model, k_max: int) -> CltSpec:
     return CltSpec(
         model=model,
         level=k_max,
-        spaces=tuple(model.level_space(l).space for l in levels),
-        pis=pis,
-        kernels=tuple(kernels),
-        bundles=tuple(resolvent_bundle(kernels[l], pis[l]) for l in levels),
+        bundles=tuple(map(resolvent_bundle, kernels, pis)),
         d_ops=d_ops,
     )
 

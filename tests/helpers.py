@@ -47,11 +47,23 @@ def dense_poisson_residual(M, pi, P):
     return float(max(np.abs(eq).max(), np.abs(pi @ P).max()))
 
 
-def resolvent_matrix(P):
-    """The whole matrix of a factored resolvent, row ``x`` read off ``V[c(x)]``."""
-    k = P.kernel
+def stationary_measure(M):
+    """Reference invariant probability of a markov :class:`IntegralOperator`.
+
+    Solves ``pi (I - M + J) = 1`` with ``J`` the all-ones matrix, which
+    has a unique solution when `M` has a single closed class.
+    """
+    n = M.src.size
+    w = np.linalg.solve((np.eye(n) - M.matrix + 1.0).T, np.ones(n))
+    w = np.maximum(w, 0.0)
+    return Measure.probability(M.src, w / w.sum())
+
+
+def resolvent_matrix(bundle):
+    """The whole matrix of a bundle's resolvent, row ``x`` read off ``V[c(x)]``."""
+    k = bundle.kernel
     n = k.space.size
-    rows = np.eye(n) - P.invariant.weights + P.flow[k.classes]
+    rows = np.eye(n) - bundle.invariant.weights + bundle.flow[k.classes]
     return rows / (1.0 - k.reject[k.classes])[:, None]
 
 

@@ -297,9 +297,9 @@ def product_model(spec: CltSpec, l: int) -> ProductModel:
         raise ValueError(
             f"product model at l={l} needs the spec built through level {l + 1}"
         )
-    kernel = spec.kernels[0].to_operator()
+    kernel = spec.bundles[0].kernel.to_operator()
     for k in range(1, l + 1):
-        kernel = tensor(kernel, spec.kernels[k].to_operator())
+        kernel = tensor(kernel, spec.bundles[k].kernel.to_operator())
     limit = product_limit(spec, l)
 
     sizes = [sp.size for sp in spec.spaces[: l + 2]]

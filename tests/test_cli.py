@@ -451,6 +451,19 @@ def test_config_fault_exit_2(tmp_path, monkeypatch, capsys, edit, env, flags, fi
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "simulate"])
+def test_workers_only_on_verify(tmp_path, monkeypatch, capsys, command):
+    cfgp = write_cfg(tmp_path, toy_text(levels=1, iterations=50, replicates=2,
+                                        out=str(tmp_path / "o")))
+    with pytest.raises(SystemExit) as usage:
+        cli.main([command, "--config", cfgp, "--workers", "2"])
+    assert usage.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    # a command that runs in one process does not read the worker count
+    monkeypatch.setenv("IMCMC_WORKERS", "abc")
+    assert cli.main([command, "--config", cfgp]) == 0
+
+
 def short_annealing_verify(tmp_path):
     text = (Path(__file__).resolve().parent.parent / "configs" / "annealing_verify.ini").read_text()
     text = text.replace("iterations = 20000", "iterations = 600")

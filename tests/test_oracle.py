@@ -1,20 +1,23 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from imcmc import annealing as ann
-from imcmc import fk, oracle
+from imcmc import cli, fk, oracle
 from imcmc.measures import (
     FactoredKernel,
     FiniteSpace,
     IntegralOperator,
+    Measure,
     TestFunction,
     act_measure,
     dobrushin,
     tv_norm,
 )
+from imcmc.reporting import read_csv
 import reference
 from helpers import (
     dense_first_order_D,
@@ -25,6 +28,7 @@ from helpers import (
     random_probability,
     resolvent_matrix,
     series_matrix,
+    stationary_measure,
     two_state_chain,
 )
 
@@ -55,46 +59,26 @@ def ring_model(n, betas=(0.3,), eps=0.3):
 # invariant measures
 # ---------------------------------------------------------------------------
 
+def _check_invariance(M, pi, atol):
+    """The reference solve reproduces `pi`; the bundle keeps it and rejects a shifted one."""
+    assert np.allclose(stationary_measure(M).weights, pi.weights, atol=atol)
+    kernel = FactoredKernel.dense(M)
+    assert oracle.resolvent_bundle(kernel, pi).invariant is pi
+    shifted = pi.weights + 1e-9 * (np.arange(pi.space.size) - (pi.space.size - 1) / 2.0)
+    with pytest.raises(oracle.OracleError, match="not invariant"):
+        oracle.resolvent_bundle(kernel, Measure.probability(pi.space, shifted))
+
+
 def test_invariant_measure_two_state():
     _, M, pi = two_state_chain()
-    got = oracle.invariant_measure(FactoredKernel.dense(M))
-    assert np.allclose(got.weights, pi.weights, atol=1e-13)
+    _check_invariance(M, pi, atol=1e-13)
 
 
 def test_invariant_measure_rank_one():
     sp = FiniteSpace("s", 5)
     rng = np.random.default_rng(1)
     mu = random_probability(rng, sp)
-    got = oracle.invariant_measure(FactoredKernel.dense(IntegralOperator.rank_one(sp, mu)))
-    assert np.allclose(got.weights, mu.weights, atol=1e-14)
-
-
-def test_invariant_measure_cross_module():
-    m = fk.toy_model(0.3, (0.5, 1.0, 1.5))
-    rng = np.random.default_rng(2)
-    mu = random_probability(rng, fk.path_space(m, 1).space)
-    kern = fk.mh_kernel(m, 2, mu)
-    got = oracle.invariant_measure(FactoredKernel.dense(kern))
-    assert tv_norm(got - fk.fk_map(m, 1, mu)) < 1e-11
-
-
-@pytest.mark.parametrize("case", ["ring64-level0", "toy-mh-level2"])
-def test_stationary_power_iteration_fallback(monkeypatch, case):
-    if case == "ring64-level0":
-        kernel = FactoredKernel.dense(ring_model(64).level0_kernel)
-    else:
-        kernel = toy_spec().kernels[2]
-    direct = oracle._stationary(kernel).weights
-    solve = np.linalg.lstsq
-
-    def perturbed(*args, **kwargs):
-        nu, *rest = solve(*args, **kwargs)
-        return (nu + 1e-3 * np.arange(nu.size) / nu.size, *rest)
-
-    # a finite but wrong class solve must fall back to power iteration
-    monkeypatch.setattr(np.linalg, "lstsq", perturbed)
-    got = oracle._stationary(kernel).weights
-    assert np.abs(got - direct).max() <= 1e-12
+    _check_invariance(IntegralOperator.rank_one(sp, mu), mu, atol=1e-14)
 
 
 def test_contraction_index():
@@ -154,8 +138,8 @@ def test_doeblin_certificates_on_sparse_kernels():
         power = power.to_operator().matrix
         assert np.allclose(power, np.linalg.matrix_power(m, n0), rtol=0.0, atol=1e-13)
         assert m_n0 >= dobrushin(IntegralOperator(sp, sp, power, markov=True)) - 1e-15
-        b = oracle.resolvent_bundle(FactoredKernel.dense(M))
-        assert b.resolvent.norm() <= p_n0
+        b = oracle.resolvent_bundle(FactoredKernel.dense(M), stationary_measure(M))
+        assert b.norm <= p_n0
     assert rejected == set(range(400)) - ergodic
     assert beta_rejected <= rejected and 0 < len(rejected) < 40
 
@@ -169,8 +153,9 @@ def test_wielandt_kernel_is_certified():
     sp = FiniteSpace("wielandt8", n)
     assert (np.linalg.matrix_power(m, 49) == 0).any()
     assert (np.linalg.matrix_power(m, 50) > 0).all()
-    b = oracle.resolvent_bundle(FactoredKernel.dense(IntegralOperator(sp, sp, m, markov=True)))
-    assert b.m_n0 < 1.0 and b.resolvent.norm() <= b.p_n0
+    M = IntegralOperator(sp, sp, m, markov=True)
+    b = oracle.resolvent_bundle(FactoredKernel.dense(M), stationary_measure(M))
+    assert b.m_n0 < 1.0 and b.norm <= b.p_n0
     cycle = IntegralOperator(sp, sp, np.roll(np.eye(n), 1, axis=1), markov=True)
     with pytest.raises(oracle.OracleError, match="Wielandt's bound 50"):
         oracle.contraction_index(FactoredKernel.dense(cycle))
@@ -192,8 +177,11 @@ def test_mixture_levels_certify_in_one_step():
 
 @pytest.mark.parametrize("size", [256, 512])
 def test_wide_rings_are_certified(size):
-    b = oracle.resolvent_bundle(FactoredKernel.dense(ring_model(size).level0_kernel))
-    assert b.m_n0 < 1.0 and b.resolvent.norm() <= b.p_n0
+    model = ring_model(size)
+    b = oracle.resolvent_bundle(
+        FactoredKernel.dense(model.level0_kernel), ann.gibbs_measure(model, 0)
+    )
+    assert b.m_n0 < 1.0 and b.norm <= b.p_n0
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +193,15 @@ def test_resolvent_rank_one():
     rng = np.random.default_rng(3)
     mu = random_probability(rng, sp)
     M = IntegralOperator.rank_one(sp, mu)
-    P = oracle.resolvent(FactoredKernel.dense(M), mu)
+    b = oracle.resolvent_bundle(FactoredKernel.dense(M), mu)
     expect = np.eye(4) - np.outer(np.ones(4), mu.weights)
-    assert np.allclose(resolvent_matrix(P), expect, atol=1e-14)
-    assert oracle.poisson_residual(P) < 1e-14
+    assert np.allclose(resolvent_matrix(b), expect, atol=1e-14)
+    assert b.poisson_resid < 1e-14
 
 
 def test_resolvent_two_state_eigenvalue():
     space, M, pi = two_state_chain()
-    P = oracle.resolvent(FactoredKernel.dense(M), pi)
+    P = oracle.resolvent_bundle(FactoredKernel.dense(M), pi)
     # centered functions are eigenfunctions with eigenvalue 0.7, so P = 1/0.3 on them
     f = np.array([1.0, 0.0])
     fb = f - pi.weights @ f
@@ -223,33 +211,56 @@ def test_resolvent_two_state_eigenvalue():
 
 def test_poisson_residual_detects_corruption():
     space, M, pi = two_state_chain()
-    P = oracle.resolvent(FactoredKernel.dense(M), pi)
-    bad = P.flow.copy()
+    kernel = FactoredKernel.dense(M)
+    bad = oracle.resolvent(kernel, pi).copy()
     bad[0, 0] += 1e-3
-    resid = oracle.poisson_residual(dataclasses.replace(P, flow=bad))
+    resid = oracle.poisson_residual(kernel, pi, bad)
     assert resid >= 1e-4
 
 
-def test_build_clt_spec_certifies_each_level_once(monkeypatch):
-    calls = []
-    certify = oracle.contraction_index
+def test_build_clt_spec_certifies_each_level_once(monkeypatch, tmp_path):
+    calls = {"certify": [], "invariance": [], "norm": []}
+    specs = []
 
-    def counted(M):
-        calls.append(M.space.id)
-        return certify(M)
+    def counted(key, fn):
+        def wrapper(kernel, *args):
+            calls[key].append(kernel.space.id)
+            return fn(kernel, *args)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "contraction_index", counted)
-    oracle.build_clt_spec(fk.toy_model(0.25, (0.5, 1.0, 1.5, 2.0)), 3)
-    assert len(calls) == 4
-    # without a supplied measure, the invariant solve reuses the certificate
-    calls.clear()
-    oracle.resolvent_bundle(FactoredKernel.dense(two_state_chain()[1]))
-    assert len(calls) == 1
+    act, build = FactoredKernel.act, oracle.build_clt_spec
+    monkeypatch.setattr(oracle, "contraction_index", counted("certify", oracle.contraction_index))
+    monkeypatch.setattr(oracle, "_resolvent_norm", counted("norm", oracle._resolvent_norm))
+    # ``w M`` is formed only for the invariance residual of the limit measure
+    monkeypatch.setattr(FactoredKernel, "act", counted("invariance", act))
+
+    def recorded(*args):
+        specs.append(build(*args))
+        return specs[-1]
+
+    monkeypatch.setattr(oracle, "build_clt_spec", recorded)
+    config = tmp_path / "toy.ini"
+    config.write_text(
+        "[model]\ntype = fk\npreset = toy\np = 0.25\nbetas = 0.5 1.0 1.5 2.0\n"
+        "[engine]\nlevels = 3\niterations = 100\n[functions]\nf = terminal_indicator(0)\n"
+    )
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--config", str(config), "--out", str(out)]) == 0
+    (spec,) = specs
+    levels = [b.space.id for b in spec.bundles]
+    assert len(levels) == 4 and calls == dict.fromkeys(calls, levels)
+    with open(out / "operators.csv") as fh:
+        header, rows, _ = read_csv(fh)
+    column = header.index("resolvent_norm")
+    assert [float(row[column]) for row in rows] == [b.norm for b in spec.bundles]
 
 
 def test_resolvent_series_checks_tail_per_block():
     # the 12-state ring's level-0 chain certifies only at n0 = 16
-    b = oracle.resolvent_bundle(FactoredKernel.dense(ring_model(12).level0_kernel))
+    model = ring_model(12)
+    b = oracle.resolvent_bundle(
+        FactoredKernel.dense(model.level0_kernel), ann.gibbs_measure(model, 0)
+    )
     assert b.n0 == 16
     n = b.space.size
     fb = np.eye(n)[0] - b.invariant.weights[0]
@@ -294,9 +305,9 @@ def test_resolvent_bundle_certificates():
     spec = toy_spec(k_max=3)
     for b in spec.bundles:
         assert b.poisson_resid <= 1e-10
-        assert oracle.poisson_residual(b.resolvent) == b.poisson_resid
-        assert np.abs(series_matrix(b) - resolvent_matrix(b.resolvent)).max() <= 1e-8
-        assert b.resolvent.norm() <= b.p_n0 + 1e-9
+        assert oracle.poisson_residual(b.kernel, b.invariant, b.flow) == b.poisson_resid
+        assert np.abs(series_matrix(b) - resolvent_matrix(b)).max() <= 1e-8
+        assert b.norm <= b.p_n0 + 1e-9
         dense = b.kernel.to_operator().matrix
         drift = np.abs(b.invariant.weights @ dense - b.invariant.weights).max()
         assert drift <= 1e-12
@@ -347,12 +358,12 @@ def test_factored_levels_match_dense(case):
         # the whole resolvent against the dense solve
         P = dense_resolvent(IntegralOperator(b.space, b.space, M, markov=True), b.invariant)
         norm = float(np.abs(P).sum(axis=1).max())
-        assert abs(b.resolvent.norm() - norm) <= 1e-12 * norm
-        assert np.abs(resolvent_matrix(b.resolvent) - P).max() <= 1e-12 * norm
-        dense_defect = dense_poisson_residual(M, pi, resolvent_matrix(b.resolvent))
+        assert abs(b.norm - norm) <= 1e-12 * norm
+        assert np.abs(resolvent_matrix(b) - P).max() <= 1e-12 * norm
+        dense_defect = dense_poisson_residual(M, pi, resolvent_matrix(b))
         assert b.poisson_resid <= 1e-10 and abs(b.poisson_resid - dense_defect) <= 1e-12
         fb = h - pi @ h
-        assert np.abs(b.resolvent.apply(fb) - P @ fb).max() <= 1e-12 * norm * np.abs(fb).max()
+        assert np.abs(b.apply(fb) - P @ fb).max() <= 1e-12 * norm * np.abs(fb).max()
         if l < spec.level:
             D, Dd = spec.d_ops[l], dense_first_order_D(model, l, spec.pis[l])
             f = TestFunction(D.dst, rng.standard_normal(D.dst.size))
@@ -390,18 +401,17 @@ def test_factored_kernel_algebra_on_random_factors():
 @pytest.mark.parametrize("level", [0, 2])
 def test_resolvent_bundle_detects_perturbed_flow(monkeypatch, level, shift):
     spec = toy_spec(k_max=2)
-    kernel, pi = spec.kernels[level], spec.pis[level]
+    kernel, pi = spec.bundles[level].kernel, spec.pis[level]
     solve = oracle.resolvent
     oracle.resolvent_bundle(kernel, pi)
 
     def perturbed(M, pi):
-        P = solve(M, pi)
-        flow = P.flow.copy()
+        flow = solve(M, pi).copy()
         if shift == "entry":
             flow[0, 1] += 1e-6
         else:  # moves every row of P by 1e-6 in column 1: only pi P = 0 sees it
             flow[:, 1] += 1e-6 * (1.0 - M.reject)
-        return dataclasses.replace(P, flow=flow)
+        return flow
 
     monkeypatch.setattr(oracle, "resolvent", perturbed)
     with pytest.raises(oracle.OracleError, match="Poisson residual"):
@@ -466,11 +476,9 @@ def test_local_covariance_properties():
 def test_series_check_detects_perturbed_resolvent():
     bundle = toy_spec(k_max=2).bundles[2]
     size = bundle.space.size
-    bad = bundle.resolvent.flow.copy()
+    bad = bundle.flow.copy()
     bad[bundle.kernel.classes[1], 2] += 1e-6  # entry (1, 2) of P, with its class
-    broken = dataclasses.replace(
-        bundle, resolvent=dataclasses.replace(bundle.resolvent, flow=bad)
-    )
+    broken = dataclasses.replace(bundle, flow=bad)
     f = TestFunction(bundle.space, np.eye(size)[2])  # reads the perturbed column
     const = TestFunction.constant(bundle.space, 1.0)
     oracle.local_variance(bundle, f)
@@ -506,7 +514,6 @@ def test_d_semigroup_conventions():
 
 def test_coefficient_table():
     assert [oracle.coefficient_sq(l) for l in range(4)] == [1.0, 2.0, 6.0, 20.0]
-    assert oracle.coefficient(0) == 1.0
 
 
 def test_cross_coefficient_table():
@@ -520,7 +527,8 @@ def test_cross_coefficient_table():
     assert oracle.cross_coefficient(2, 1) == 3.0
     assert oracle.cross_coefficient(3, 2) == 10.0
     for dk, dj in ((1, 0), (2, 1), (3, 1)):
-        assert oracle.cross_coefficient(dk, dj) < oracle.coefficient(dk) * oracle.coefficient(dj)
+        bound = math.sqrt(oracle.coefficient_sq(dk)) * math.sqrt(oracle.coefficient_sq(dj))
+        assert oracle.cross_coefficient(dk, dj) < bound
 
 
 def test_asymptotic_variance_level0_is_local():
