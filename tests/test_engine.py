@@ -120,6 +120,7 @@ BATCH_DIGESTS = {
     "annealing": "9a3dec68d37e8cdd16f4d09afd0bae528219f4a4ac3c7893630c49c8c91bf736",
     "fk_heterogeneous": "0c37cb850af4d26b8134f447a1389cb3639a6bff58e4888f073dad181ff8c707",
     "annealing_wide": "73557bbb8744cc9547f06386d88935a83347492eb00bdc9f1916f940884f8a79",
+    "annealing_512": "0ff074b1a190363c4f5ebcfa9b183069480c88465488c7e4edc33df8eb264542",
     "fk_wide_mh": "a7597e3c9ff333a8f9b4f17e47f598d9e9d0c05f40ac5e7c45eb0fcc410545dc",
     "fk_wide_rank_one": "213c8daa2386bc06498e3ddf973cf83060606203fd740f9fa5f2ff4d65965611",
 }
@@ -137,6 +138,14 @@ def _digest_config(name):
     if name == "annealing_wide":
         model = ann.make_metropolis_model(
             FiniteSpace("S", 12), np.linspace(0.0, 3.0, 12), (0.3, 0.6, 0.9), 0.3
+        )
+        return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
+    if name == "annealing_512":
+        # 512 states at 4 replicates: each counts slice holds at most 32 steps
+        # of 2048 (state, replicate) rows, so it takes the per-step add
+        S = 512
+        model = ann.make_metropolis_model(
+            FiniteSpace("S", S), 1.0 - np.cos(2 * np.pi * np.arange(S) / S), (0.3, 0.6, 0.9), 0.3
         )
         return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
     if name == "fk_heterogeneous":
