@@ -218,9 +218,10 @@ def test_fluctuation_field_values():
 
 
 def test_running_counts_match_recount():
-    # a long block of a narrow space, a short one of a wide space, one step
+    # long slices of narrow spaces, among them those of a 64-replicate rank-one
+    # run, take the cumsum; a short slice of a wide space takes the per-step add
     rng = np.random.default_rng(3)
-    for size, B, T in ((3, 2, 50), (64, 256, 4), (5, 3, 1)):
+    for size, B, T in ((3, 2, 50), (2, 64, 512), (4, 64, 256), (64, 256, 4), (5, 3, 1)):
         start = rng.integers(0, 5, (B, size))
         states = rng.integers(0, size, (B, T))
         got = engine._running_counts(start, states, size)
@@ -229,11 +230,19 @@ def test_running_counts_match_recount():
             assert np.array_equal(got[:, :, t], want.T)
 
 
-def test_export_trajectories_matches_row_loop():
+@pytest.mark.parametrize(
+    "name, replicates, iterations",
+    [("fk_wide_mh", (3, 12, 305), 120), ("fk_rank_one", (0, 9, 10, 305), 1000)],
+    ids=["fk_wide_mh", "fk_rank_one"],
+)
+def test_export_trajectories_matches_row_loop(name, replicates, iterations):
     import io
 
-    cfg = dataclasses.replace(_digest_config("fk_wide_mh"), iterations=120)
-    res = engine.run_batch(cfg, (3, 12, 305))
+    cfg = dataclasses.replace(_digest_config(name), iterations=iterations)
+    res = engine.run_batch(cfg, replicates)
+    # each digit row is as wide as the largest value's digits
+    for values in [np.arange(iterations + 1)] + [np.arange(sp.size) for sp in res.spaces]:
+        assert engine._digits(values).shape == (values.size, len(str(values.size - 1)))
     out = io.StringIO()
     engine.export_trajectories_csv(res, out)
     rows = ["replicate,level,iteration,state_index\n"]
