@@ -237,12 +237,11 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
     if pi.weights.min() <= 0.0:
         raise ValueError("target must be strictly positive for the acceptance ratios")
     ratio = np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
-    flow = P * ratio
-    n = pi.space.size
-    matrix = flow.copy()
-    for x in range(n):
-        off = math.fsum(flow[x, y] for y in range(n) if y != x)
-        matrix[x, x] = 1.0 - off
+    matrix = P * ratio
+    off = matrix.copy()
+    np.fill_diagonal(off, 0.0)
+    # fsum is correctly rounded, so the zeroed diagonal leaves each sum as it is
+    np.fill_diagonal(matrix, [1.0 - math.fsum(row) for row in off.tolist()])
     return IntegralOperator(pi.space, pi.space, matrix, markov=True)
 
 
