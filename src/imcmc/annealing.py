@@ -237,11 +237,12 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
     if pi.weights.min() <= 0.0:
         raise ValueError("target must be strictly positive for the acceptance ratios")
     ratio = np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
-    matrix = P * ratio
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    # fsum is correctly rounded, so the zeroed diagonal leaves each sum as it is
-    np.fill_diagonal(matrix, [1.0 - math.fsum(row) for row in off.tolist()])
+    flow = P * ratio
+    matrix = flow.copy()
+    # fsum is correctly rounded, so a zeroed diagonal leaves each
+    # off-diagonal sum as it is
+    np.fill_diagonal(flow, 0.0)
+    np.fill_diagonal(matrix, [1.0 - math.fsum(row) for row in flow.tolist()])
     return IntegralOperator(pi.space, pi.space, matrix, markov=True)
 
 

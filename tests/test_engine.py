@@ -218,8 +218,9 @@ def test_fluctuation_field_values():
 
 
 def test_running_counts_match_recount():
-    # long slices of narrow spaces, among them those of a 64-replicate rank-one
-    # run, take the cumsum; a short slice of a wide space takes the per-step add
+    # long slices of narrow spaces (among them those of a 64-replicate rank-one
+    # run) and one step take the cumsum; a short slice of a wide space takes
+    # the per-step add
     rng = np.random.default_rng(3)
     for size, B, T in ((3, 2, 50), (2, 64, 512), (4, 64, 256), (64, 256, 4), (5, 3, 1)):
         start = rng.integers(0, 5, (B, size))
