@@ -116,6 +116,8 @@ def _batch_digest(res):
 #: Digests of stream layout version 1; a layout change bumps both together.
 BATCH_DIGESTS = {
     "fk_mh": "50b55e8446ea39c13cff87f9dd88ab5bc42a672f47744b49431163a5c70e4228",
+    "fk_mh_256": "31efb2ba5e50b69818536f955094cf06e8fc0106c79fc089960fdd901fddbf53",
+    "fk_mh_257": "5b900e5a19fd901a34c72959019fe84f54569b42df8f91f944840c937fd02b53",
     "fk_rank_one": "ee0df7e6fabe51e18dc94c746b1d2d679af4104f49a3c45e513ab11b322bab1e",
     "annealing": "9a3dec68d37e8cdd16f4d09afd0bae528219f4a4ac3c7893630c49c8c91bf736",
     "fk_heterogeneous": "0c37cb850af4d26b8134f447a1389cb3639a6bff58e4888f073dad181ff8c707",
@@ -135,6 +137,11 @@ def _digest_config(name):
         if name.endswith("rank_one"):
             model = dataclasses.replace(model, kernel_type="rank_one")
         return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
+    if name in ("fk_mh_256", "fk_mh_257"):
+        # an MH level reading a history of 256 or 257 states: the last
+        # space whose indices fit in one byte, and the first that does not
+        model = random_fk_model((int(name[-3:]), 2), seed=8)
+        return engine.EngineConfig(model=model, levels=1, iterations=2100, seed=11)
     if name == "annealing_wide":
         model = ann.make_metropolis_model(
             FiniteSpace("S", 12), np.linspace(0.0, 3.0, 12), (0.3, 0.6, 0.9), 0.3
