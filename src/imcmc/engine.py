@@ -25,15 +25,21 @@ states step directly instead of tabulating the move from every state.
 
 Only a level that a Metropolis-Hastings level above it reads keeps its
 trajectory, since that level proposes from the whole past; it is stored
-as ``uint16``, which holds every index of a ``MAX_STATES`` space.  Other
-levels keep running occupation counts, and a redraw level rebuilds the
-cumulative counts of the level below at each step of the block, which
-induces exactly the transition law of walking the history.  A slice of
-many steps over few (state, replicate) rows sums them along time with
-one ``np.cumsum``; a slice of few steps over many rows adds one whole
-per-step plane at a time, since the cumsum pays per row and the planes
-per step.  With ``keep_history`` every level keeps its trajectory for
-the result.
+in the narrowest unsigned dtype that holds every index of its space, one
+byte up to 256 states and two up to 65,536.  Other levels keep running
+occupation counts, and a redraw level rebuilds the cumulative counts of
+the level below at each step of the block, which induces exactly the
+transition law of walking the history.  A slice of many steps over few
+(state, replicate) rows sums them along time with one ``np.cumsum``; a
+slice of few steps over many rows adds one whole per-step plane at a
+time, since the cumsum pays per row and the planes per step.  With
+``keep_history`` every level keeps its trajectory for the result.
+
+Besides the histories, a call holds the block's uniforms and two state
+buffers of (replicate, step) that the levels take in turn, each level
+writing one while the level above reads the other.  A block holds at
+most ``4 * BLOCK_CELLS`` (replicate, step) cells, so this working set
+stays within 10 MiB however many replicates run.
 
 Randomness contract
 -------------------
@@ -74,6 +80,9 @@ TABLE_STATES = 8
 #: Most (state, replicate, time) cells in one bulk array: a level works
 #: through its block in slices of steps this small, so its arrays stay in cache.
 BLOCK_CELLS = 1 << 16
+
+#: Most time steps in a block, the number whose uniforms are drawn at once.
+MAX_BLOCK = 2048
 
 
 def stream(seed: int, replicate: int, level: int) -> np.random.Generator:
@@ -208,6 +217,31 @@ def _weighted_redraw(counts: np.ndarray, weights: np.ndarray, u: np.ndarray) -> 
     return (cw < u * cw[-1]).sum(axis=0)
 
 
+def _history_dtype(size: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every state index of a `size`-state space."""
+    return np.min_scalar_type(size - 1)
+
+
+def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
+    """Which levels keep their trajectory: all with `keep_history`, else
+    those that a Metropolis-Hastings level above reads."""
+    model = config.model
+    mh = isinstance(model, fk.FKModel) and model.kernel_type == "mh"
+    return [keep_history or (mh and k < config.levels) for k in range(config.levels + 1)]
+
+
+def replicate_bytes(config: EngineConfig) -> int:
+    """Most bytes one replicate adds to a ``run_batch(..., keep_history=False)``.
+
+    Its kept histories, plus its share of the block's uniforms and
+    state buffers at the longest block.
+    """
+    sizes = [sp.size for sp in config.level_spaces()]
+    kept = _kept_histories(config, keep_history=False)
+    item = sum(_history_dtype(s).itemsize for s, k in zip(sizes, kept) if k)
+    return (config.iterations + 1) * item + MAX_BLOCK * (DRAWS_PER_STEP + 2) * 8
+
+
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
     """Occupation counts (B, size) of each replicate's row of (B, T) states."""
     B = states.shape[0]
@@ -340,14 +374,16 @@ def run_batch(
     *,
     checkpoints=(),
     keep_history: bool = True,
-    block: int = 2048,
+    block: int | None = None,
 ) -> BatchResult:
     """Run the given replicate ids, one level at a time per block of time steps.
 
     `checkpoints` is an iterable of iteration indices ``n`` at which the
     per-level occupation counts of states ``0..n`` are snapshotted.
-    `block` is the number of time steps whose uniforms are drawn at once;
-    the trajectories do not depend on it.
+    `block` is the number of time steps whose uniforms are drawn at once,
+    by default ``min(MAX_BLOCK, 4 * BLOCK_CELLS // B)`` for ``B``
+    replicates: 2048 up to 128 replicates, 1024 at 256.  The
+    trajectories do not depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
     checkpoints = sorted(set(int(n) for n in checkpoints))
@@ -359,11 +395,13 @@ def run_batch(
     sizes = [sp.size for sp in spaces]
     rules = _rules(config)
     B, N, L = len(replicates), config.iterations, config.levels
+    block = block or min(MAX_BLOCK, 4 * BLOCK_CELLS // max(B, 1))
     gens = [[stream(config.seed, r, k) for r in replicates] for k in range(L + 1)]
-    keep = [
-        keep_history or (k < L and rules[k + 1].reads == "history") for k in range(L + 1)
+    keep = _kept_histories(config, keep_history)
+    hist = [
+        np.zeros((B, N + 1), dtype=_history_dtype(size)) if kept else None
+        for kept, size in zip(keep, sizes)
     ]
-    hist = [np.zeros((B, N + 1), dtype=np.uint16) if kept else None for kept in keep]
 
     cur, counts = [], []
     for k in range(L + 1):
@@ -379,13 +417,15 @@ def run_batch(
         snaps[0] = list(counts)
 
     drawn = np.empty((B, block, DRAWS_PER_STEP))
+    # level k writes buffer k % 2 while level k + 1 reads it
+    buffers = np.empty((2, B, block), dtype=np.intp)
     for t0 in range(0, N, block):
         T = min(block, N - t0)
         n = np.arange(t0, t0 + T)
         for k, rule in enumerate(rules):
             for i, g in enumerate(gens[k]):
                 g.random(out=drawn[i, :T])
-            xs = np.empty((B, T), dtype=np.intp)
+            xs = buffers[k % 2, :, :T]
             x = cur[k]
             sub = max(1, BLOCK_CELLS // (B * rule.width))
             for lo in range(0, T, sub):
@@ -408,7 +448,7 @@ def run_batch(
                     snaps[c][k] = counts[k]
                     done = c - t0
             counts[k] = counts[k] + _row_counts(xs[:, done:], sizes[k])
-            cur[k] = x
+            cur[k] = x.copy()  # out of the buffer that level k + 2 overwrites
 
     return BatchResult(
         config=config,
@@ -448,7 +488,8 @@ def transition_samples(
     cur = np.full(size, int(current), dtype=np.intp)
     lower = None
     if rule.reads == "history":
-        lower = history_states.astype(np.uint16)[None, :]
+        dtype = _history_dtype(config.level_spaces()[level - 1].size)
+        lower = history_states.astype(dtype)[None, :]
     elif rule.reads == "counts":
         counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
         lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))

@@ -38,12 +38,16 @@ from functools import partial
 import numpy as np
 
 from . import oracle
-from .engine import EngineConfig, run_batch
+from .engine import EngineConfig, replicate_bytes, run_batch
 from .measures import TestFunction
 from .reporting import read_csv, write_csv
 
 DEFAULT_C_BIAS = 1.0
 DEFAULT_CHUNK = 256
+#: Share of the memory the process may use that a run plans its chunks
+#: for, split over the workers; the rest is the interpreter's and the
+#: parent's.
+MEMORY_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +148,15 @@ def run_replicates(
 
     `functions` lists, per level, pairs ``(name, TestFunction)``; `pis`
     are the limit measures per level.  Replicates run in lockstep in
-    balanced chunks of at most :data:`DEFAULT_CHUNK`.  With `workers`
-    above 1 the chunks run on that many forked processes, capped at the
-    CPUs this process may use; every worker is joined before the call
-    returns.  Each replicate draws from its own streams, so the result
-    is bit-identical for any worker count.
+    balanced chunks of at most :data:`DEFAULT_CHUNK`, and of no more
+    than fit in each worker's share of :data:`MEMORY_FRACTION` of the
+    memory this process may use; when not even one replicate fits, a
+    ``MemoryError`` that names the need is raised before any process
+    starts.  With `workers` above 1 the chunks run on that many forked
+    processes, capped at the CPUs this process may use; every worker is
+    joined before the call returns.  Each replicate draws from its own
+    streams, so the result is bit-identical for any worker count and
+    chunk size.
     """
     if R < 2:
         raise ValueError(f"need at least 2 replicates, got {R}")
@@ -163,7 +171,13 @@ def run_replicates(
     )
     run_chunk = partial(_chunk_samples, config, functions, checkpoints, pis, len(columns))
     p = min(workers or 1, len(os.sched_getaffinity(0)))
-    size = min(DEFAULT_CHUNK, math.ceil(R / p))
+    need, budget = replicate_bytes(config), int(_memory_limit() * MEMORY_FRACTION) // p
+    if need > budget:
+        raise MemoryError(
+            f"one replicate needs {need / 2**20:.1f} MiB, above the {budget / 2**20:.1f} MiB "
+            f"planned for each of {p} worker(s)"
+        )
+    size = min(DEFAULT_CHUNK, math.ceil(R / p), budget // need)
     chunks = [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
     p = min(p, len(chunks))
     if p == 1:
@@ -181,6 +195,18 @@ def run_replicates(
     return FluctuationSamples(
         columns=columns, values=np.vstack(parts), replicates=tuple(range(R))
     )
+
+
+def _memory_limit() -> int:
+    """Bytes this process may use: physical memory, or the cgroup's
+    ``memory.max`` where that is a number and lower."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            cap = fh.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(cap)) if cap.isdigit() else limit
 
 
 def _chunk_samples(config, functions, checkpoints, pis, width, ids) -> np.ndarray:

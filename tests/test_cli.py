@@ -501,6 +501,21 @@ def test_verify_worker_crash_exit_3(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_verify_over_memory_budget_exit_3_before_fork(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    # 64 KiB is below one replicate's block buffers alone
+    monkeypatch.setattr(harness, "_memory_limit", lambda: 1 << 16)
+    cfgp = short_annealing_verify(tmp_path)
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "MemoryError: one replicate needs" in err, err
+    assert multiprocessing.active_children() == []
+
+
 def test_import_loads_only_the_package():
     # perfbench's setup_s times this import with bytecode caching off
     src = Path(__file__).resolve().parent.parent / "src"

@@ -207,6 +207,24 @@ def test_occupation_matches_recount():
         engine.run_batch(cfg, [1], checkpoints=[401])
 
 
+def test_run_batch_memory_bounded_by_cells():
+    # 256 replicates run 1024-step blocks through two reused state buffers and
+    # keep one-byte histories; 2048-step blocks with a fresh state array per
+    # level and two-byte histories peak near 32 MiB here
+    import tracemalloc
+
+    cfg = toy_config(iterations=3000)
+    engine.run_batch(cfg, range(2), keep_history=False)  # enumerates the path spaces
+    tracemalloc.start()
+    try:
+        res = engine.run_batch(cfg, range(256), keep_history=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
+    assert (res.final_counts[2].sum(axis=1) == 3001).all()
+
+
 def test_fluctuation_field_values():
     # the fields are read off the checkpoint counts of run_batch
     from imcmc import harness

@@ -128,6 +128,25 @@ def test_run_replicates_one_cpu_starts_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_run_replicates_chunks_by_memory(monkeypatch):
+    cfg, spec, functions = toy_setup(iterations=300)
+    free = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)
+    sizes, run_batch = [], harness.run_batch
+
+    def recorded(config, replicates, **kwargs):
+        sizes.append(len(replicates))
+        return run_batch(config, replicates, **kwargs)
+
+    # memory for exactly one replicate of the MH stack's two kept histories
+    need = engine.replicate_bytes(cfg)
+    monkeypatch.setattr(harness, "_memory_limit", lambda: 2 * need)
+    monkeypatch.setattr(harness, "run_batch", recorded)
+    assert harness.MEMORY_FRACTION == 0.5
+    budgeted = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)
+    assert sizes == [1] * 7
+    assert np.array_equal(budgeted.values, free.values)
+
+
 def test_run_replicates_rejects_zero_workers():
     cfg, spec, functions = toy_setup(iterations=10)
     with pytest.raises(ValueError, match="worker"):
