@@ -418,14 +418,15 @@ def run_batch(
 
     drawn = np.empty((B, block, DRAWS_PER_STEP))
     # level k writes buffer k % 2 while level k + 1 reads it
-    buffers = np.empty((2, B, block), dtype=np.intp)
+    buffers = np.empty((2, B * block), dtype=np.intp)
     for t0 in range(0, N, block):
         T = min(block, N - t0)
         n = np.arange(t0, t0 + T)
         for k, rule in enumerate(rules):
             for i, g in enumerate(gens[k]):
                 g.random(out=drawn[i, :T])
-            xs = buffers[k % 2, :, :T]
+            # contiguous (B, T) rows, in a short last block too
+            xs = buffers[k % 2, : B * T].reshape(B, T)
             x = cur[k]
             sub = max(1, BLOCK_CELLS // (B * rule.width))
             for lo in range(0, T, sub):

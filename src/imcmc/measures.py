@@ -35,7 +35,8 @@ import numpy as np
 #: Hard cap on the size of any enumerated space (12 binary coordinates).
 #: The oracle's factored Feynman-Kac levels cost ``O(S b)`` for ``b``
 #: terminal classes; level 0 and annealing levels stay dense (``S^2``
-#: memory, ``S^3`` time), and the engine keeps histories as uint16.
+#: memory, ``S^3`` time), and the engine keeps at most two bytes per
+#: history entry.
 MAX_STATES = 4096
 
 #: Default absolute tolerance for the oracle algebra.
