@@ -35,11 +35,12 @@ slice of few steps over many rows adds one whole per-step plane at a
 time, since the cumsum pays per row and the planes per step.  With
 ``keep_history`` every level keeps its trajectory for the result.
 
-Besides the histories, a call holds the block's uniforms and two state
-buffers of (replicate, step) that the levels take in turn, each level
-writing one while the level above reads the other.  A block holds at
-most ``4 * BLOCK_CELLS`` (replicate, step) cells, so this working set
-stays within 10 MiB however many replicates run.
+Besides the histories, a call holds the block's uniforms, one slice's
+uniforms, and two state buffers of (replicate, step) that the levels
+take in turn, each level writing one while the level above reads the
+other.  These are allocated once per call.  Up to ``4 * BLOCK_CELLS``
+replicates, a block holds at most that many (replicate, step) cells, so
+this working set stays within 12 MiB.
 
 Randomness contract
 -------------------
@@ -233,13 +234,13 @@ def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
 def replicate_bytes(config: EngineConfig) -> int:
     """Most bytes one replicate adds to a ``run_batch(..., keep_history=False)``.
 
-    Its kept histories, plus its share of the block's uniforms and
-    state buffers at the longest block.
+    Its kept histories, plus its share of the uniforms and state buffers
+    at the longest block.
     """
     sizes = [sp.size for sp in config.level_spaces()]
     kept = _kept_histories(config, keep_history=False)
     item = sum(_history_dtype(s).itemsize for s, k in zip(sizes, kept) if k)
-    return (config.iterations + 1) * item + MAX_BLOCK * (DRAWS_PER_STEP + 2) * 8
+    return (config.iterations + 1) * item + MAX_BLOCK * (2 * DRAWS_PER_STEP + 2) * 8
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
@@ -395,7 +396,7 @@ def run_batch(
     sizes = [sp.size for sp in spaces]
     rules = _rules(config)
     B, N, L = len(replicates), config.iterations, config.levels
-    block = block or min(MAX_BLOCK, 4 * BLOCK_CELLS // max(B, 1))
+    block = block or min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
     gens = [[stream(config.seed, r, k) for r in replicates] for k in range(L + 1)]
     keep = _kept_histories(config, keep_history)
     hist = [
@@ -419,6 +420,9 @@ def run_batch(
     drawn = np.empty((B, block, DRAWS_PER_STEP))
     # level k writes buffer k % 2 while level k + 1 reads it
     buffers = np.empty((2, B * block), dtype=np.intp)
+    # steps per slice of each level, and one slice's uniforms as planes
+    subs = [max(1, BLOCK_CELLS // (B * rule.width)) for rule in rules]
+    planes = np.empty(DRAWS_PER_STEP * B * min(block, max(subs)))
     for t0 in range(0, N, block):
         T = min(block, N - t0)
         n = np.arange(t0, t0 + T)
@@ -428,10 +432,10 @@ def run_batch(
             # contiguous (B, T) rows, in a short last block too
             xs = buffers[k % 2, : B * T].reshape(B, T)
             x = cur[k]
-            sub = max(1, BLOCK_CELLS // (B * rule.width))
-            for lo in range(0, T, sub):
-                hi = min(lo + sub, T)
-                u = np.ascontiguousarray(drawn[:, lo:hi].transpose(2, 0, 1))
+            for lo in range(0, T, subs[k]):
+                hi = min(lo + subs[k], T)
+                u = planes[: DRAWS_PER_STEP * B * (hi - lo)].reshape(DRAWS_PER_STEP, B, hi - lo)
+                np.copyto(u, drawn[:, lo:hi].transpose(2, 0, 1))
                 lower = hist[k - 1] if rule.reads == "history" else None
                 if rule.reads == "counts":
                     lower = _running_counts(below_counts, below[:, lo:hi], sizes[k - 1])
