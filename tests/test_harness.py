@@ -137,11 +137,10 @@ def test_run_replicates_chunks_by_memory(monkeypatch):
         sizes.append(len(replicates))
         return run_batch(config, replicates, **kwargs)
 
-    # memory for exactly one replicate of the MH stack's two kept histories
+    # a budget of exactly one replicate: level 0's history plus the block buffers
     need = engine.replicate_bytes(cfg)
-    monkeypatch.setattr(harness, "_memory_limit", lambda: 2 * need)
+    monkeypatch.setattr(harness, "_memory_limit", lambda: math.ceil(need / harness.MEMORY_FRACTION))
     monkeypatch.setattr(harness, "run_batch", recorded)
-    assert harness.MEMORY_FRACTION == 0.5
     budgeted = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)
     assert sizes == [1] * 7
     assert np.array_equal(budgeted.values, free.values)
