@@ -36,30 +36,38 @@ time, since the cumsum pays per row and the planes per step.  With
 ``keep_history`` every level keeps its trajectory for the result.
 
 Besides the histories, a call holds the block's uniforms, one slice's
-uniforms, and two state buffers of (replicate, step) that the levels
-take in turn, each level writing one while the level above reads the
-other.  These are allocated once per call.  Up to ``4 * BLOCK_CELLS``
-replicates, a block holds at most that many (replicate, step) cells, so
-this working set stays within 12 MiB.
+uniforms, and one state buffer of (replicate, step) per level, in the
+level's history dtype, which the level writes while the level above
+reads it.  These are allocated once per call.  A slice copies only the
+uniform planes its rule reads: one for level 0, two for rank-one
+levels, all three otherwise.  Up to ``4 * BLOCK_CELLS`` replicates, a
+block holds at most that many (replicate, step) cells, so its uniforms
+stay within 7.5 MiB and a level's state buffer within 256 KiB per byte
+of its dtype.
 
 Randomness contract
 -------------------
 All randomness comes from counter-based Philox streams keyed by
-``(seed, replicate, level)`` through ``numpy``'s ``SeedSequence`` spawn
-keys.  Each stream is consumed in a fixed positional layout -- one
-uniform for the initial state, then exactly ``3`` uniforms per time
-step -- so a trajectory is bit-for-bit reproducible whether a replicate
-runs alone, in a vectorized batch, with any block length, or in any
-worker process, and distinct ``(replicate, level)`` pairs are
-independent.  This layout is ``STREAM_LAYOUT_VERSION = 1``; a change to
-it bumps the version and the pinned trajectory digests of the tests
-together.
+``(seed, replicate, level)``: the key of each is
+``SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(replicate, level))
+.generate_state(2, np.uint64)``.  The engine computes the keys of all
+replicates of a level in one vectorized pass of ``SeedSequence``'s hash
+and gives each ``Philox`` its key through a seed sequence that returns
+it, so the streams are those ``numpy`` builds from that
+``SeedSequence``, bit for bit.  Each stream is consumed in a fixed
+positional layout -- one uniform for the initial state, then exactly
+``3`` uniforms per time step -- so a trajectory is bit-for-bit
+reproducible whether a replicate runs alone, in a vectorized batch,
+with any block length, or in any worker process, and distinct
+``(replicate, level)`` pairs are independent.  This layout is
+``STREAM_LAYOUT_VERSION = 1``; a change to it bumps the version and the
+pinned trajectory digests of the tests together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -86,12 +94,127 @@ BLOCK_CELLS = 1 << 16
 MAX_BLOCK = 2048
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): `hashmix`
+# folds a word into the pool under a running constant, `mix` joins two words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list[int]:
+    """uint32 words of a non-negative int, least significant first, as
+    ``SeedSequence`` splits it: ``[0]`` for 0."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(seed: int) -> list[int]:
+    """Entropy words of a stream's seed, masked to 64 bits and zero-padded
+    to the pool size, as ``SeedSequence`` pads them when given a spawn key."""
+    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    return words + [0] * (_POOL - len(words))
+
+
+def _hash_constants(init: int, mult: int):
+    """(xor, multiplier) of each call of one SeedSequence hash: the running
+    constant before and after its update."""
+    c = init
+    while True:
+        nxt = c * mult & _MASK32
+        yield c, nxt
+        c = nxt
+
+
+def _seed_key(entropy: list) -> tuple:
+    """The two words of ``SeedSequence.generate_state(2, np.uint64)`` for
+    the entropy words `entropy`, at least :data:`_POOL` of them.
+
+    A word is an int or a uint64 array of uint32 values, one per stream;
+    the running constants do not depend on the words, so one pass of
+    ``mix_entropy`` and ``generate_state`` hashes every stream at once.
+    Each product is masked back to 32 bits.
+    """
+    def shift_xor(v):
+        return v ^ v >> 16
+
+    consts = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(v):
+        x, m = next(consts)
+        return shift_xor((v ^ x) * m & _MASK32)
+
+    def mix(x, y):
+        return shift_xor((x * _MIX_L - y * _MIX_R) & _MASK32)
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = _hash_constants(_INIT_B, _MULT_B)  # generate_state's own constants
+    out = [shift_xor((p ^ x) * m & _MASK32) for p, (x, m) in zip(pool, state)]
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _stream_keys(seed: int, replicates, level: int) -> np.ndarray:
+    """Philox keys (n, 2) of the streams of `replicates` at one (seed, level):
+    ``SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(r, level))
+    .generate_state(2, np.uint64)`` for each replicate ``r``.
+
+    A replicate id of 2**32 or more has more words, so replicates are
+    hashed in groups of equal word count.
+    """
+    head, tail = _seed_words(seed), _words(int(level))
+    words = [_words(int(r)) for r in replicates]
+    keys = np.empty((len(words), 2), dtype=np.uint64)
+    for width in {len(w) for w in words}:
+        rows = [i for i, w in enumerate(words) if len(w) == width]
+        spawn = [np.array([words[i][j] for i in rows], dtype=np.uint64) for j in range(width)]
+        keys[rows] = np.stack(_seed_key(head + spawn + tail), axis=1)
+    return keys
+
+
+@cache
+def _key_sequence() -> type:
+    """Seed sequence whose state is one precomputed Philox key.
+
+    Defined on first use, since importing ``numpy.random`` costs every
+    command that never draws.  ``Philox`` reads its key as the two uint64
+    words of ``generate_state``, as from any ``ISeedSequence``, and so
+    draws no fresh OS entropy, as ``Philox(key=...)`` does.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
+
+
+def _philox(key: np.ndarray) -> np.random.Generator:
+    """Generator on the Philox stream with `key` (2,) uint64 at counter 0."""
+    # the zero counter as an array: the default, without converting the int 0
+    counter = np.zeros(4, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_sequence()(key), counter=counter))
+
+
 def stream(seed: int, replicate: int, level: int) -> np.random.Generator:
     """Philox stream for one (seed, replicate, level) triple."""
-    key = np.random.SeedSequence(
-        entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(int(replicate), int(level))
-    )
-    return np.random.Generator(np.random.Philox(key))
+    key = _seed_key(_seed_words(seed) + _words(int(replicate)) + _words(int(level)))
+    return _philox(np.array(key, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +302,7 @@ def _scan(table: np.ndarray, a: np.ndarray) -> np.ndarray:
     cell = np.arange(B * T).reshape(B, T)
     pointers = (table * (B * T) + (cell + 1)).ravel()
     pos = np.empty((T, B), dtype=np.intp)
-    pos[0] = a * (B * T) + cell[:, 0]
+    pos[0] = a * np.intp(B * T) + cell[:, 0]
     steps, gather = list(pos), pointers.take
     for now, nxt in zip(steps, steps[1:]):
         gather(now, out=nxt, mode="clip")
@@ -234,13 +357,14 @@ def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
 def replicate_bytes(config: EngineConfig) -> int:
     """Most bytes one replicate adds to a ``run_batch(..., keep_history=False)``.
 
-    Its kept histories, plus its share of the uniforms and state buffers
-    at the longest block.
+    Its kept histories, plus its share, at the longest block, of the
+    block's and one slice's float64 uniforms and of the state buffers,
+    one per level in its history dtype.
     """
-    sizes = [sp.size for sp in config.level_spaces()]
+    items = [_history_dtype(sp.size).itemsize for sp in config.level_spaces()]
     kept = _kept_histories(config, keep_history=False)
-    item = sum(_history_dtype(s).itemsize for s, k in zip(sizes, kept) if k)
-    return (config.iterations + 1) * item + MAX_BLOCK * (2 * DRAWS_PER_STEP + 2) * 8
+    history = sum(item for item, k in zip(items, kept) if k)
+    return (config.iterations + 1) * history + MAX_BLOCK * (2 * DRAWS_PER_STEP * 8 + sum(items))
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
@@ -261,7 +385,7 @@ def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndar
     steps = np.zeros((size, B, T), dtype=np.int64)
     steps[:, :, 0] = start.T
     cell = np.arange(B * T).reshape(B, T)
-    np.put(steps, states[:, :-1] * (B * T) + cell[:, 1:], 1)
+    np.put(steps, states[:, :-1] * np.intp(B * T) + cell[:, 1:], 1)
     # A sum along time: np.cumsum pays per (state, replicate) row, a loop
     # that adds whole (size, B) slices pays per step.  On a 2-CPU VM the
     # cumsum is 2.2x faster on 2 states x 64 replicates x 512 steps (the
@@ -280,9 +404,10 @@ def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndar
 # ---------------------------------------------------------------------------
 #
 # A rule maps the states `cur` (B,) at the block's first time, the uniforms
-# `u` (3, B, T), the step times `n` (T,) and what it reads of the level
-# below (its trajectory (B, n+1), its running counts (size, B, T), or
-# nothing) to the states after each step, (B, T).
+# `u` (draws, B, T), the leading planes of each step's three, the step
+# times `n` (T,) and what it reads of the level below (its trajectory
+# (B, n+1), its running counts (size, B, T), or nothing) to the states
+# after each step, (B, T).
 
 def _step_chain(cdf, cur, u, n, lower):
     return _kernel_scan(cdf, cur, u[0])
@@ -337,13 +462,14 @@ class _Rule:
     step: Callable
     reads: str  # of the level below: "history", "counts" or ""
     width: int  # states per (width, B, T) bulk array of the rule
+    draws: int  # leading uniforms of each step that the rule reads
 
 
 def _rules(config: EngineConfig) -> list[_Rule]:
     model = config.model
     spaces = [model.level_space(k) for k in range(config.levels + 1)]
     sizes = [ps.space.size for ps in spaces]
-    rules = [_Rule(partial(_step_chain, _cdf_table(model.level0_kernel.matrix)), "", sizes[0])]
+    rules = [_Rule(partial(_step_chain, _cdf_table(model.level0_kernel.matrix)), "", sizes[0], 1)]
     for k in range(1, config.levels + 1):
         if isinstance(model, ann.AnnealingModel):
             step = partial(
@@ -353,7 +479,7 @@ def _rules(config: EngineConfig) -> list[_Rule]:
                 ann.potential_fn(model, k - 1).values,
                 model.epsilon,
             )
-            rules.append(_Rule(step, "counts", sizes[k]))
+            rules.append(_Rule(step, "counts", sizes[k], 3))
             continue
         s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
         cdf = _cdf_table(model.transitions[k - 1].matrix)
@@ -361,11 +487,11 @@ def _rules(config: EngineConfig) -> list[_Rule]:
         term = spaces[k - 1].terminal
         if model.kernel_type == "mh":
             step = partial(_step_fk_mh, cdf, g, term, s_new)
-            rules.append(_Rule(step, "history", max(s_prev, s_new)))
+            rules.append(_Rule(step, "history", max(s_prev, s_new), 3))
         else:
             # potential of a level-(k-1) path state: that of its terminal
             step = partial(_step_fk_rank_one, cdf, g[term], term, s_new)
-            rules.append(_Rule(step, "counts", max(sizes[k - 1], s_new)))
+            rules.append(_Rule(step, "counts", max(sizes[k - 1], s_new), 2))
     return rules
 
 
@@ -397,7 +523,7 @@ def run_batch(
     rules = _rules(config)
     B, N, L = len(replicates), config.iterations, config.levels
     block = block or min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
-    gens = [[stream(config.seed, r, k) for r in replicates] for k in range(L + 1)]
+    gens = [[_philox(key) for key in _stream_keys(config.seed, replicates, k)] for k in range(L + 1)]
     keep = _kept_histories(config, keep_history)
     hist = [
         np.zeros((B, N + 1), dtype=_history_dtype(size)) if kept else None
@@ -418,8 +544,8 @@ def run_batch(
         snaps[0] = list(counts)
 
     drawn = np.empty((B, block, DRAWS_PER_STEP))
-    # level k writes buffer k % 2 while level k + 1 reads it
-    buffers = np.empty((2, B * block), dtype=np.intp)
+    # level k writes its buffer while level k + 1 reads it
+    buffers = [np.empty(B * block, dtype=_history_dtype(size)) for size in sizes]
     # steps per slice of each level, and one slice's uniforms as planes
     subs = [max(1, BLOCK_CELLS // (B * rule.width)) for rule in rules]
     planes = np.empty(DRAWS_PER_STEP * B * min(block, max(subs)))
@@ -430,18 +556,19 @@ def run_batch(
             for i, g in enumerate(gens[k]):
                 g.random(out=drawn[i, :T])
             # contiguous (B, T) rows, in a short last block too
-            xs = buffers[k % 2, : B * T].reshape(B, T)
+            xs = buffers[k][: B * T].reshape(B, T)
             x = cur[k]
             for lo in range(0, T, subs[k]):
                 hi = min(lo + subs[k], T)
-                u = planes[: DRAWS_PER_STEP * B * (hi - lo)].reshape(DRAWS_PER_STEP, B, hi - lo)
-                np.copyto(u, drawn[:, lo:hi].transpose(2, 0, 1))
+                # only the uniforms the rule reads
+                u = planes[: rule.draws * B * (hi - lo)].reshape(rule.draws, B, hi - lo)
+                np.copyto(u, drawn[:, lo:hi, : rule.draws].transpose(2, 0, 1))
                 lower = hist[k - 1] if rule.reads == "history" else None
                 if rule.reads == "counts":
                     lower = _running_counts(below_counts, below[:, lo:hi], sizes[k - 1])
                     below_counts = below_counts + _row_counts(below[:, lo:hi], sizes[k - 1])
                 xs[:, lo:hi] = rule.step(x, u, n[lo:hi], lower)
-                x = xs[:, hi - 1]
+                x = xs[:, hi - 1].astype(np.intp)
             if keep[k]:
                 hist[k][:, t0 + 1 : t0 + T + 1] = xs
             # what the level above reads: counts through t0, then the block
@@ -453,7 +580,7 @@ def run_batch(
                     snaps[c][k] = counts[k]
                     done = c - t0
             counts[k] = counts[k] + _row_counts(xs[:, done:], sizes[k])
-            cur[k] = x.copy()  # out of the buffer that level k + 2 overwrites
+            cur[k] = x
 
     return BatchResult(
         config=config,

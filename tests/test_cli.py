@@ -527,8 +527,9 @@ def test_import_loads_only_the_package():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     loaded = json.loads(out)
-    # the process pool is imported only when a run uses it
-    for heavy in ("scipy", "multiprocessing", "concurrent.futures"):
+    # the process pool is imported only when a run uses it, numpy.random
+    # only when a run draws
+    for heavy in ("scipy", "multiprocessing", "concurrent.futures", "numpy.random"):
         assert not [k for k in loaded if k == heavy or k.startswith(heavy + ".")], heavy
     ours = {k for k in loaded if k == "imcmc" or k.startswith("imcmc.")}
     assert ours == {"imcmc"} | {

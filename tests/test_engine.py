@@ -102,6 +102,29 @@ def test_level0_stream_layout_contract():
     assert np.array_equal(res.states[0][0], np.array(states))
 
 
+MASK64 = 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, MASK64, -1])
+def test_stream_keys_match_seed_sequence(seed):
+    # one call mixes replicate ids of one and of two uint32 words
+    replicates = [0, 1, 2**32 - 1, 2**32]
+    for level in range(5):
+        keys = engine._stream_keys(seed, replicates, level)
+        for r, key in zip(replicates, keys):
+            ss = np.random.SeedSequence(entropy=seed & MASK64, spawn_key=(r, level))
+            assert np.array_equal(key, ss.generate_state(2, np.uint64)), (r, level)
+
+
+def test_stream_draws_match_seed_sequence_philox():
+    for seed, r, level in [(5, 7, 0), (-1, 2**32, 3), (MASK64, 2**32 - 1, 4)]:
+        ss = np.random.SeedSequence(entropy=seed & MASK64, spawn_key=(r, level))
+        ref = np.random.Generator(np.random.Philox(ss))
+        assert np.array_equal(engine.stream(seed, r, level).random(9), ref.random(9))
+    with pytest.raises(ValueError):
+        engine.stream(0, -1, 0)
+
+
 def _batch_digest(res):
     """SHA-256 of states, final counts and checkpoint counts, as int64."""
     h = hashlib.sha256()
@@ -207,10 +230,8 @@ def test_occupation_matches_recount():
         engine.run_batch(cfg, [1], checkpoints=[401])
 
 
-def test_run_batch_memory_bounded_by_cells():
-    # 256 replicates run 1024-step blocks through two reused state buffers and
-    # keep one-byte histories; 2048-step blocks with a fresh state array per
-    # level and two-byte histories peak near 32 MiB here
+def _peak_of_256_replicates():
+    """tracemalloc peak of a lean 256-replicate toy run, whose counts it checks."""
     import tracemalloc
 
     cfg = toy_config(iterations=3000)
@@ -221,8 +242,24 @@ def test_run_batch_memory_bounded_by_cells():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20, peak / 2**20
     assert (res.final_counts[2].sum(axis=1) == 3001).all()
+    return peak
+
+
+def test_run_batch_memory_bounded_by_cells():
+    # 256 replicates run 1024-step blocks through reused state buffers and
+    # keep one-byte histories; 2048-step blocks with a fresh state array per
+    # level and two-byte histories peak near 32 MiB here
+    peak = _peak_of_256_replicates()
+    assert peak < 20 * 2**20, peak / 2**20
+
+
+def test_run_batch_state_buffers_in_history_dtype():
+    # one one-byte state buffer per level, and level 0 copying one uniform
+    # plane of its three, peak near 12.7 MiB; two int64 state buffers that
+    # the levels take in turn, and all three planes, near 16.1 MiB
+    peak = _peak_of_256_replicates()
+    assert peak < 14 * 2**20, peak / 2**20
 
 
 def test_fluctuation_field_values():
