@@ -197,16 +197,26 @@ def run_replicates(
     )
 
 
+#: The cgroup memory limit files: v2's ``memory.max``, then v1's, which is
+#: read only where the v2 file is absent.
+_CGROUP_MEMORY_LIMITS = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
+
+
 def _memory_limit() -> int:
     """Bytes this process may use: physical memory, or the cgroup's
-    ``memory.max`` where that is a number and lower."""
+    memory limit where that is a number and lower."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        with open("/sys/fs/cgroup/memory.max") as fh:
-            cap = fh.read().strip()
-    except OSError:
-        return limit
-    return min(limit, int(cap)) if cap.isdigit() else limit
+    for path in _CGROUP_MEMORY_LIMITS:
+        try:
+            with open(path) as fh:
+                cap = fh.read().strip()
+        except OSError:
+            continue
+        return min(limit, int(cap)) if cap.isdigit() else limit
+    return limit
 
 
 def _chunk_samples(config, functions, checkpoints, pis, width, ids) -> np.ndarray:

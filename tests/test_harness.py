@@ -146,6 +146,22 @@ def test_run_replicates_chunks_by_memory(monkeypatch):
     assert np.array_equal(budgeted.values, free.values)
 
 
+def test_memory_limit_reads_cgroup_v1_where_v2_is_absent(tmp_path, monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(harness, "_CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
+    assert harness._memory_limit() == physical  # neither file
+    v1.write_text("1048576\n")
+    assert harness._memory_limit() == 1 << 20
+    v1.write_text("9223372036854771712\n")  # v1's "no limit"
+    assert harness._memory_limit() == physical
+    v1.write_text("1048576\n")
+    v2.write_text("max\n")  # v2 present: v1 is not read
+    assert harness._memory_limit() == physical
+    v2.write_text("2097152\n")
+    assert harness._memory_limit() == 2 << 20
+
+
 def test_run_replicates_rejects_zero_workers():
     cfg, spec, functions = toy_setup(iterations=10)
     with pytest.raises(ValueError, match="worker"):
