@@ -84,8 +84,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     rows = []
     for k in range(cfg.levels + 1):
-        for idx, label in enumerate(spec.spaces[k].labels):
-            rows.append([k, idx, label, float(spec.pis[k].weights[idx])])
+        b = spec.bundles[k]
+        for idx, (label, pi) in enumerate(zip(b.space.labels, b.invariant.weights.tolist())):
+            rows.append([k, idx, label, pi])
     with open(out / "limit_measures.csv", "w") as fh:
         write_csv(fh, ["level", "state", "label", "pi"], rows, meta)
 
