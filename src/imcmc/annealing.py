@@ -239,10 +239,10 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
     ratio = np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
     flow = P * ratio
     matrix = flow.copy()
-    # fsum is correctly rounded, so a zeroed diagonal leaves each
-    # off-diagonal sum as it is
+    # fsum is correctly rounded, so summing only the nonzero off-diagonal
+    # flows leaves each row's sum as it is
     np.fill_diagonal(flow, 0.0)
-    np.fill_diagonal(matrix, [1.0 - math.fsum(row) for row in flow.tolist()])
+    np.fill_diagonal(matrix, [1.0 - math.fsum(row[row != 0.0].tolist()) for row in flow])
     return IntegralOperator(pi.space, pi.space, matrix, markov=True)
 
 

@@ -252,7 +252,7 @@ class IntegralOperator:
 
 @dataclass(frozen=True, eq=False)
 class FactoredKernel:
-    """A markov kernel ``M = E F + diag(r[c])`` on one space, kept in factors.
+    """A kernel ``M = E F + diag(r[c])`` on one space, kept in factors.
 
     Every state ``x`` has a class ``c(x)`` among ``b`` classes, none
     empty; ``E`` is the ``S x b`` class indicator, ``F`` (`flows`) the
@@ -263,7 +263,8 @@ class FactoredKernel:
     (:meth:`dense`).  Markov rows are up to the builder (:meth:`dense`
     and :meth:`rank_one` take validated inputs, ``fk.mh_factors`` sets
     ``r = 1 - sum F``); the factors are stored unchecked, since the powers
-    :meth:`squared` makes drift off unit row sums by rounding.
+    :meth:`product` makes drift off unit row sums by rounding, and a sum
+    of ``n`` powers has rows summing to ``n``.
     """
 
     space: FiniteSpace
@@ -335,18 +336,21 @@ class FactoredKernel:
         """``w M``, as ``(w E) F + w r[c]``."""
         return self.class_sums(w) @ self.flows + w * self.reject[self.classes]
 
-    def squared(self) -> "FactoredKernel":
-        """``M^2`` in factors: ``F_2 = (F E) F + F diag(r[c]) + diag(r) F``, ``r_2 = r^2``.
+    def product(self, other: "FactoredKernel") -> "FactoredKernel":
+        """``M N`` in factors, for `other` ``N = E G + diag(g[c])`` on the same classes.
 
+        ``F_MN = (F E) G + F diag(g[c]) + diag(r) G`` and ``r_MN = r g``:
         ``diag(r[c]) E = E diag(r)``, so the rejection part of one factor
         moves through the class indicator of the other.  Costs
-        ``O(S b^2)``.
+        ``O(S b^2)``; ``M.product(M)`` is the square ``M^2``.
         """
-        F, r = self.flows, self.reject
-        flows = self.class_sums(F) @ F
-        if r.any():
-            flows += F * r[self.classes] + r[:, None] * F
-        return FactoredKernel(self.space, self.classes, flows, r * r)
+        if other.space != self.space or not np.array_equal(other.classes, self.classes):
+            raise ValueError("a factored product requires kernels on one class map")
+        F, r, G, g = self.flows, self.reject, other.flows, other.reject
+        flows = self.class_sums(F) @ G
+        if r.any() or g.any():
+            flows += F * g[self.classes] + r[:, None] * G
+        return FactoredKernel(self.space, self.classes, flows, r * g)
 
     def to_operator(self) -> IntegralOperator:
         """The kernel as a dense markov matrix: a test reference.

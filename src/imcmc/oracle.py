@@ -37,8 +37,10 @@ Each level's certificate is a power ``M^n0``, ``n0 = 2^k`` reached by
 repeated squaring of the factors, with the Doeblin bound ``m_n0 = 1 -
 sum_y min_x M^n0(x, y)`` on its Dobrushin coefficient; the search ends
 at Wielandt's bound ``(S - 1)^2 + 1``, by which every ergodic kernel on
-``S`` states has a positive column.  The vector series steps by that
-power.
+``S`` states has a positive column.  The partial sum ``sum_{i<n0} M^i``
+is doubled alongside each squaring.  The vector series steps by the
+power and ends with one product by that sum, so it costs ``O(S b)`` per
+block however large ``n0`` is.
 """
 
 from __future__ import annotations
@@ -89,18 +91,33 @@ def _doeblin(power: FactoredKernel) -> float:
     return min(1.0, max(0.0, 1.0 - float(power.column_min().sum())))
 
 
-def contraction_index(kernel: FactoredKernel) -> tuple[int, float, float, FactoredKernel]:
+def _doubled(power: FactoredKernel, total: FactoredKernel | None) -> FactoredKernel:
+    """``sum_{i<2n} M^i = (I + M^n) sum_{i<n} M^i`` from ``M^n`` and ``sum_{i<n} M^i``.
+
+    ``I + M^n`` is ``M^n`` with one more unit of rejection mass, so the
+    doubling is one :meth:`FactoredKernel.product`; `total` is None for
+    the identity, the sum at ``n = 1``.
+    """
+    step = FactoredKernel(power.space, power.classes, power.flows, power.reject + 1.0)
+    return step if total is None else step.product(total)
+
+
+def contraction_index(
+    kernel: FactoredKernel,
+) -> tuple[int, float, float, FactoredKernel, FactoredKernel | None]:
     """A power ``n0 = 2^k`` with ``beta(M^n0) <= m_n0 < 1``, with its bound.
 
-    Returns ``(n0, m_n0, p_n0, M^n0)`` for the kernel ``M``, the power in
-    factors.  ``m_n0`` is the Doeblin bound
-    ``1 - sum_y min_x M^n0(x, y)``, which is never below the Dobrushin
+    Returns ``(n0, m_n0, p_n0, M^n0, sum_{i<n0} M^i)`` for the kernel
+    ``M``, the power and the partial sum in factors; the sum is None
+    when ``n0 = 1``, where it is the identity.  ``m_n0`` is the Doeblin
+    bound ``1 - sum_y min_x M^n0(x, y)``, which is never below the Dobrushin
     coefficient ``beta(M^n0)`` and costs one pass over the factors;
     ``p_n0 = 2 n0 / (1 - m_n0)`` bounds the resolvent operator norm.
     The powers ``M, M^2, M^4, ...`` are found by repeated squaring of the
-    factors (:meth:`FactoredKernel.squared`).  The first with ``m < 1``
+    factors (:meth:`FactoredKernel.product`).  The first with ``m < 1``
     certifies; squaring goes on while it lowers ``p``, which it cannot
-    once ``m <= 1/2``.
+    once ``m <= 1/2``.  Each accepted doubling also doubles the partial
+    sum (:func:`_doubled`), one more product of the factors.
 
     ``M^n0`` has a positive column, so ``m_n0 < 1``, exactly when some
     state is reached in ``n0`` steps from every state.  By Wielandt's
@@ -109,7 +126,7 @@ def contraction_index(kernel: FactoredKernel) -> tuple[int, float, float, Factor
     then is not uniformly ergodic, and raises :class:`OracleError`.
     """
     wielandt = (kernel.space.size - 1) ** 2 + 1
-    n, power = 1, kernel
+    n, power, total = 1, kernel, None
     m = _doeblin(power)
     while m >= 1.0:
         if n >= wielandt:
@@ -117,15 +134,15 @@ def contraction_index(kernel: FactoredKernel) -> tuple[int, float, float, Factor
                 f"kernel on {kernel.space.id!r} is not uniformly ergodic: M^{n} has no "
                 f"positive column, and {n} reaches Wielandt's bound {wielandt}"
             )
-        n, power = 2 * n, power.squared()
+        n, power, total = 2 * n, power.product(power), _doubled(power, total)
         m = _doeblin(power)
     while m > 0.5:
-        square = power.squared()
+        square = power.product(power)
         m_square = _doeblin(square)
         if m_square >= 2.0 * m - 1.0:  # 4n / (1 - m_square) >= 2n / (1 - m)
             break
-        n, power, m = 2 * n, square, m_square
-    return n, m, 2.0 * n / (1.0 - m), power
+        n, power, total, m = 2 * n, square, _doubled(power, total), m_square
+    return n, m, 2.0 * n / (1.0 - m), power, total
 
 
 def resolvent(kernel: FactoredKernel, pi: Measure) -> np.ndarray:
@@ -208,9 +225,11 @@ class ResolventBundle:
     (x) pi`` reads, row by row, ``(1 - r[c(x)]) P(x, .) = e_x - pi +
     V[c(x)]``, so within a class the rows differ only on the diagonal.
     ``power`` is the certified power ``M^n0`` in factors (the kernel
-    itself when ``n0 = 1``); ``poisson_resid`` is the attained Poisson
-    defect and ``norm`` the exact ``||P||``, both computed once by
-    :func:`resolvent_bundle`.  The series route is checked on each
+    itself when ``n0 = 1``) and ``power_sum`` the partial sum
+    ``sum_{i<n0} M^i`` in factors, whose rows sum to ``n0`` (None when
+    ``n0 = 1``, where it is the identity); ``poisson_resid`` is the
+    attained Poisson defect and ``norm`` the exact ``||P||``, both
+    computed once by :func:`resolvent_bundle`.  The series route is checked on each
     function resolved through the bundle (see :func:`local_variance`).
     """
 
@@ -221,6 +240,7 @@ class ResolventBundle:
     m_n0: float
     p_n0: float
     power: FactoredKernel
+    power_sum: FactoredKernel | None
     poisson_resid: float
     norm: float
 
@@ -247,10 +267,11 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     ``osc(h_J) n0 / (1 - m_n0)`` once ``sum_{i<n0} M^i`` (norm ``n0``) is
     applied.  Summation stops once that is below :data:`SERIES_TAIL_TOL`
     times ``osc(fb)``, and the certificate fixes how many blocks that
-    takes.  The ``n0 - 1`` products with ``M`` come last, once.  Every
-    product is one ``O(S b)`` application of the factors.
+    takes.  The product by ``sum_{i<n0} M^i`` (``power_sum``) comes
+    last, once.  Every product is one ``O(S b)`` application of the
+    factors.
     """
-    M, power, n0, m_n0 = bundle.kernel, bundle.power, bundle.n0, bundle.m_n0
+    power, total, n0, m_n0 = bundle.power, bundle.power_sum, bundle.n0, bundle.m_n0
     tail = n0 / (1.0 - m_n0)
     target = SERIES_TAIL_TOL * float(fb.max() - fb.min())
     # blocks of n0 steps after which m_n0^blocks * tail <= SERIES_TAIL_TOL
@@ -259,10 +280,7 @@ def resolvent_series(bundle: ResolventBundle, fb: np.ndarray) -> np.ndarray:
     h = fb
     for _ in range(blocks + 1):
         if float(h.max() - h.min()) * tail <= target:
-            out = acc
-            for _ in range(n0 - 1):
-                out = acc + M.apply(out)
-            return out
+            return acc if total is None else total.apply(acc)
         h = power.apply(h)
         acc += h
     raise OracleError(
@@ -280,7 +298,7 @@ def resolvent_bundle(kernel: FactoredKernel, pi: Measure) -> ResolventBundle:
     """
     if pi.space != kernel.space:
         raise ValueError("a resolvent bundle requires a kernel and measure on one space")
-    n0, m_n0, p_n0, power = contraction_index(kernel)
+    n0, m_n0, p_n0, power, power_sum = contraction_index(kernel)
     resid = np.abs(kernel.act(pi.weights) - pi.weights).max()
     if resid > INVARIANCE_TOL:
         raise OracleError(
@@ -304,6 +322,7 @@ def resolvent_bundle(kernel: FactoredKernel, pi: Measure) -> ResolventBundle:
         m_n0=m_n0,
         p_n0=p_n0,
         power=power,
+        power_sum=power_sum,
         poisson_resid=p_resid,
         norm=norm,
     )

@@ -189,6 +189,41 @@ def test_metropolis_detailed_balance():
         assert tv_norm(act_measure(pi, M) - pi) < 1e-12
 
 
+def _ring_proposal(n):
+    p = np.zeros((n, n))
+    p[np.arange(n), (np.arange(n) + 1) % n] = p[np.arange(n), (np.arange(n) - 1) % n] = 0.5
+    return p
+
+
+def _sparse_symmetric_proposal(rng, n):
+    """Random symmetric edges with weights up to 1/n; the rest of each row stays put."""
+    w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 8.0 / n), 1) / n
+    w += w.T
+    return w + np.diag(1.0 - w.sum(axis=1))
+
+
+def test_metropolis_rows_sum_over_nonzero_flows_bit_for_bit():
+    # the diagonal from whole off-diagonal rows, as summed before only the
+    # nonzero flows were: fsum is correctly rounded, so the two agree exactly
+    rng = np.random.default_rng(8)
+    cases = [
+        (4, np.full((4, 4), 0.25)),
+        (64, _ring_proposal(64)),
+        (1024, _ring_proposal(1024)),
+        (1024, np.full((1024, 1024), 1.0 / 1024)),
+        (1024, _sparse_symmetric_proposal(rng, 1024)),
+    ]
+    for n, proposal in cases:
+        sp = FiniteSpace(f"s{n}", n)
+        pi = random_probability(rng, sp)
+        M = ann.metropolis_kernel(pi, IntegralOperator(sp, sp, proposal, markov=True)).matrix
+        flow = proposal * np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
+        np.fill_diagonal(flow, 0.0)
+        rows = [1.0 - math.fsum(row) for row in flow.tolist()]
+        assert np.array_equal(np.diag(M), rows)
+        assert np.array_equal(M[~np.eye(n, dtype=bool)], flow[~np.eye(n, dtype=bool)])
+
+
 def test_model_rejects_bad_kernels():
     sp = FiniteSpace("s", 3)
     shift = np.roll(np.eye(3), 1, axis=1)

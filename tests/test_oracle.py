@@ -83,7 +83,7 @@ def test_invariant_measure_rank_one():
 
 def test_contraction_index():
     _, M, _ = two_state_chain()
-    n0, m_n0, p_n0, _ = oracle.contraction_index(FactoredKernel.dense(M))
+    n0, m_n0, p_n0, _, _ = oracle.contraction_index(FactoredKernel.dense(M))
     assert n0 == 1 and m_n0 == pytest.approx(0.7) and p_n0 == pytest.approx(2 / 0.3)
     # a pure permutation never contracts
     sp = FiniteSpace("perm", 3)
@@ -127,7 +127,7 @@ def test_doeblin_certificates_on_sparse_kernels():
         if beta is None:
             beta_rejected.add(i)
         try:
-            n0, m_n0, p_n0, power = oracle.contraction_index(FactoredKernel.dense(M))
+            n0, m_n0, p_n0, power, _ = oracle.contraction_index(FactoredKernel.dense(M))
         except oracle.OracleError:
             rejected.add(i)
             # the exact-beta search accepts such a kernel only when beta rounds below 1
@@ -269,15 +269,13 @@ def test_resolvent_series_checks_tail_per_block():
     assert np.abs(got - dense_resolvent(dense, b.invariant) @ fb).max() <= 1e-11
 
     # replay the blocks h_j = (M^n0)^j fb to find how many were summed
-    M, tail = dense.matrix, b.n0 / (1.0 - b.m_n0)
+    tail = b.n0 / (1.0 - b.m_n0)
     power = b.power.to_operator().matrix
     target = oracle.SERIES_TAIL_TOL * (fb.max() - fb.min())
+    total = b.power_sum  # singleton classes: (sum_{i<n0} M^i) acc = F acc + r acc
 
     def spread(acc):
-        out = acc
-        for _ in range(b.n0 - 1):
-            out = acc + M @ out
-        return out
+        return total.flows @ acc + total.reject * acc
 
     acc, h, oscs = fb.copy(), fb, [fb.max() - fb.min()]
     while not np.array_equal(spread(acc), got):
@@ -299,6 +297,55 @@ def test_resolvent_series_checks_tail_per_block():
         g = b1.kernel.to_operator().matrix @ g
         acc += g
     assert np.array_equal(oracle.resolvent_series(b1, fb), acc)
+
+
+def _factors_matrix(k):
+    """The dense matrix of a factored kernel whose rows need not be markov."""
+    return k.flows[k.classes] + np.diag(k.reject[k.classes])
+
+
+def test_bundle_partial_sum_matches_dense_powers():
+    ring12 = ring_model(12)
+    ring64 = ring_model(64)
+    # six states in three classes; each class moves to the next or stays
+    classes = np.repeat(np.arange(3), 2)
+    flows = 0.25 * (classes[None, :] == (np.arange(3)[:, None] + 1) % 3)
+    cycle = FactoredKernel(FiniteSpace("cycle6", 6), classes, flows, np.full(3, 0.5))
+    cases = [
+        (FactoredKernel.dense(ring12.level0_kernel), ann.gibbs_measure(ring12, 0), 16),
+        (FactoredKernel.dense(ring64.level0_kernel), ann.gibbs_measure(ring64, 0), 256),
+        (cycle, Measure.uniform(cycle.space), 4),
+    ]
+    for kernel, pi, n0 in cases:
+        b = oracle.resolvent_bundle(kernel, pi)
+        assert b.n0 == n0
+        M = _factors_matrix(kernel)
+        dense = sum(np.linalg.matrix_power(M, i) for i in range(b.n0))
+        assert np.abs(_factors_matrix(b.power_sum) - dense).max() <= 1e-13 * b.n0
+        assert np.allclose(b.power_sum.flows.sum(axis=1) + b.power_sum.reject, b.n0)
+    # a level certified at n0 = 1 keeps no array for its sum, the identity
+    assert all(b.power_sum is None for b in annealing_spec().bundles[1:])
+
+
+def test_resolvent_series_applies_only_power_and_sum(monkeypatch):
+    model = ring_model(64, betas=(0.3, 0.6, 0.9))
+    b = oracle.build_clt_spec(model, 0).bundles[0]
+    assert b.n0 == 256
+    calls = []
+    apply = FactoredKernel.apply
+
+    def counted(self, h):
+        calls.append(self)
+        return apply(self, h)
+
+    monkeypatch.setattr(FactoredKernel, "apply", counted)
+    fb = model.potential.values - b.invariant.weights @ model.potential.values
+    oracle.resolvent_series(b, fb)
+    tail = b.n0 / (1.0 - b.m_n0)
+    blocks = math.ceil(math.log(oracle.SERIES_TAIL_TOL / tail) / math.log(b.m_n0))
+    assert not any(k is b.kernel for k in calls)
+    assert 0 < sum(k is b.power for k in calls) <= blocks + 1
+    assert sum(k is b.power_sum for k in calls) == 1 and len(calls) <= blocks + 2
 
 
 def test_resolvent_bundle_certificates():
@@ -352,7 +399,7 @@ def test_factored_levels_match_dense(case):
         assert np.abs(b.kernel.act(mu) - mu @ M).max() <= 1e-14 * mu.sum()
         # certificates: the factored squaring against the dense matrix
         dense = FactoredKernel.dense(IntegralOperator(b.space, b.space, M, markov=True))
-        n0, m_n0, _, _ = oracle.contraction_index(dense)
+        n0, m_n0, _, _, _ = oracle.contraction_index(dense)
         assert b.n0 == n0 and abs(b.m_n0 - m_n0) <= 1e-14
         assert np.abs(b.power.to_operator().matrix - np.linalg.matrix_power(M, n0)).max() <= 1e-13
         # the whole resolvent against the dense solve
@@ -393,8 +440,19 @@ def test_factored_kernel_algebra_on_random_factors():
         power, dense = k, M
         for _ in range(3):  # a singleton class keeps its rejection mass in its column
             assert np.allclose(power.column_min(), dense.min(axis=0), rtol=0.0, atol=1e-14 * n)
-            power, dense = power.squared(), dense @ dense
+            power, dense = power.product(power), dense @ dense
             assert np.allclose(power.to_operator().matrix, dense, rtol=0.0, atol=1e-14 * n)
+        # a product with factors on the same classes that are not markov,
+        # as in the partial sums of the certificate
+        other_rng = np.random.default_rng([12, i])
+        G, g = other_rng.random((b, n)), 2.0 * other_rng.random(b)
+        other = FactoredKernel(k.space, classes, G, g)
+        for left, right in ((k, other), (other, k), (other, other)):
+            got = _factors_matrix(left.product(right))
+            ref = _factors_matrix(left) @ _factors_matrix(right)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-14 * n * np.abs(ref).max())
+    with pytest.raises(ValueError, match="one class map"):
+        k.product(FactoredKernel.dense(IntegralOperator.identity(FiniteSpace("other", 3))))
 
 
 @pytest.mark.parametrize("shift", ["entry", "class-null-direction"])
