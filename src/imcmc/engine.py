@@ -29,11 +29,14 @@ in the narrowest unsigned dtype that holds every index of its space, one
 byte up to 256 states and two up to 65,536.  Other levels keep running
 occupation counts, and a redraw level rebuilds the cumulative counts of
 the level below at each step of the block, which induces exactly the
-transition law of walking the history.  A slice of many steps over few
-(state, replicate) rows sums them along time with one ``np.cumsum``; a
-slice of few steps over many rows adds one whole per-step plane at a
-time, since the cumsum pays per row and the planes per step.  With
-``keep_history`` every level keeps its trajectory for the result.
+transition law of walking the history.  These running counts take the
+narrowest unsigned dtype that holds ``iterations + 1``, and the counts
+of a slice's last step, plus each replicate's last state, start the
+next slice.  A slice of many steps over few (state, replicate) rows
+sums them along time with one ``np.cumsum``; a slice of few steps over
+many rows adds one whole per-step plane at a time, since the cumsum
+pays per row and the planes per step.  With ``keep_history`` every
+level keeps its trajectory for the result.
 
 Besides the histories, a call holds the block's uniforms, one slice's
 uniforms, and one state buffer of (replicate, step) per level, in the
@@ -42,7 +45,7 @@ reads it.  These are allocated once per call.  A slice copies only the
 uniform planes its rule reads: one for level 0, two for rank-one
 levels, all three otherwise.  Up to ``4 * BLOCK_CELLS`` replicates, a
 block holds at most that many (replicate, step) cells, so its uniforms
-stay within 7.5 MiB and a level's state buffer within 256 KiB per byte
+stay within 3.75 MiB and a level's state buffer within 128 KiB per byte
 of its dtype.
 
 Randomness contract
@@ -88,7 +91,7 @@ TABLE_STATES = 8
 
 #: Most (state, replicate, time) cells in one bulk array: a level works
 #: through its block in slices of steps this small, so its arrays stay in cache.
-BLOCK_CELLS = 1 << 16
+BLOCK_CELLS = 1 << 15
 
 #: Most time steps in a block, the number whose uniforms are drawn at once.
 MAX_BLOCK = 2048
@@ -318,7 +321,8 @@ def _kernel_scan(cdf, x, u, move=None, other=None) -> np.ndarray:
     if S <= TABLE_STATES:
         table = _cdf_draw(cdf, np.arange(S)[:, None, None], u)
         if move is not None:
-            table = np.where(move, table, other)
+            # a select by arithmetic, with no branch on the random `move`
+            table = other + move * (table - other)
         return table.ravel().take(_scan(table, x))
     out = np.empty(u.shape, dtype=np.intp)
     for t in range(u.shape[1]):
@@ -374,29 +378,35 @@ def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(flat, minlength=B * size).reshape(B, size)
 
 
-def _running_counts(start: np.ndarray, states: np.ndarray, size: int) -> np.ndarray:
-    """Counts through each step of a block, (size, B, T).
+def _running_counts(start: np.ndarray, states: np.ndarray, size: int, iterations: int):
+    """Counts through each step of a block, (size, B, T), and through its end, (B, size).
 
     `start` (B, size) counts the states through the block's first time
     and `states` (B, T) holds those at the times after it; entry ``t``
-    counts through ``t`` steps past the first time.
+    counts through ``t`` steps past the first time, and the end counts
+    add the last state too.  No count of a run of `iterations` steps
+    exceeds ``iterations + 1``, so they take the narrowest unsigned
+    dtype that holds it.
     """
     B, T = states.shape
-    steps = np.zeros((size, B, T), dtype=np.int64)
+    steps = np.zeros((size, B, T), dtype=_history_dtype(iterations + 2))
     steps[:, :, 0] = start.T
     cell = np.arange(B * T).reshape(B, T)
     np.put(steps, states[:, :-1] * np.intp(B * T) + cell[:, 1:], 1)
     # A sum along time: np.cumsum pays per (state, replicate) row, a loop
-    # that adds whole (size, B) slices pays per step.  On a 2-CPU VM the
-    # cumsum is 2.2x faster on 2 states x 64 replicates x 512 steps (the
-    # rank-one levels of a 64-replicate run) and the loop 3.6x faster on
-    # 64 x 256 x 4.  They tie near 100 rows per step; below 64 the cumsum
-    # runs, and in between the loop is at most 15 % slower.
-    if T * 64 > size * B:
-        return np.cumsum(steps, axis=2, out=steps)
-    for t in range(1, T):
-        steps[:, :, t] += steps[:, :, t - 1]
-    return steps
+    # that adds whole (size, B) slices pays per step.  On a 2-CPU VM, in
+    # two-byte counts, the cumsum is 5.7x faster on 2 states x 64
+    # replicates x 256 steps (the rank-one levels of a 64-replicate run)
+    # and the loop 19x faster on 64 x 256 x 2.  They tie near 32 rows per
+    # step, where the loop takes over.
+    if T * 32 > size * B:
+        np.cumsum(steps, axis=2, dtype=steps.dtype, out=steps)
+    else:
+        for t in range(1, T):
+            steps[:, :, t] += steps[:, :, t - 1]
+    end = steps[:, :, -1].T.copy()
+    end[np.arange(B), states[:, -1]] += 1
+    return steps, end
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +519,7 @@ def run_batch(
     per-level occupation counts of states ``0..n`` are snapshotted.
     `block` is the number of time steps whose uniforms are drawn at once,
     by default ``min(MAX_BLOCK, 4 * BLOCK_CELLS // B)`` for ``B``
-    replicates: 2048 up to 128 replicates, 1024 at 256.  The
+    replicates: 2048 up to 64 replicates, 512 at 256.  The
     trajectories do not depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
@@ -565,8 +575,9 @@ def run_batch(
                 np.copyto(u, drawn[:, lo:hi, : rule.draws].transpose(2, 0, 1))
                 lower = hist[k - 1] if rule.reads == "history" else None
                 if rule.reads == "counts":
-                    lower = _running_counts(below_counts, below[:, lo:hi], sizes[k - 1])
-                    below_counts = below_counts + _row_counts(below[:, lo:hi], sizes[k - 1])
+                    lower, below_counts = _running_counts(
+                        below_counts, below[:, lo:hi], sizes[k - 1], N
+                    )
                 xs[:, lo:hi] = rule.step(x, u, n[lo:hi], lower)
                 x = xs[:, hi - 1].astype(np.intp)
             if keep[k]:
@@ -590,43 +601,6 @@ def run_batch(
         final_counts=tuple(counts),
         checkpoint_counts={c: tuple(v) for c, v in snaps.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# Single-transition sampling against frozen histories
-# ---------------------------------------------------------------------------
-
-def transition_samples(
-    config: EngineConfig,
-    level: int,
-    history_states: np.ndarray,
-    current: int,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Draw `size` next states for one level given a frozen lower history.
-
-    Applies exactly the level rule of :func:`run_batch`, so the empirical
-    law can be tested against the oracle kernel row for the occupation
-    measure of `history_states`.  Level 0 ignores the history.
-    """
-    if not 0 <= level <= config.levels:
-        raise ValueError(f"level must lie in 0..{config.levels}")
-    history_states = np.asarray(history_states, dtype=np.int64)
-    if level > 0 and history_states.size == 0:
-        raise ValueError("history must contain at least one state")
-    rule = _rules(config)[level]
-    u = rng.random((size, 1, DRAWS_PER_STEP)).transpose(2, 0, 1)
-    cur = np.full(size, int(current), dtype=np.intp)
-    lower = None
-    if rule.reads == "history":
-        dtype = _history_dtype(config.level_spaces()[level - 1].size)
-        lower = history_states.astype(dtype)[None, :]
-    elif rule.reads == "counts":
-        counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
-        lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))
-    n = np.array([history_states.size - 1])
-    return rule.step(cur, u, n, lower)[:, 0]
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

@@ -487,13 +487,26 @@ def variance_terms(spec: CltSpec, k: int, f: TestFunction) -> list[float]:
     ]
 
 
+def sum_in_order(terms) -> float:
+    """Sum of `terms`, each added to the total left to right.
+
+    Builtin ``sum`` of floats is compensated from Python 3.12 on, which
+    can move a variance in its last bit; this sum gives the same value on
+    every version.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def asymptotic_variance(spec: CltSpec, k: int, f: TestFunction) -> float:
     """Limiting variance of the level-`k` fluctuation field at `f`.
 
     Sums the local variances of the semigroup images of `f` down the
     stack, weighted by ``(2l)!/l!^2`` (see :func:`variance_terms`).
     """
-    return sum(variance_terms(spec, k, f))
+    return sum_in_order(variance_terms(spec, k, f))
 
 
 def asymptotic_cross_covariance(

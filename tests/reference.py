@@ -5,7 +5,10 @@ independent second opinion on the general path-space machinery, the
 remainder checks probe the first-order expansions numerically, the
 stacked product model assembles the whole level stack as one joint
 kernel with dense matrices, and the annealing and weight-array routes
-rebuild closed forms by series and by a second construction.
+rebuild closed forms by series and by a second construction.  The
+single-transition sampler draws one step of an engine level rule against
+a frozen history, so that the engine's transition law can be tested
+against the oracle's kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from imcmc import annealing as ann
-from imcmc import fk
+from imcmc import engine, fk
 from imcmc.harness import s_weights
 from imcmc.measures import (
     PROBABILITY,
@@ -387,3 +390,40 @@ def weight_overlap_check(a: int, b: int, n: int) -> float:
     shared fluctuation levels in cross-level covariances.
     """
     return float((s_weights(a, n).values * s_weights(b, n).values).sum() / n)
+
+
+# ---------------------------------------------------------------------------
+# Single-transition sampling against frozen histories
+# ---------------------------------------------------------------------------
+
+def transition_samples(
+    config: engine.EngineConfig,
+    level: int,
+    history_states: np.ndarray,
+    current: int,
+    rng: np.random.Generator,
+    size: int,
+) -> np.ndarray:
+    """Draw `size` next states for one level given a frozen lower history.
+
+    Applies exactly the level rule of :func:`imcmc.engine.run_batch`, so
+    the empirical law can be tested against the oracle kernel row for the
+    occupation measure of `history_states`.  Level 0 ignores the history.
+    """
+    if not 0 <= level <= config.levels:
+        raise ValueError(f"level must lie in 0..{config.levels}")
+    history_states = np.asarray(history_states, dtype=np.int64)
+    if level > 0 and history_states.size == 0:
+        raise ValueError("history must contain at least one state")
+    rule = engine._rules(config)[level]
+    u = rng.random((size, 1, engine.DRAWS_PER_STEP)).transpose(2, 0, 1)
+    cur = np.full(size, int(current), dtype=np.intp)
+    lower = None
+    if rule.reads == "history":
+        dtype = engine._history_dtype(config.level_spaces()[level - 1].size)
+        lower = history_states.astype(dtype)[None, :]
+    elif rule.reads == "counts":
+        counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
+        lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))
+    n = np.array([history_states.size - 1])
+    return rule.step(cur, u, n, lower)[:, 0]

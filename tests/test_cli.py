@@ -186,6 +186,19 @@ def test_cmd_oracle_operators_columns(tmp_path):
     assert all(r <= 1e-10 for r in residuals), residuals
 
 
+def test_variances_add_terms_left_to_right(tmp_path, monkeypatch):
+    # a compensated sum, as builtin `sum` of floats is from Python 3.12
+    # on, gives 1.0000000000000002; left to right gives 1.0 on every version
+    from imcmc import oracle
+
+    monkeypatch.setattr(oracle, "variance_terms", lambda spec, k, f: [1.0, 1e-16, 1e-16])
+    assert oracle.asymptotic_variance(None, 0, None) == 1.0
+    out = tmp_path / "sum"
+    assert cli.main(["oracle", "--config", write_cfg(tmp_path, toy_text(out=str(out)))]) == 0
+    header, rows, _ = read_rows(out / "variances.csv")
+    assert {r[header.index("var_asymptotic")] for r in rows} == {"1"}
+
+
 def _floats_text(values):
     return " ".join(repr(float(x)) for x in values)
 

@@ -9,6 +9,7 @@ from scipy import stats
 from imcmc import annealing as ann
 from imcmc import engine, fk, oracle
 from imcmc.measures import FiniteSpace, IntegralOperator, Measure, TestFunction
+from reference import transition_samples
 
 
 def toy_config(levels=2, iterations=2000, seed=99, **model_kw):
@@ -171,7 +172,7 @@ def _digest_config(name):
         )
         return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
     if name == "annealing_512":
-        # 512 states at 4 replicates: each counts slice holds at most 32 steps
+        # 512 states at 4 replicates: each counts slice holds at most 16 steps
         # of 2048 (state, replicate) rows, so it takes the per-step add
         S = 512
         model = ann.make_metropolis_model(
@@ -230,25 +231,30 @@ def test_occupation_matches_recount():
         engine.run_batch(cfg, [1], checkpoints=[401])
 
 
-def _peak_of_256_replicates():
-    """tracemalloc peak of a lean 256-replicate toy run, whose counts it checks."""
+def _lean_peak(cfg, replicates):
+    """tracemalloc peak of a lean run of `cfg`, whose counts it checks."""
     import tracemalloc
 
-    cfg = toy_config(iterations=3000)
     engine.run_batch(cfg, range(2), keep_history=False)  # enumerates the path spaces
     tracemalloc.start()
     try:
-        res = engine.run_batch(cfg, range(256), keep_history=False)
+        res = engine.run_batch(cfg, range(replicates), keep_history=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (res.final_counts[2].sum(axis=1) == 3001).all()
+    for k in range(cfg.levels + 1):
+        assert (res.final_counts[k].sum(axis=1) == cfg.iterations + 1).all()
     return peak
 
 
+def _peak_of_256_replicates():
+    """tracemalloc peak of a lean 256-replicate toy run."""
+    return _lean_peak(toy_config(iterations=3000), 256)
+
+
 def test_run_batch_memory_bounded_by_cells():
-    # 256 replicates run 1024-step blocks through reused state buffers and
-    # keep one-byte histories; 2048-step blocks with a fresh state array per
+    # 256 replicates run 512-step blocks (1024 at 2^16 cells) through
+    # reused state buffers and keep one-byte histories; 2048-step blocks with a fresh state array per
     # level and two-byte histories peak near 32 MiB here
     peak = _peak_of_256_replicates()
     assert peak < 20 * 2**20, peak / 2**20
@@ -256,10 +262,26 @@ def test_run_batch_memory_bounded_by_cells():
 
 def test_run_batch_state_buffers_in_history_dtype():
     # one one-byte state buffer per level, and level 0 copying one uniform
-    # plane of its three, peak near 12.7 MiB; two int64 state buffers that
-    # the levels take in turn, and all three planes, near 16.1 MiB
+    # plane of its three, peaked near 12.7 MiB at 2^16 cells; two int64
+    # state buffers that the levels take in turn, and all three planes,
+    # near 16.1 MiB
     peak = _peak_of_256_replicates()
     assert peak < 14 * 2**20, peak / 2**20
+
+
+def test_run_batch_slices_of_2_15_cells():
+    # 512-step blocks of 256 replicates, 3 MiB of uniforms, peak near
+    # 7.4 MiB; slices of 2^16 cells and 1024-step blocks near 12.7 MiB
+    peak = _peak_of_256_replicates()
+    assert peak < 9 * 2**20, peak / 2**20
+
+
+def test_redraw_levels_carry_narrow_counts():
+    # the annealing levels' running counts in two bytes at slices of 2^15
+    # cells peak near 5.2 MiB at 200 replicates; int64 counts at 2^16
+    # cells, recounted each slice, near 10.2 MiB
+    peak = _lean_peak(annealing_config(iterations=3000), 200)
+    assert peak < 7 * 2**20, peak / 2**20
 
 
 def test_fluctuation_field_values():
@@ -280,17 +302,30 @@ def test_fluctuation_field_values():
 
 
 def test_running_counts_match_recount():
-    # long slices of narrow spaces (among them those of a 64-replicate rank-one
-    # run) and one step take the cumsum; a short slice of a wide space takes
-    # the per-step add
+    # long slices of narrow spaces (among them the 2^15-cell slices of a
+    # 64-replicate rank-one run and of a 200-replicate annealing chunk) and
+    # one step take the cumsum; a short slice of a wide space, and one of
+    # 32 rows per step, take the per-step add
     rng = np.random.default_rng(3)
-    for size, B, T in ((3, 2, 50), (2, 64, 512), (4, 64, 256), (64, 256, 4), (5, 3, 1)):
+    shapes = ((3, 2, 50), (2, 64, 512), (4, 64, 256), (64, 256, 4), (5, 3, 1),
+              (2, 64, 256), (4, 64, 128), (4, 200, 40), (4, 256, 32), (64, 256, 2))
+    for size, B, T in shapes:
         start = rng.integers(0, 5, (B, size))
         states = rng.integers(0, size, (B, T))
-        got = engine._running_counts(start, states, size)
+        got, end = engine._running_counts(start, states, size, 1000)
+        assert got.dtype == np.uint16
         for t in range(T):
             want = start + engine._row_counts(states[:, :t], size)
             assert np.array_equal(got[:, :, t], want.T)
+        assert np.array_equal(end, start + engine._row_counts(states, size))
+    # one state at every time: the end counts reach iterations + 1, which
+    # one byte holds at 254 iterations and two bytes at 255
+    for iterations, dtype in ((254, np.uint8), (255, np.uint16)):
+        T = 56
+        start = np.array([[iterations + 1 - T]])
+        got, end = engine._running_counts(start, np.zeros((1, T), dtype=np.intp), 1, iterations)
+        assert got.dtype == dtype
+        assert got[0, 0, -1] == iterations and end[0, 0] == iterations + 1
 
 
 @pytest.mark.parametrize(
@@ -340,7 +375,7 @@ def test_step_law_fk_mh():
         counts = np.bincount(history, minlength=space_prev.size)
         eta = Measure.probability(space_prev, counts / counts.sum())
         row = fk.mh_kernel(model, level, eta).matrix[cur]
-        samples = engine.transition_samples(cfg, level, history, cur, rng, 10**6)
+        samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
 
 
@@ -359,7 +394,7 @@ def test_step_law_fk_heterogeneous():
         counts = np.bincount(history, minlength=space_prev.size)
         eta = Measure.probability(space_prev, counts / counts.sum())
         row = fk.mh_kernel(model, level, eta).matrix[cur]
-        samples = engine.transition_samples(cfg, level, history, cur, rng, 10**6)
+        samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
 
 
@@ -394,7 +429,7 @@ def test_step_law_fk_rank_one():
     counts = np.bincount(history, minlength=space_prev.size)
     eta = Measure.probability(space_prev, counts / counts.sum())
     row = fk.rank_one_kernel(model, 2, eta).to_operator().matrix[cur]
-    samples = engine.transition_samples(cfg, 2, history, cur, rng, 10**6)
+    samples = transition_samples(cfg, 2, history, cur, rng, 10**6)
     assert chi_square_against_row(samples, row) > 1e-3
 
 
@@ -407,14 +442,14 @@ def test_step_law_annealing():
         counts = np.bincount(history, minlength=4)
         eta = Measure.probability(cfg.model.space, counts / counts.sum())
         row = ann.mixture_kernel(cfg.model, level, eta).matrix[cur]
-        samples = engine.transition_samples(cfg, level, history, cur, rng, 10**6)
+        samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
 
 
 def test_step_law_level0():
     cfg = chain2_config()
     rng = np.random.default_rng(13)
-    nxt = engine.transition_samples(cfg, 0, [], 0, rng, 10**6)
+    nxt = transition_samples(cfg, 0, [], 0, rng, 10**6)
     assert chi_square_against_row(nxt, np.array([0.9, 0.1])) > 1e-3
 
 
@@ -425,7 +460,7 @@ def test_step_mh_rejection_keeps_whole_path():
     rng = np.random.default_rng(14)
     history = np.array([0])  # path (0): low-potential terminal
     cur = 3  # path (1, 1): high-potential prefix terminal
-    samples = engine.transition_samples(cfg, 1, history, cur, rng, 20_000)
+    samples = transition_samples(cfg, 1, history, cur, rng, 20_000)
     proposals = {0, 1}  # paths extending history path 0
     stayed = samples == cur
     assert stayed.any()
@@ -445,7 +480,7 @@ def test_constant_potential_always_accepts():
     rng = np.random.default_rng(15)
     history = np.array([1])
     cur = 0  # proposals all extend path 1, so acceptance must always move
-    samples = engine.transition_samples(cfg, 1, history, cur, rng, 50_000)
+    samples = transition_samples(cfg, 1, history, cur, rng, 50_000)
     assert (samples >= 2).all()  # never stays on the current path
 
 
