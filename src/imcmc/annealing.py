@@ -36,7 +36,6 @@ from .measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    compose,
     integrate,
 )
 from .fk import KERNEL_INVARIANCE_TOL, PathSpace, boltzmann_gibbs
@@ -201,22 +200,31 @@ def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperat
     return IntegralOperator(model.space, model.space, matrix, markov=True)
 
 
-def first_order_D(model: AnnealingModel, l: int, eta: Measure) -> FirstOrderOperator:
+def first_order_D(model: AnnealingModel, l: int, eta: Measure, bundle) -> FirstOrderOperator:
     """First-order expansion operator of the level map around `eta`.
 
     The transport realization of the reweighting step at `eta`, scaled by
-    ``1/eta(G_l)`` and pushed through ``L_{l+1}`` and the geometric
-    kernel.  Not markov (constant mass ``1/eta(G_l)``).  It is kept as
-    the transport and the dense step, so no operator product is formed.
+    ``1/eta(G_l)`` and followed by the step ``Q = L_{l+1} G_{l+1}``, with
+    ``G_{l+1}`` the geometric kernel.  Not markov (constant mass
+    ``1/eta(G_l)``).
+
+    `bundle` is the level-``l+1`` :class:`~imcmc.oracle.ResolventBundle`.
+    Its kernel is ``M = eps K_{l+1} + (1-eps) 1 (x) pi_{l+1}``, so the
+    geometric kernel is ``(1-eps) (I - eps K_{l+1})^{-1} = (1-eps) P +
+    1 (x) pi_{l+1}`` with ``P`` the bundle's resolvent, and ``Q f =
+    L_{l+1}((1-eps) P f + pi_{l+1}(f))`` costs two mat-vecs: no solve and
+    no operator product.  The step does not depend on `eta`.
     """
     if not 0 <= l < model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
     G = potential_fn(model, l)
     denom = integrate(eta, G)
-    step = compose(model.kernels_l[l + 1], geometric_kernel(model, l + 1))
+    L = model.kernels_l[l + 1].matrix
+    pi = bundle.invariant.weights
+    eps = model.epsilon
     return FirstOrderOperator(
         model.space, model.space, G.values, boltzmann_gibbs(eta, G).weights, 1.0 / denom,
-        step.matrix,
+        lambda v: L @ ((1.0 - eps) * bundle.apply(v) + float(pi @ v)),
     )
 
 
@@ -225,19 +233,17 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
 
     Off-diagonal flow ``proposal(x, y) * min(1, pi(y)/pi(x))``; the
     rejected mass is folded into the diagonal with compensated sums so
-    rows are exactly stochastic.
+    rows are exactly stochastic.  The symmetry of `proposal` is the
+    caller's to check (:func:`make_metropolis_model` does, once per model).
     """
     if not proposal.markov or proposal.src != proposal.dst:
         raise ValueError("proposal must be a markov kernel on a single space")
     if proposal.src != pi.space:
         raise ValueError("proposal and target live on different spaces")
-    P = proposal.matrix
-    if not np.array_equal(P, P.T):
-        raise ValueError("proposal matrix must be symmetric")
     if pi.weights.min() <= 0.0:
         raise ValueError("target must be strictly positive for the acceptance ratios")
     ratio = np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
-    flow = P * ratio
+    flow = proposal.matrix * ratio
     matrix = flow.copy()
     # fsum is correctly rounded, so summing only the nonzero off-diagonal
     # flows leaves each row's sum as it is
@@ -264,6 +270,8 @@ def make_metropolis_model(
         proposal = IntegralOperator(
             space, space, np.full((space.size, space.size), 1.0 / space.size), markov=True
         )
+    elif not np.array_equal(proposal.matrix, proposal.matrix.T):
+        raise ValueError("proposal matrix must be symmetric")
     betas = tuple(float(b) for b in betas)
     ref = reference if reference is not None else Measure.uniform(space)
     kernels = tuple(

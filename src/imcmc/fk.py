@@ -262,8 +262,8 @@ def first_order_D(model: FKModel, l: int, eta: Measure) -> FirstOrderOperator:
     with ``D`` the transport kernel at `eta` scaled by ``1/eta(G_l)``
     and composed with the path extension.  `D` maps level-`l` paths to
     level-``l+1`` paths; it is not markov (constant mass ``1/eta(G_l)``).
-    It is kept as the transport and the extension's rows, so applying it
-    costs ``O(S_{l+1})``.
+    It is kept as the transport and a step that applies the extension's
+    rows to the reshaped values, so applying it costs ``O(S_{l+1})``.
     """
     if l >= model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
@@ -273,9 +273,11 @@ def first_order_D(model: FKModel, l: int, eta: Measure) -> FirstOrderOperator:
     denom = integrate(eta, G)
     if denom <= 0.0:
         raise ValueError(f"eta(G_{l}) = {denom}; expansion undefined")
+    rows = model.transitions[l].matrix[term]
+    width = rows.shape[1]
     return FirstOrderOperator(
         ps.space, ps_next.space, G.values, boltzmann_gibbs(eta, G).weights, 1.0 / denom,
-        model.transitions[l].matrix[term],
+        lambda v: (rows * v.reshape(-1, width)).sum(axis=1),
     )
 
 

@@ -4,9 +4,9 @@ This module is the numerical foundation for everything else: enumerated
 state spaces, signed and probability measures as weight vectors, integral
 operators as dense matrices, markov kernels kept in class factors
 (:class:`FactoredKernel`), first-order operators kept as a transport and
-a step (:class:`FirstOrderOperator`), and the handful of norms and
-coefficients (total variation, oscillation, Dobrushin contraction) the
-rest of the package reasons with.
+the action of a markov step (:class:`FirstOrderOperator`), and the
+handful of norms and coefficients (total variation, oscillation,
+Dobrushin contraction) the rest of the package reasons with.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,11 +389,10 @@ class FirstOrderOperator:
 
     ``T(x, y) = G(x) 1{y = x} + (1 - G(x)) psi(y)`` is the transport of
     the reweighting by the `potential` ``G`` at ``eta``, with ``psi`` the
-    reweighted ``eta`` (`redraw`); ``Q`` is a markov step whose row ``x``
-    puts ``rows[x]`` on ``w = rows.shape[1]`` states of `dst`: the states
-    ``x w .. x w + w - 1`` when ``dst`` has ``src.size * w`` states (a
-    path extension), all of ``dst`` when it has ``w``.  ``T`` and ``Q``
-    are nonnegative and markov, so the sup-norm operator norm of ``D`` is
+    reweighted ``eta`` (`redraw`); ``Q`` is a markov step from `src` into
+    `dst`, kept as its action `step`, which maps the values of a `dst`
+    function to those of ``Q f`` on `src`.  ``T`` and ``Q`` are
+    nonnegative and markov, so the sup-norm operator norm of ``D`` is
     exactly ``scale = 1 / eta(G)``.
     """
 
@@ -401,30 +401,14 @@ class FirstOrderOperator:
     potential: np.ndarray
     redraw: np.ndarray
     scale: float
-    rows: np.ndarray
-
-    def __post_init__(self):
-        n, w = self.src.size, self.rows.shape[1]
-        if self.rows.shape[0] != n or self.dst.size not in (w, n * w):
-            raise ValueError(
-                f"first-order operator {self.src.id!r}->{self.dst.id!r}: step rows "
-                f"{self.rows.shape} fit neither a path extension nor a full step"
-            )
+    step: Callable[[np.ndarray], np.ndarray]
 
     def apply(self, f: TestFunction) -> TestFunction:
         """``D f``, a function on `src`."""
         _check_space(self.dst, f.space, "first-order operator")
-        q = (self.rows * f.values.reshape(-1, self.rows.shape[1])).sum(axis=1)
+        q = self.step(f.values)
         g = self.potential
         return TestFunction(self.src, self.scale * (g * q + (1.0 - g) * float(self.redraw @ q)))
-
-    def act(self, mu: Measure) -> Measure:
-        """``mu D``, a signed measure on `dst`."""
-        _check_space(self.src, mu.space, "first-order operator")
-        g = self.potential
-        nu = mu.weights * g + float(mu.weights @ (1.0 - g)) * self.redraw
-        w = (nu[:, None] * self.rows).reshape(-1, self.dst.size).sum(axis=0)
-        return Measure(self.dst, self.scale * w, kind=SIGNED)
 
 
 # ---------------------------------------------------------------------------

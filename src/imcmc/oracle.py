@@ -32,6 +32,10 @@ from ``V``, and the vector series ``sum_{n>=0} M^n fb``, summed until
 the contraction certificate bounds its tail.  The two images must agree
 entrywise; disagreement raises :class:`OracleError` rather than silently
 returning either value.  The first-order semigroups act on vectors too.
+On an annealing level the geometric kernel is an affine image of the
+level's resolvent, ``(1 - eps) P + 1 (x) pi``, so each first-order
+operator steps through the next level's bundle, and the spec solves one
+resolvent per level and nothing else.
 
 Each level's certificate is a power ``M^n0``, ``n0 = 2^k`` reached by
 repeated squaring of the factors, with the Doeblin bound ``m_n0 = 1 -
@@ -439,19 +443,17 @@ def build_clt_spec(model, k_max: int) -> CltSpec:
         pis = tuple(fk.exact_path_measure(model, l) for l in levels)
         level_kernel = fk.rank_one_kernel if model.kernel_type == "rank_one" else fk.mh_factors
         kernels += [level_kernel(model, l, pis[l - 1]) for l in levels[1:]]
-        d_ops = tuple(fk.first_order_D(model, l, pis[l]) for l in range(k_max))
     else:
         pis = tuple(ann.gibbs_measure(model, l) for l in levels)
         kernels += [
             FactoredKernel.dense(ann.mixture_kernel(model, l, pis[l - 1])) for l in levels[1:]
         ]
-        d_ops = tuple(ann.first_order_D(model, l, pis[l]) for l in range(k_max))
-    return CltSpec(
-        model=model,
-        level=k_max,
-        bundles=tuple(map(resolvent_bundle, kernels, pis)),
-        d_ops=d_ops,
-    )
+    bundles = tuple(map(resolvent_bundle, kernels, pis))
+    if isinstance(model, fk.FKModel):
+        d_ops = tuple(fk.first_order_D(model, l, pis[l]) for l in range(k_max))
+    else:
+        d_ops = tuple(ann.first_order_D(model, l, pis[l], bundles[l + 1]) for l in range(k_max))
+    return CltSpec(model=model, level=k_max, bundles=bundles, d_ops=d_ops)
 
 
 def d_semigroup(spec: CltSpec, k: int, l: int, f: TestFunction) -> TestFunction:

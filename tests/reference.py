@@ -29,10 +29,11 @@ from imcmc.measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    act_measure,
     tv_norm,
 )
 from imcmc.oracle import CltSpec
+
+from helpers import operator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +131,8 @@ def remainder_norm(map_fn, eta: Measure, mu: Measure, D, t: float) -> float:
     mu_t = Measure(
         eta.space, eta.weights + t * (mu.weights - eta.weights), kind=PROBABILITY
     )
-    if isinstance(D, FirstOrderOperator):
-        lead = D.act(mu_t - eta)
-    else:
-        lead = act_measure(mu_t - eta, D)
+    matrix = operator_matrix(D) if isinstance(D, FirstOrderOperator) else D.matrix
+    lead = Measure(D.dst, (mu_t - eta).weights @ matrix, kind=SIGNED)
     diff = map_fn(mu_t) - map_fn(eta) - lead
     return tv_norm(diff)
 
@@ -282,11 +281,6 @@ def product_limit(spec: CltSpec, l: int) -> Measure:
     return out
 
 
-def _dense_rows(D: FirstOrderOperator) -> np.ndarray:
-    """The matrix of `D`, one point mass pushed through it per row."""
-    return np.stack([D.act(Measure.dirac(D.src, x)).weights for x in range(D.src.size)])
-
-
 def product_model(spec: CltSpec, l: int) -> ProductModel:
     """Tensor the level stack ``0 .. l`` into a single joint model.
 
@@ -319,7 +313,7 @@ def product_model(spec: CltSpec, l: int) -> ProductModel:
 
     matrix = np.zeros((src_size, dst_size))
     for k in range(l + 1):
-        D = _dense_rows(spec.d_ops[k])  # level k -> level k+1
+        D = operator_matrix(spec.d_ops[k])  # level k -> level k+1
         low = spec.pis[0].weights
         for m in range(1, k + 1):
             low = np.outer(low, spec.pis[m].weights).ravel()

@@ -123,12 +123,13 @@ def test_criterion_3_first_order_regularity():
     results["fk"] = hits / 200
 
     amodel = annealing_model(0.3)
+    bundles = oracle.build_clt_spec(amodel, amodel.levels).bundles
     hits = 0
     for _ in range(200):
         l = int(rng.integers(0, amodel.levels))
         eta = random_probability(rng, amodel.space)
         mu = random_probability(rng, amodel.space)
-        D = ann.first_order_D(amodel, l, eta)
+        D = ann.first_order_D(amodel, l, eta, bundles[l + 1])
         ratios = reference.remainder_ratios(lambda v: ann.annealing_map(amodel, l, v), eta, mu, D)
         hits += all(3.5 <= r <= 4.5 for r in ratios)
     results["annealing"] = hits / 200

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imcmc import annealing as ann
+from imcmc import oracle
 from imcmc.measures import (
     FiniteSpace,
     IntegralOperator,
@@ -168,9 +169,9 @@ def test_default_metropolis():
     # uniform target accepts everything
     uni = Measure.uniform(sp)
     assert np.allclose(ann.metropolis_kernel(uni, swap).matrix, swap.matrix)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         asym = IntegralOperator(sp, sp, np.array([[0.5, 0.5], [0.9, 0.1]]), markov=True)
-        ann.metropolis_kernel(pi, asym)
+        ann.make_metropolis_model(sp, np.array([0.0, 1.0]), (1.0,), 0.3, asym)
 
 
 def test_metropolis_detailed_balance():
@@ -241,12 +242,13 @@ def test_model_rejects_bad_kernels():
 
 def test_first_order_remainder_scaling():
     m = model4(epsilon=0.4)
+    bundles = oracle.build_clt_spec(m, m.levels).bundles
     rng = np.random.default_rng(8)
     hits, trials = 0, 40
     for _ in range(trials):
         l = int(rng.integers(0, m.levels))
         eta, mu = random_probability(rng, m.space), random_probability(rng, m.space)
-        D = ann.first_order_D(m, l, eta)
+        D = ann.first_order_D(m, l, eta, bundles[l + 1])
         ratios = remainder_ratios(lambda v: ann.annealing_map(m, l, v), eta, mu, D)
         if all(3.5 <= r <= 4.5 for r in ratios):
             hits += 1

@@ -242,7 +242,7 @@ ORACLE_DIGESTS = {
     },
     "ring-64": {
         "limit_measures": "ce7448008a314486e0414d93005e89b75606f4d07570db1bacb586bf288c3949",
-        "variances": "cb2b8b46ed8ae1483b2ea5e53e42989f6462306796ca664da179078dff9f7d02",
+        "variances": "1797582bbee2f1e8daf5ebcf8c9341b37d058fb721ba37d8250f9cd953e64100",
         "operators": "033bd09360fa3a1e22479dd6420765a75598ca6f40d4a6883a3adefe25ff52b9",
     },
     "fk-3-4-4": {
