@@ -16,7 +16,6 @@ from .measures import (
     integrate,
     operator_norm,
     oscillation,
-    tv_norm,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 The level-`l` target is the Gibbs measure ``exp(-beta_l V) * lam``
 normalized, for an increasing inverse-temperature schedule ``beta_0 <
 beta_1 < ...`` and a strictly positive reference measure ``lam``.  Two
-families of user-supplied markov kernels ``K_l`` and ``L_l``, each
+families of user-supplied Markov kernels ``K_l`` and ``L_l``, each
 leaving the level-`l` Gibbs measure invariant, drive the dynamics:
 
 * the level map reweights by ``G_l = exp(-(beta_{l+1}-beta_l) V)``,
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (
-    PROBABILITY,
     FiniteSpace,
     FirstOrderOperator,
     IntegralOperator,
@@ -101,8 +100,8 @@ class AnnealingModel:
             if len(kernels) != L + 1:
                 raise ValueError(f"{name}: expected {L + 1} kernels, got {len(kernels)}")
             for l, M in enumerate(kernels):
-                if not M.markov or M.src != self.space or M.dst != self.space:
-                    raise ValueError(f"{name}[{l}] must be a markov kernel on the model space")
+                if M.src != self.space or M.dst != self.space:
+                    raise ValueError(f"{name}[{l}] must be a kernel on the model space")
                 pi = gibbs_measure(self, l).weights
                 resid = np.abs(pi @ M.matrix - pi).max()
                 if resid > KERNEL_INVARIANCE_TOL:
@@ -132,7 +131,7 @@ def gibbs_measure(model: AnnealingModel, l: int) -> Measure:
     if not 0 <= l <= model.levels:
         raise ValueError(f"level {l} out of range 0..{model.levels}")
     w = _gibbs_weights(model.potential.values, model.betas[l], model.reference.weights)
-    return Measure(model.space, w, kind=PROBABILITY)
+    return Measure(model.space, w)
 
 
 def potential_fn(model: AnnealingModel, l: int) -> TestFunction:
@@ -151,7 +150,7 @@ def potential_fn(model: AnnealingModel, l: int) -> TestFunction:
 def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     """Geometric average ``(1-eps) sum_k eps^k K_l^k`` in closed form.
 
-    Materialized as ``(1-eps) (I - eps K_l)^{-1}``; markov and invariant
+    Materialized as ``(1-eps) (I - eps K_l)^{-1}``; Markov and invariant
     for the level-`l` Gibbs measure whenever ``K_l`` is.
     """
     if not 0 <= l <= model.levels:
@@ -164,7 +163,7 @@ def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     mat = (1.0 - eps) * np.linalg.solve(np.eye(n) - eps * K.matrix, np.eye(n))
     mat = np.maximum(mat, 0.0)
     mat /= mat.sum(axis=1, keepdims=True)
-    return IntegralOperator(model.space, model.space, mat, markov=True)
+    return IntegralOperator(model.space, model.space, mat)
 
 
 def annealing_map(model: AnnealingModel, l: int, mu: Measure) -> Measure:
@@ -178,7 +177,7 @@ def annealing_map(model: AnnealingModel, l: int, mu: Measure) -> Measure:
     psi = boltzmann_gibbs(mu, potential_fn(model, l))
     w = psi.weights @ model.kernels_l[l + 1].matrix @ geometric_kernel(model, l + 1).matrix
     w = np.maximum(w, 0.0)
-    return Measure(model.space, w / w.sum(), kind=PROBABILITY)
+    return Measure(model.space, w / w.sum())
 
 
 def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperator:
@@ -197,7 +196,7 @@ def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperat
     psi = boltzmann_gibbs(mu, potential_fn(model, l - 1))
     rho = psi.weights @ model.kernels_l[l].matrix
     matrix = eps * model.kernels_k[l].matrix + (1.0 - eps) * np.tile(rho, (model.space.size, 1))
-    return IntegralOperator(model.space, model.space, matrix, markov=True)
+    return IntegralOperator(model.space, model.space, matrix)
 
 
 def first_order_D(model: AnnealingModel, l: int, eta: Measure, bundle) -> FirstOrderOperator:
@@ -205,7 +204,7 @@ def first_order_D(model: AnnealingModel, l: int, eta: Measure, bundle) -> FirstO
 
     The transport realization of the reweighting step at `eta`, scaled by
     ``1/eta(G_l)`` and followed by the step ``Q = L_{l+1} G_{l+1}``, with
-    ``G_{l+1}`` the geometric kernel.  Not markov (constant mass
+    ``G_{l+1}`` the geometric kernel.  Not Markov (constant mass
     ``1/eta(G_l)``).
 
     `bundle` is the level-``l+1`` :class:`~imcmc.oracle.ResolventBundle`.
@@ -236,8 +235,8 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
     rows are exactly stochastic.  The symmetry of `proposal` is the
     caller's to check (:func:`make_metropolis_model` does, once per model).
     """
-    if not proposal.markov or proposal.src != proposal.dst:
-        raise ValueError("proposal must be a markov kernel on a single space")
+    if proposal.src != proposal.dst:
+        raise ValueError("proposal must be a kernel on a single space")
     if proposal.src != pi.space:
         raise ValueError("proposal and target live on different spaces")
     if pi.weights.min() <= 0.0:
@@ -249,7 +248,7 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
     # flows leaves each row's sum as it is
     np.fill_diagonal(flow, 0.0)
     np.fill_diagonal(matrix, [1.0 - math.fsum(row[row != 0.0].tolist()) for row in flow])
-    return IntegralOperator(pi.space, pi.space, matrix, markov=True)
+    return IntegralOperator(pi.space, pi.space, matrix)
 
 
 def make_metropolis_model(
@@ -267,16 +266,15 @@ def make_metropolis_model(
     """
     potential = potential if isinstance(potential, TestFunction) else TestFunction(space, potential)
     if proposal is None:
-        proposal = IntegralOperator(
-            space, space, np.full((space.size, space.size), 1.0 / space.size), markov=True
-        )
+        n = space.size
+        proposal = IntegralOperator(space, space, np.full((n, n), 1.0 / n))
     elif not np.array_equal(proposal.matrix, proposal.matrix.T):
         raise ValueError("proposal matrix must be symmetric")
     betas = tuple(float(b) for b in betas)
     ref = reference if reference is not None else Measure.uniform(space)
     kernels = tuple(
         metropolis_kernel(
-            Measure(space, _gibbs_weights(potential.values, b, ref.weights), kind=PROBABILITY),
+            Measure(space, _gibbs_weights(potential.values, b, ref.weights)),
             proposal,
         )
         for b in betas

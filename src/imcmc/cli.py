@@ -94,7 +94,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     for k in range(cfg.levels + 1):
         for name, f in cfg.functions[k]:
             terms = oracle.variance_terms(spec, k, f)
-            rows.append([k, name, terms[0], oracle.sum_in_order(terms), oracle.coefficient_sq(k)])
+            rows.append([k, name, terms[0], oracle.sum_in_order(terms), oracle.cross_coefficient(k, k)])
     with open(out / "variances.csv", "w") as fh:
         write_csv(
             fh,

@@ -82,6 +82,13 @@ def _floats(path: str, text: str) -> np.ndarray:
         raise ConfigError(path, f"expected a space-separated number list, got {text!r}")
 
 
+def _float(path: str, text: str) -> float:
+    values = _floats(path, text)
+    if values.size != 1:
+        raise ConfigError(path, f"expected one number, got {text!r}")
+    return float(values[0])
+
+
 def _ints(path: str, text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split()]
@@ -113,6 +120,14 @@ def _stochastic(path: str, m: np.ndarray) -> np.ndarray:
     if m.min() < 0 or np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
         raise ConfigError(path, "matrix must be row-stochastic within 1e-9")
     return m / m.sum(axis=1, keepdims=True)
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ``ValueError`` reported against the field `path`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(path, str(e))
 
 
 @dataclass
@@ -151,13 +166,13 @@ def _build_fk_model(sec) -> fk.FKModel:
     if preset == "toy":
         if "p" not in sec or "betas" not in sec:
             raise ConfigError("model", "preset 'toy' needs fields p and betas")
-        p = float(sec["p"])
+        p = _float("model.p", sec["p"])
         betas = _floats("model.betas", sec["betas"])
         if not 0 < p < 1:
             raise ConfigError("model.p", f"must lie in (0, 1), got {p}")
         if len(betas) < 2 or np.any(np.diff(betas) <= 0) or betas[0] <= 0:
             raise ConfigError("model.betas", "must be strictly increasing and positive")
-        return fk.toy_model(p, betas, kernel_type=kernel)
+        return _checked("model", fk.toy_model, p, betas, kernel_type=kernel)
     if preset is not None:
         raise ConfigError("model.preset", f"unknown preset {preset!r}")
     if "spaces" not in sec:
@@ -169,41 +184,36 @@ def _build_fk_model(sec) -> fk.FKModel:
     L = len(sizes) - 1
     if "initial" not in sec:
         raise ConfigError("model.initial", "required")
-    try:
-        initial = Measure.probability(spaces[0], _floats("model.initial", sec["initial"]))
-    except ValueError as e:
-        raise ConfigError("model.initial", str(e))
+    w = _floats("model.initial", sec["initial"])
+    initial = _checked("model.initial", Measure, spaces[0], w)
     transitions = []
     for l in range(1, L + 1):
         key = f"transition_{l}"
         if key not in sec:
             raise ConfigError(f"model.{key}", "required")
         m = _stochastic(f"model.{key}", _matrix(f"model.{key}", sec[key]))
-        try:
-            transitions.append(IntegralOperator(spaces[l - 1], spaces[l], m, markov=True))
-        except ValueError as e:
-            raise ConfigError(f"model.{key}", str(e))
+        transitions.append(_checked(f"model.{key}", IntegralOperator, spaces[l - 1], spaces[l], m))
     potentials = []
     for l in range(L):
         key = f"potential_{l}"
         if key not in sec:
             raise ConfigError(f"model.{key}", "required")
-        potentials.append(TestFunction(spaces[l], _floats(f"model.{key}", sec[key])))
+        values = _floats(f"model.{key}", sec[key])
+        potentials.append(_checked(f"model.{key}", TestFunction, spaces[l], values))
     level0 = None
     if "m0" in sec:
         m = _stochastic("model.m0", _matrix("model.m0", sec["m0"]))
-        level0 = IntegralOperator(spaces[0], spaces[0], m, markov=True)
-    try:
-        return fk.FKModel(
-            base_spaces=spaces,
-            initial=initial,
-            transitions=tuple(transitions),
-            potentials=tuple(potentials),
-            level0_kernel=level0,
-            kernel_type=kernel,
-        )
-    except ValueError as e:
-        raise ConfigError("model", str(e))
+        level0 = _checked("model.m0", IntegralOperator, spaces[0], spaces[0], m)
+    return _checked(
+        "model",
+        fk.FKModel,
+        base_spaces=spaces,
+        initial=initial,
+        transitions=tuple(transitions),
+        potentials=tuple(potentials),
+        level0_kernel=level0,
+        kernel_type=kernel,
+    )
 
 
 def _build_annealing_model(sec) -> ann.AnnealingModel:
@@ -221,32 +231,30 @@ def _build_annealing_model(sec) -> ann.AnnealingModel:
     betas = _floats("model.betas", sec["betas"])
     if len(betas) < 2 or np.any(np.diff(betas) <= 0) or betas[0] <= 0:
         raise ConfigError("model.betas", "must be strictly increasing and positive")
-    epsilon = float(sec["epsilon"])
+    epsilon = _float("model.epsilon", sec["epsilon"])
     if not 0 <= epsilon < 1:
         raise ConfigError("model.epsilon", f"must lie in [0, 1), got {epsilon}")
     reference = None
     if "reference" in sec and sec["reference"] != "uniform":
         w = _floats("model.reference", sec["reference"])
-        if w.min() <= 0:
+        if not (w > 0).all():
             raise ConfigError("model.reference", "must be strictly positive")
-        reference = Measure.probability(space, w / w.sum())
+        reference = _checked("model.reference", Measure, space, w / w.sum())
     proposal = None
     if "proposal" in sec and sec["proposal"] != "uniform":
         m = _stochastic("model.proposal", _matrix("model.proposal", sec["proposal"]))
-        proposal = IntegralOperator(space, space, m, markov=True)
-        if not np.array_equal(m, m.T):
-            raise ConfigError("model.proposal", "must be symmetric")
-    try:
-        return ann.make_metropolis_model(
-            space,
-            TestFunction(space, values),
-            betas,
-            epsilon,
-            proposal=proposal,
-            reference=reference,
-        )
-    except ValueError as e:
-        raise ConfigError("model", str(e))
+        proposal = _checked("model.proposal", IntegralOperator, space, space, m)
+    # make_metropolis_model checks that the proposal is symmetric
+    return _checked(
+        "model",
+        ann.make_metropolis_model,
+        space,
+        values,
+        betas,
+        epsilon,
+        proposal=proposal,
+        reference=reference,
+    )
 
 
 def _build_functions(sec, spaces: list[fk.PathSpace]) -> list[list[tuple[str, TestFunction]]]:
@@ -262,7 +270,9 @@ def _build_functions(sec, spaces: list[fk.PathSpace]) -> list[list[tuple[str, Te
                 raise ConfigError(f"functions.{key}", f"bad level suffix {lvl!r}")
             if not 0 <= k <= levels:
                 raise ConfigError(f"functions.{key}", f"level {k} out of range 0..{levels}")
-            out[k].append((name, TestFunction(spaces[k].space, _floats(f"functions.{key}", value))))
+            values = _floats(f"functions.{key}", value)
+            f = _checked(f"functions.{key}", TestFunction, spaces[k].space, values)
+            out[k].append((name, f))
             continue
         if value.startswith("terminal_indicator(") and value.endswith(")"):
             idx = parse_int(f"functions.{key}", value[len("terminal_indicator(") : -1])

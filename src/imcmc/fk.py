@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
-    PROBABILITY,
     FactoredKernel,
     FiniteSpace,
     FirstOrderOperator,
@@ -57,7 +56,7 @@ class FKModel:
     initial : Measure
         Probability measure on ``S'_0`` (the level-0 limit law).
     transitions : tuple of IntegralOperator
-        ``transitions[l-1]`` is the markov kernel ``L'_l`` from
+        ``transitions[l-1]`` is the Markov kernel ``L'_l`` from
         ``S'_{l-1}`` into ``S'_l``, for ``l = 1 .. L``.
     potentials : tuple of TestFunction
         ``potentials[l]`` is ``G'_l`` on ``S'_l`` with values in
@@ -83,15 +82,13 @@ class FKModel:
         L = self.levels
         if L < 0:
             raise ValueError("FKModel needs at least one base space")
-        if self.initial.kind != PROBABILITY or self.initial.space != self.base_spaces[0]:
-            raise ValueError("initial must be a probability measure on the first base space")
+        if self.initial.space != self.base_spaces[0]:
+            raise ValueError("initial must be a law on the first base space")
         if len(self.transitions) != L:
             raise ValueError(f"expected {L} transitions, got {len(self.transitions)}")
         if len(self.potentials) != L:
             raise ValueError(f"expected {L} potentials, got {len(self.potentials)}")
         for l, T in enumerate(self.transitions, start=1):
-            if not T.markov:
-                raise ValueError(f"transition {l} is not markov")
             if T.src != self.base_spaces[l - 1] or T.dst != self.base_spaces[l]:
                 raise ValueError(f"transition {l} does not map level {l-1} into level {l}")
         for l, G in enumerate(self.potentials):
@@ -110,8 +107,8 @@ class FKModel:
                 IntegralOperator.rank_one(self.base_spaces[0], self.initial),
             )
         k0 = self.level0_kernel
-        if not k0.markov or k0.src != self.base_spaces[0] or k0.dst != self.base_spaces[0]:
-            raise ValueError("level0_kernel must be a markov kernel on the first base space")
+        if k0.src != self.base_spaces[0] or k0.dst != self.base_spaces[0]:
+            raise ValueError("level0_kernel must be a kernel on the first base space")
         resid = np.abs(self.initial.weights @ k0.matrix - self.initial.weights).max()
         if resid > KERNEL_INVARIANCE_TOL:
             raise ValueError(
@@ -180,17 +177,15 @@ def exact_path_measure(model: FKModel, l: int) -> Measure:
     total = w.sum()
     if total <= 0.0:
         raise ValueError(f"level {l} path weights sum to {total}; cannot normalize")
-    return Measure(path_space(model, l).space, w / total, kind=PROBABILITY)
+    return Measure(path_space(model, l).space, w / total)
 
 
 def boltzmann_gibbs(mu: Measure, G: TestFunction) -> Measure:
     """Reweight `mu` by the positive potential `G` and renormalize."""
-    if mu.kind != PROBABILITY:
-        raise ValueError("boltzmann_gibbs expects a probability measure")
     denom = integrate(mu, G)
     if denom <= 0.0:
         raise ValueError(f"mu(G) = {denom}; the transform is undefined")
-    return Measure(mu.space, mu.weights * G.values / denom, kind=PROBABILITY)
+    return Measure(mu.space, mu.weights * G.values / denom)
 
 
 def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:
@@ -211,7 +206,7 @@ def fk_map(model: FKModel, l: int, mu: Measure) -> Measure:
     term = ps.terminal
     psi = boltzmann_gibbs(mu, TestFunction(ps.space, model.potentials[l].values[term]))
     w = (psi.weights[:, None] * model.transitions[l].matrix[term, :]).ravel()
-    return Measure(path_space(model, l + 1).space, w, kind=PROBABILITY)
+    return Measure(path_space(model, l + 1).space, w)
 
 
 def mh_factors(model: FKModel, l: int, mu: Measure) -> FactoredKernel:
@@ -261,7 +256,7 @@ def first_order_D(model: FKModel, l: int, eta: Measure) -> FirstOrderOperator:
     ``fk_map(mu) - fk_map(eta) = (mu - eta) D + O(||mu - eta||^2)``
     with ``D`` the transport kernel at `eta` scaled by ``1/eta(G_l)``
     and composed with the path extension.  `D` maps level-`l` paths to
-    level-``l+1`` paths; it is not markov (constant mass ``1/eta(G_l)``).
+    level-``l+1`` paths; it is not Markov (constant mass ``1/eta(G_l)``).
     It is kept as the transport and a step that applies the extension's
     rows to the reshaped values, so applying it costs ``O(S_{l+1})``.
     """
@@ -318,11 +313,9 @@ def toy_model(p: float, betas, kernel_type: str = "mh") -> FKModel:
         a, b = p ** betas[l], q ** betas[l]
         return np.array([a / (a + b), b / (a + b)])
 
-    initial = Measure.probability(spaces[0], marginal(0))
+    initial = Measure(spaces[0], marginal(0))
     transitions = tuple(
-        IntegralOperator(
-            spaces[l - 1], spaces[l], np.tile(marginal(l), (2, 1)), markov=True
-        )
+        IntegralOperator(spaces[l - 1], spaces[l], np.tile(marginal(l), (2, 1)))
         for l in range(1, L + 1)
     )
     potentials = tuple(

@@ -97,7 +97,7 @@ def weight_limit_table(k_max: int, n: int) -> list[tuple[int, int, float, float,
     rows = []
     for k in range(1, k_max + 1):
         val = weight_limit_check(k, n)
-        lim = oracle.coefficient_sq(k)
+        lim = oracle.cross_coefficient(k, k)
         rows.append((k, n, val, lim, abs(val - lim) / lim))
     return rows
 

@@ -1,20 +1,25 @@
-"""Measure / kernel algebra on finite state spaces.
+"""Probability laws and Markov kernels on finite state spaces.
 
 This module is the numerical foundation for everything else: enumerated
-state spaces, signed and probability measures as weight vectors, integral
-operators as dense matrices, markov kernels kept in class factors
-(:class:`FactoredKernel`), first-order operators kept as a transport and
-the action of a markov step (:class:`FirstOrderOperator`), and the
-handful of norms and coefficients (total variation, oscillation,
-Dobrushin contraction) the rest of the package reasons with.
+state spaces, probability laws as weight vectors (:class:`Measure`),
+Markov kernels as dense matrices (:class:`IntegralOperator`) or kept in
+class factors (:class:`FactoredKernel`), first-order operators kept as a
+transport and the action of a Markov step (:class:`FirstOrderOperator`),
+and the handful of coefficients (oscillation, Dobrushin contraction) the
+rest of the package reasons with.  A :class:`Measure` is always a law and
+an :class:`IntegralOperator` always a Markov kernel: both are validated
+at construction.  Signed objects, such as the difference of two laws or
+a first-order operator ``D``, are plain arrays or
+:class:`FirstOrderOperator` values.
 
 Conventions
 -----------
-* The total variation norm of a measure is the supremum of ``|mu(f)|``
-  over test functions with values in ``[-1, 1]``, i.e. the *sum* of
-  absolute weights.  Two distinct point masses are therefore at distance
-  2, not 1; keep the factor in mind when comparing against texts that
-  use the probabilists' half convention.
+* The total variation distance between two laws is the *sum* of the
+  absolute differences of their weights, the supremum of ``|mu(f) -
+  nu(f)|`` over test functions with values in ``[-1, 1]``.  Two distinct
+  point masses are therefore at distance 2, not 1; keep the factor in
+  mind when comparing against texts that use the probabilists' half
+  convention.
 * Path spaces are indexed mixed-radix with the LEFT factor as the
   high digit: ``index(x_0, ..., x_l) = (...((x_0*s_1 + x_1)*s_2 + x_2)...)``.
   This order is fixed so golden files stay stable.
@@ -42,9 +47,6 @@ MAX_STATES = 4096
 
 #: Default absolute tolerance for the oracle algebra.
 DEFAULT_ATOL = 1e-12
-
-SIGNED = "signed"
-PROBABILITY = "probability"
 
 
 class SpaceMismatchError(ValueError):
@@ -102,11 +104,13 @@ class FiniteSpace:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """A dense signed or probability measure over a :class:`FiniteSpace`."""
+    """A probability law over a :class:`FiniteSpace`, as a weight vector.
+
+    The weights are nonnegative and sum to one within ``DEFAULT_ATOL``.
+    """
 
     space: FiniteSpace
     weights: np.ndarray
-    kind: str = SIGNED
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -117,45 +121,25 @@ class Measure:
             )
         if not np.all(np.isfinite(w)):
             raise ValueError(f"measure on {self.space.id!r}: non-finite weights")
-        if self.kind not in (SIGNED, PROBABILITY):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == PROBABILITY:
-            if w.min() < 0.0:
-                raise ValueError(
-                    f"probability measure on {self.space.id!r} has negative weight "
-                    f"{w.min():.3e}"
-                )
-            if abs(w.sum() - 1.0) > DEFAULT_ATOL:
-                raise ValueError(
-                    f"probability measure on {self.space.id!r} sums to {w.sum()!r}"
-                )
+        if w.min() < 0.0:
+            raise ValueError(
+                f"probability measure on {self.space.id!r} has negative weight "
+                f"{w.min():.3e}"
+            )
+        if abs(w.sum() - 1.0) > DEFAULT_ATOL:
+            raise ValueError(f"probability measure on {self.space.id!r} sums to {w.sum()!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @staticmethod
-    def probability(space: FiniteSpace, weights) -> "Measure":
-        return Measure(space, weights, kind=PROBABILITY)
 
     @staticmethod
     def dirac(space: FiniteSpace, index: int) -> "Measure":
         w = np.zeros(space.size)
         w[index] = 1.0
-        return Measure(space, w, kind=PROBABILITY)
+        return Measure(space, w)
 
     @staticmethod
     def uniform(space: FiniteSpace) -> "Measure":
-        return Measure(space, np.full(space.size, 1.0 / space.size), kind=PROBABILITY)
-
-    def __sub__(self, other: "Measure") -> "Measure":
-        _check_space(self.space, other.space, "measure subtraction")
-        return Measure(self.space, self.weights - other.weights, kind=SIGNED)
-
-    def __add__(self, other: "Measure") -> "Measure":
-        _check_space(self.space, other.space, "measure addition")
-        return Measure(self.space, self.weights + other.weights, kind=SIGNED)
-
-    def __rmul__(self, scalar: float) -> "Measure":
-        return Measure(self.space, float(scalar) * self.weights, kind=SIGNED)
+        return Measure(space, np.full(space.size, 1.0 / space.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,30 +173,17 @@ class TestFunction:
     def constant(space: FiniteSpace, value: float) -> "TestFunction":
         return TestFunction(space, np.full(space.size, float(value)))
 
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        _check_space(self.space, other.space, "function addition")
-        return TestFunction(self.space, self.values + other.values)
-
-    def __sub__(self, other: "TestFunction") -> "TestFunction":
-        _check_space(self.space, other.space, "function subtraction")
-        return TestFunction(self.space, self.values - other.values)
-
-    def __rmul__(self, scalar: float) -> "TestFunction":
-        return TestFunction(self.space, float(scalar) * self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class IntegralOperator:
-    """A dense matrix ``M(x, y)`` from `src` into `dst`.
+    """A Markov kernel ``M(x, y)`` from `src` into `dst`, as a dense matrix.
 
-    Markov operators (`markov=True`) have nonnegative rows summing to one;
-    general bounded operators carry arbitrary real entries.
+    The rows are nonnegative and sum to one within ``DEFAULT_ATOL``.
     """
 
     src: FiniteSpace
     dst: FiniteSpace
     matrix: np.ndarray
-    markov: bool = False
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -225,30 +196,29 @@ class IntegralOperator:
             raise ValueError(
                 f"operator {self.src.id!r}->{self.dst.id!r}: non-finite entries"
             )
-        if self.markov:
-            if m.min() < 0.0:
-                raise ValueError(
-                    f"markov operator {self.src.id!r}->{self.dst.id!r} has negative "
-                    f"entry {m.min():.3e}"
-                )
-            err = np.abs(m.sum(axis=1) - 1.0).max()
-            if err > DEFAULT_ATOL:
-                raise ValueError(
-                    f"markov operator {self.src.id!r}->{self.dst.id!r}: row sums "
-                    f"deviate from 1 by {err:.3e}"
-                )
+        if m.min() < 0.0:
+            raise ValueError(
+                f"Markov kernel {self.src.id!r}->{self.dst.id!r} has negative "
+                f"entry {m.min():.3e}"
+            )
+        err = np.abs(m.sum(axis=1) - 1.0).max()
+        if err > DEFAULT_ATOL:
+            raise ValueError(
+                f"Markov kernel {self.src.id!r}->{self.dst.id!r}: row sums "
+                f"deviate from 1 by {err:.3e}"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def identity(space: FiniteSpace) -> "IntegralOperator":
-        return IntegralOperator(space, space, np.eye(space.size), markov=True)
+        return IntegralOperator(space, space, np.eye(space.size))
 
     @staticmethod
     def rank_one(src: FiniteSpace, mu: Measure) -> "IntegralOperator":
         """Operator with every row equal to `mu` (constant redraw from `mu`)."""
         m = np.tile(mu.weights, (src.size, 1))
-        return IntegralOperator(src, mu.space, m, markov=(mu.kind == PROBABILITY))
+        return IntegralOperator(src, mu.space, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +232,7 @@ class FactoredKernel:
     diagonal.  Storing and applying it costs ``O(S b)``.  A general
     kernel is the case ``b = S``, ``c`` the identity, ``F = M``, ``r = 0``
     (:meth:`dense`).  Markov rows are up to the builder (:meth:`dense`
-    and :meth:`rank_one` take validated inputs, ``fk.mh_factors`` sets
+    and :meth:`rank_one` take a kernel or a law, ``fk.mh_factors`` sets
     ``r = 1 - sum F``); the factors are stored unchecked, since the powers
     :meth:`product` makes drift off unit row sums by rounding, and a sum
     of ``n`` powers has rows summing to ``n``.
@@ -294,17 +264,15 @@ class FactoredKernel:
 
     @staticmethod
     def dense(M: IntegralOperator) -> "FactoredKernel":
-        """A markov kernel on one space as ``b = S`` singleton classes."""
-        if not M.markov or M.src != M.dst:
-            raise ValueError("a factored kernel requires a markov kernel on one space")
+        """A Markov kernel on one space as ``b = S`` singleton classes."""
+        if M.src != M.dst:
+            raise ValueError("a factored kernel requires a Markov kernel on one space")
         n = M.src.size
         return FactoredKernel(M.src, np.arange(n), M.matrix, np.zeros(n))
 
     @staticmethod
     def rank_one(mu: Measure) -> "FactoredKernel":
-        """Constant redraw from the probability `mu`: one class, no rejection."""
-        if mu.kind != PROBABILITY:
-            raise ValueError("a rank-one kernel redraws from a probability measure")
+        """Constant redraw from the law `mu`: one class, no rejection."""
         return FactoredKernel(
             mu.space, np.zeros(mu.space.size, dtype=np.intp), mu.weights[None, :],
             np.zeros(1),
@@ -354,7 +322,7 @@ class FactoredKernel:
         return FactoredKernel(self.space, self.classes, flows, r * g)
 
     def to_operator(self) -> IntegralOperator:
-        """The kernel as a dense markov matrix: a test reference.
+        """The kernel as a dense Markov matrix: a test reference.
 
         Each row gathers the flow row of its class and adds the class's
         rejection mass on the diagonal.
@@ -362,7 +330,7 @@ class FactoredKernel:
         states = np.arange(self.space.size)
         matrix = self.flows[self.classes]
         matrix[states, states] += self.reject[self.classes]
-        return IntegralOperator(self.space, self.space, matrix, markov=True)
+        return IntegralOperator(self.space, self.space, matrix)
 
     def column_min(self) -> np.ndarray:
         """``min_x M(x, y)`` for every state ``y``.
@@ -389,10 +357,10 @@ class FirstOrderOperator:
 
     ``T(x, y) = G(x) 1{y = x} + (1 - G(x)) psi(y)`` is the transport of
     the reweighting by the `potential` ``G`` at ``eta``, with ``psi`` the
-    reweighted ``eta`` (`redraw`); ``Q`` is a markov step from `src` into
+    reweighted ``eta`` (`redraw`); ``Q`` is a Markov step from `src` into
     `dst`, kept as its action `step`, which maps the values of a `dst`
     function to those of ``Q f`` on `src`.  ``T`` and ``Q`` are
-    nonnegative and markov, so the sup-norm operator norm of ``D`` is
+    nonnegative and Markov, so the sup-norm operator norm of ``D`` is
     exactly ``scale = 1 / eta(G)``.
     """
 
@@ -424,13 +392,9 @@ def apply_operator(M: IntegralOperator, f: TestFunction) -> TestFunction:
 def act_measure(mu: Measure, M: IntegralOperator) -> Measure:
     """Dual action ``(mu M)(y) = sum_x mu(x) M(x, y)`` on ``M.dst``."""
     _check_space(M.src, mu.space, "act_measure")
-    kind = PROBABILITY if (mu.kind == PROBABILITY and M.markov) else SIGNED
-    w = mu.weights @ M.matrix
-    if kind == PROBABILITY:
-        # guard against -1e-17 style round-off on otherwise exact rows
-        w = np.maximum(w, 0.0)
-        w = w / w.sum()
-    return Measure(M.dst, w, kind=kind)
+    # guard against -1e-17 style round-off on otherwise exact rows
+    w = np.maximum(mu.weights @ M.matrix, 0.0)
+    return Measure(M.dst, w / w.sum())
 
 
 def integrate(mu: Measure, f: TestFunction) -> float:
@@ -439,18 +403,13 @@ def integrate(mu: Measure, f: TestFunction) -> float:
     return float(mu.weights @ f.values)
 
 
-def tv_norm(mu: Measure) -> float:
-    """Total variation norm: sum of absolute weights (unit-ball convention)."""
-    return float(np.abs(mu.weights).sum())
-
-
 def oscillation(f: TestFunction) -> float:
     """``osc(f) = max f - min f``."""
     return float(f.values.max() - f.values.min())
 
 
 def dobrushin(M: IntegralOperator) -> float:
-    """Dobrushin contraction coefficient of a markov operator.
+    """Dobrushin contraction coefficient of a Markov kernel.
 
     ``beta(M) = max_{x, x'} (1/2) sum_y |M(x, y) - M(x', y)|``, the
     worst-case half total variation distance between rows; it equals the
@@ -459,13 +418,8 @@ def dobrushin(M: IntegralOperator) -> float:
     Each pair is evaluated through its overlap, ``(1/2) sum_y |a - b| =
     (r_x + r_x') / 2 - sum_y min(a_y, b_y)`` with ``r`` the row sums, so
     every row takes one ``minimum`` pass against all later rows.  The
-    scan stops once ``beta`` reaches 1, which no markov pair exceeds.
+    scan stops once ``beta`` reaches 1, which no pair of rows exceeds.
     """
-    if not M.markov:
-        raise ValueError(
-            "dobrushin coefficient is only computed for markov (constant mass) "
-            f"operators; {M.src.id!r}->{M.dst.id!r} is not flagged markov"
-        )
     m = M.matrix
     n = m.shape[0]
     r = m.sum(axis=1)
@@ -482,9 +436,9 @@ def dobrushin(M: IntegralOperator) -> float:
 
 
 def compose(M: IntegralOperator, N: IntegralOperator) -> IntegralOperator:
-    """Operator composition ``(M N)(x, z) = sum_y M(x, y) N(y, z)``."""
+    """Kernel composition ``(M N)(x, z) = sum_y M(x, y) N(y, z)``."""
     _check_space(M.dst, N.src, "compose")
-    return IntegralOperator(M.src, N.dst, M.matrix @ N.matrix, markov=M.markov and N.markov)
+    return IntegralOperator(M.src, N.dst, M.matrix @ N.matrix)
 
 
 def operator_norm(M: IntegralOperator) -> float:

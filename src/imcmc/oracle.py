@@ -386,11 +386,6 @@ def local_covariance(bundle: ResolventBundle, f: TestFunction, g: TestFunction) 
 # The level stack: kernels, limits, first-order semigroups
 # ---------------------------------------------------------------------------
 
-def coefficient_sq(l: int) -> float:
-    """Squared level-`l` mixing coefficient ``(2l)!/(l!)^2`` (1, 2, 6, 20, ...)."""
-    return float(math.factorial(2 * l) // math.factorial(l) ** 2)
-
-
 def cross_coefficient(dk: int, dj: int) -> float:
     """Limiting overlap of two iterated-Cesaro weight arrays.
 
@@ -399,7 +394,8 @@ def cross_coefficient(dk: int, dj: int) -> float:
     share the local fluctuations of one level but weight them with arrays
     of different orders; this overlap, not the product of the two
     variance coefficients, is their covariance weight.  On the diagonal
-    it reduces to :func:`coefficient_sq`.
+    ``dk = dj = l`` it is the variance formula's squared level-`l` mixing
+    coefficient ``(2l)!/l!^2`` (1, 2, 6, 20, ...).
     """
     return float(
         math.factorial(dk + dj) // (math.factorial(dk) * math.factorial(dj))
@@ -483,7 +479,7 @@ def variance_terms(spec: CltSpec, k: int, f: TestFunction) -> list[float]:
     if not 0 <= k <= spec.level:
         raise ValueError(f"level {k} outside the spec range 0..{spec.level}")
     return [
-        coefficient_sq(l)
+        cross_coefficient(l, l)
         * local_variance(spec.bundles[k - l], d_semigroup(spec, k - l + 1, k, f))
         for l in range(k + 1)
     ]

@@ -11,12 +11,12 @@ def random_stochastic(rng, n, m=None, space_src=None, space_dst=None):
     mat /= mat.sum(axis=1, keepdims=True)
     src = space_src or FiniteSpace(f"rand{n}", n)
     dst = space_dst or (src if m == n else FiniteSpace(f"rand{m}", m))
-    return IntegralOperator(src, dst, mat, markov=True)
+    return IntegralOperator(src, dst, mat)
 
 
 def random_probability(rng, space):
     w = rng.random(space.size) + 0.05
-    return Measure.probability(space, w / w.sum())
+    return Measure(space, w / w.sum())
 
 
 def random_function(rng, space, scale=1.0):
@@ -25,15 +25,15 @@ def random_function(rng, space, scale=1.0):
 
 def two_state_chain():
     space = FiniteSpace("chain2", 2)
-    M = IntegralOperator(space, space, np.array([[0.9, 0.1], [0.2, 0.8]]), markov=True)
-    pi = Measure.probability(space, np.array([2.0 / 3.0, 1.0 / 3.0]))
+    M = IntegralOperator(space, space, np.array([[0.9, 0.1], [0.2, 0.8]]))
+    pi = Measure(space, np.array([2.0 / 3.0, 1.0 / 3.0]))
     return space, M, pi
 
 
 def dense_resolvent(M, pi):
     """Dense reference for the resolvent: ``P = Z - 1 (x) pi``, ``Z = (I - M + 1 (x) pi)^{-1}``.
 
-    `M` is a markov :class:`IntegralOperator`; returns the ``S x S`` matrix.
+    `M` is an :class:`IntegralOperator`; returns the ``S x S`` matrix.
     """
     n = M.src.size
     one_pi = np.outer(np.ones(n), pi.weights)
@@ -48,7 +48,7 @@ def dense_poisson_residual(M, pi, P):
 
 
 def stationary_measure(M):
-    """Reference invariant probability of a markov :class:`IntegralOperator`.
+    """Reference invariant law of an :class:`IntegralOperator`.
 
     Solves ``pi (I - M + J) = 1`` with ``J`` the all-ones matrix, which
     has a unique solution when `M` has a single closed class.
@@ -56,7 +56,7 @@ def stationary_measure(M):
     n = M.src.size
     w = np.linalg.solve((np.eye(n) - M.matrix + 1.0).T, np.ones(n))
     w = np.maximum(w, 0.0)
-    return Measure.probability(M.src, w / w.sum())
+    return Measure(M.src, w / w.sum())
 
 
 def resolvent_matrix(bundle):
@@ -112,12 +112,12 @@ def random_fk_model(sizes=(2, 3, 2), seed=5):
     rng = np.random.default_rng(seed)
     spaces = tuple(FiniteSpace(f"S'{l}", s) for l, s in enumerate(sizes))
     init = rng.random(sizes[0]) + 0.2
-    initial = Measure.probability(spaces[0], init / init.sum())
+    initial = Measure(spaces[0], init / init.sum())
     transitions = []
     for l in range(1, len(sizes)):
         m = rng.random((sizes[l - 1], sizes[l])) + 0.2
         m /= m.sum(axis=1, keepdims=True)
-        transitions.append(IntegralOperator(spaces[l - 1], spaces[l], m, markov=True))
+        transitions.append(IntegralOperator(spaces[l - 1], spaces[l], m))
     potentials = tuple(
         TestFunction(spaces[l], 0.2 + 0.8 * rng.random(sizes[l]))
         for l in range(len(sizes) - 1)

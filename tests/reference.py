@@ -22,18 +22,30 @@ from imcmc import annealing as ann
 from imcmc import engine, fk
 from imcmc.harness import s_weights
 from imcmc.measures import (
-    PROBABILITY,
-    SIGNED,
     FiniteSpace,
     FirstOrderOperator,
     IntegralOperator,
     Measure,
     TestFunction,
-    tv_norm,
+    _check_space,
 )
 from imcmc.oracle import CltSpec
 
 from helpers import operator_matrix
+
+
+# ---------------------------------------------------------------------------
+# Total variation distance
+# ---------------------------------------------------------------------------
+
+def tv_distance(mu: Measure, nu: Measure) -> float:
+    """Total variation distance: the sum of absolute weight differences.
+
+    The unit-ball convention of :mod:`imcmc.measures`, so two distinct
+    point masses are at distance 2.
+    """
+    _check_space(mu.space, nu.space, "tv_distance")
+    return float(np.abs(mu.weights - nu.weights).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +67,14 @@ def tensor(a, b):
     """
     if isinstance(a, Measure) and isinstance(b, Measure):
         space = product_space(a.space, b.space)
-        w = np.outer(a.weights, b.weights).ravel()
-        kind = PROBABILITY if a.kind == b.kind == PROBABILITY else SIGNED
-        return Measure(space, w, kind=kind)
+        return Measure(space, np.outer(a.weights, b.weights).ravel())
     if isinstance(a, TestFunction) and isinstance(b, TestFunction):
         space = product_space(a.space, b.space)
         return TestFunction(space, np.outer(a.values, b.values).ravel())
     if isinstance(a, IntegralOperator) and isinstance(b, IntegralOperator):
         src = product_space(a.src, b.src)
         dst = product_space(a.dst, b.dst)
-        return IntegralOperator(src, dst, np.kron(a.matrix, b.matrix),
-                                markov=a.markov and b.markov)
+        return IntegralOperator(src, dst, np.kron(a.matrix, b.matrix))
     raise TypeError(
         f"tensor requires two measures, two functions, or two operators; "
         f"got {type(a).__name__} and {type(b).__name__}"
@@ -95,7 +104,7 @@ def path_extension(model: fk.FKModel, l: int) -> IntegralOperator:
     matrix = np.zeros((ps.space.size, ps_next.space.size))
     cols = np.arange(ps.space.size)[:, None] * s_new + np.arange(s_new)[None, :]
     np.put_along_axis(matrix, cols, rows, axis=1)
-    return IntegralOperator(ps.space, ps_next.space, matrix, markov=True)
+    return IntegralOperator(ps.space, ps_next.space, matrix)
 
 
 def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
@@ -114,7 +123,7 @@ def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
     psi = fk.boltzmann_gibbs(mu, G)
     g = G.values
     matrix = np.diag(g) + np.outer(1.0 - g, psi.weights)
-    return IntegralOperator(mu.space, mu.space, matrix, markov=True)
+    return IntegralOperator(mu.space, mu.space, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +133,15 @@ def transport_kernel(mu: Measure, G: TestFunction) -> IntegralOperator:
 def remainder_norm(map_fn, eta: Measure, mu: Measure, D, t: float) -> float:
     """TV norm of the expansion remainder at ``eta + t (mu - eta)``.
 
-    ``map_fn`` sends probability measures to probability measures; the
-    remainder is ``map_fn(mu_t) - map_fn(eta) - (mu_t - eta) D``, with
-    `D` a :class:`FirstOrderOperator` or a dense :class:`IntegralOperator`.
+    ``map_fn`` sends laws to laws; the remainder is the signed weight
+    vector ``map_fn(mu_t) - map_fn(eta) - (mu_t - eta) D``, with `D` a
+    :class:`FirstOrderOperator` or a dense matrix.
     """
-    mu_t = Measure(
-        eta.space, eta.weights + t * (mu.weights - eta.weights), kind=PROBABILITY
-    )
-    matrix = operator_matrix(D) if isinstance(D, FirstOrderOperator) else D.matrix
-    lead = Measure(D.dst, (mu_t - eta).weights @ matrix, kind=SIGNED)
-    diff = map_fn(mu_t) - map_fn(eta) - lead
-    return tv_norm(diff)
+    mu_t = Measure(eta.space, eta.weights + t * (mu.weights - eta.weights))
+    matrix = operator_matrix(D) if isinstance(D, FirstOrderOperator) else D
+    lead = (mu_t.weights - eta.weights) @ matrix
+    diff = map_fn(mu_t).weights - map_fn(eta).weights - lead
+    return float(np.abs(diff).sum())
 
 
 def remainder_ratios(map_fn, eta, mu, D, scales=(1e-2, 5e-3, 2.5e-3)) -> list[float]:
@@ -258,13 +265,17 @@ def toy_closed_form(p: float, betas) -> ToyClosedForm:
 
 @dataclass(frozen=True, eq=False)
 class ProductModel:
-    """Joint view of levels ``0 .. l``: product kernel, limit, first-order op."""
+    """Joint view of levels ``0 .. l``: product kernel, limit, first-order op.
+
+    `d_op` is the dense matrix of the joint first-order operator, from
+    levels ``0 .. l`` into levels ``0 .. l+1``.
+    """
 
     level: int
     space: FiniteSpace
     kernel: IntegralOperator
     limit: Measure
-    d_op: IntegralOperator
+    d_op: np.ndarray
 
 
 def _component_map(spec: CltSpec, k: int, mu: Measure) -> Measure:
@@ -302,7 +313,6 @@ def product_model(spec: CltSpec, l: int) -> ProductModel:
     sizes = [sp.size for sp in spec.spaces[: l + 2]]
     src_size = math.prod(sizes[: l + 1])
     dst_size = math.prod(sizes)
-    dst_space = product_limit(spec, l + 1).space
 
     # coordinate digits of every joint source state
     digits = np.empty((src_size, l + 1), dtype=np.int64)
@@ -323,8 +333,7 @@ def product_model(spec: CltSpec, l: int) -> ProductModel:
         block = np.einsum("a,rb,c->rabc", low, D[digits[:, k]], high)
         matrix += block.reshape(src_size, dst_size)
 
-    d_op = IntegralOperator(limit.space, dst_space, matrix, markov=False)
-    return ProductModel(level=l, space=limit.space, kernel=kernel, limit=limit, d_op=d_op)
+    return ProductModel(level=l, space=limit.space, kernel=kernel, limit=limit, d_op=matrix)
 
 
 def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
@@ -338,7 +347,7 @@ def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
     out = spec.pis[0]
     for k in range(l + 1):
         axes = tuple(a for a in range(l + 1) if a != k)
-        marg = Measure(spec.spaces[k], cube.sum(axis=axes), kind=PROBABILITY)
+        marg = Measure(spec.spaces[k], cube.sum(axis=axes))
         out = tensor(out, _component_map(spec, k, marg))
     return out
 

@@ -16,7 +16,6 @@ from imcmc.measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    tv_norm,
 )
 import reference
 from helpers import random_probability, resolvent_matrix, series_matrix
@@ -32,10 +31,10 @@ def annealing_model(eps):
 
 def chain2_model():
     sp = FiniteSpace("chain2", 2)
-    M = IntegralOperator(sp, sp, np.array([[0.9, 0.1], [0.2, 0.8]]), markov=True)
+    M = IntegralOperator(sp, sp, np.array([[0.9, 0.1], [0.2, 0.8]]))
     return fk.FKModel(
         base_spaces=(sp,),
-        initial=Measure.probability(sp, [2 / 3, 1 / 3]),
+        initial=Measure(sp, [2 / 3, 1 / 3]),
         transitions=(),
         potentials=(),
         level0_kernel=M,
@@ -52,6 +51,18 @@ def terminal_indicators(spec):
         )]
         for k in range(spec.level + 1)
     ]
+
+
+def with_first_coordinate(spec, functions):
+    """Add the first-coordinate indicator beside each level's functions from level 1 on.
+
+    The terminal indicator's interaction terms vanish on the toy model;
+    this function's do not, so its rows test the first-order operators D.
+    """
+    for k in range(1, spec.level + 1):
+        size = spec.spaces[k].size
+        functions[k].append(("first", TestFunction(spec.spaces[k], np.arange(size) < size // 2)))
+    return functions
 
 
 def report_line(num, detail):
@@ -88,7 +99,7 @@ def test_criterion_2_fixed_point_chains():
         closed = reference.toy_closed_form(p, TOY_BETAS)
         for l in range(model.levels):
             step = fk.fk_map(model, l, fk.exact_path_measure(model, l))
-            worst_fp = max(worst_fp, tv_norm(step - fk.exact_path_measure(model, l + 1)))
+            worst_fp = max(worst_fp, reference.tv_distance(step, fk.exact_path_measure(model, l + 1)))
         for l in range(model.levels + 1):
             pi = fk.exact_path_measure(model, l)
             term = np.arange(pi.space.size) % 2
@@ -99,7 +110,7 @@ def test_criterion_2_fixed_point_chains():
         model = annealing_model(eps)
         for l in range(model.levels):
             step = ann.annealing_map(model, l, ann.gibbs_measure(model, l))
-            worst_fp = max(worst_fp, tv_norm(step - ann.gibbs_measure(model, l + 1)))
+            worst_fp = max(worst_fp, reference.tv_distance(step, ann.gibbs_measure(model, l + 1)))
     assert worst_fp <= 1e-10
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -157,8 +168,8 @@ def test_criterion_4_weight_array_limits():
     rels = {}
     for k, cap in thresholds.items():
         errs = [
-            abs(harness.weight_limit_check(k, n) - oracle.coefficient_sq(k))
-            / oracle.coefficient_sq(k)
+            abs(harness.weight_limit_check(k, n) - oracle.cross_coefficient(k, k))
+            / oracle.cross_coefficient(k, k)
             for n in (10**3, 10**4, 10**5)
         ]
         assert errs[0] > errs[1] > errs[2], (k, errs)
@@ -194,10 +205,11 @@ def test_criterion_6_multivariate_clt():
     model = fk.toy_model(0.25, TOY_BETAS)
     cfg = engine.EngineConfig(model=model, levels=2, iterations=20_000, seed=20240811)
     spec = oracle.build_clt_spec(model, 2)
-    functions = terminal_indicators(spec)
+    functions = with_first_coordinate(spec, terminal_indicators(spec))
     report, _ = harness.verify_theorem(cfg, 400, functions, 20_000, workers=4)
     gate = [r for r in report.variance_rows if r.n == 20_000]
     assert {r.level for r in gate} == {0, 1, 2}
+    assert sum(r.function == "first" for r in gate) == 2
     for r in gate:
         assert r.passed, r
     cross = [
@@ -207,13 +219,13 @@ def test_criterion_6_multivariate_clt():
     assert cross and all(r.passed for r in cross), cross
     for r in gate:
         marker = "" if abs(r.skew) <= 0.35 and abs(r.exkurt) <= 0.35 else " [outside +-0.35]"
-        print(f"  level {r.level}: skew={r.skew:+.3f} exkurt={r.exkurt:+.3f}{marker} (informational)")
+        print(f"  level {r.level} {r.function}: skew={r.skew:+.3f} exkurt={r.exkurt:+.3f}{marker} (informational)")
     elapsed = time.time() - start
     assert elapsed < 900.0
     report_line(
         6,
         "variance z-scores "
-        + ", ".join(f"k={r.level}:{r.z:+.2f}" for r in gate)
+        + ", ".join(f"k={r.level} {r.function}:{r.z:+.2f}" for r in gate)
         + f"; cross (1,0) z={cross[0].z:+.2f}, {elapsed:.1f}s",
     )
 
@@ -229,8 +241,10 @@ def test_criterion_7_rank_one_degenerate_case():
         static = float(pi @ fb**2)
         assert abs(oracle.local_variance(spec.bundles[k], f) - static) <= 1e-12
     cfg = engine.EngineConfig(model=model, levels=1, iterations=10_000, seed=20240807)
-    report, _ = harness.verify_theorem(cfg, 400, terminal_indicators(spec), 10_000)
+    functions = with_first_coordinate(spec, terminal_indicators(spec))
+    report, _ = harness.verify_theorem(cfg, 400, functions, 10_000)
     assert report.passed, report.variance_rows
+    assert any(r.function == "first" for r in report.variance_rows)
     elapsed = time.time() - start
     assert elapsed < 120.0
     zs = [r.z for r in report.variance_rows if r.n == 10_000]

@@ -12,9 +12,13 @@ from imcmc.measures import (
     TestFunction,
     act_measure,
     dobrushin,
-    tv_norm,
 )
-from reference import geometric_kernel_series, mixture_invariant_measure, remainder_ratios
+from reference import (
+    geometric_kernel_series,
+    mixture_invariant_measure,
+    remainder_ratios,
+    tv_distance,
+)
 from helpers import random_probability
 
 
@@ -34,7 +38,7 @@ def test_gibbs_measure_values():
 
 def test_gibbs_constant_potential_returns_reference():
     sp = FiniteSpace("s", 3)
-    ref = Measure.probability(sp, [0.5, 0.3, 0.2])
+    ref = Measure(sp, [0.5, 0.3, 0.2])
     m = ann.make_metropolis_model(sp, np.zeros(3), (1.0, 2.0), 0.0, reference=ref)
     assert np.allclose(ann.gibbs_measure(m, 1).weights, ref.weights, atol=1e-14)
 
@@ -61,8 +65,8 @@ def test_geometric_kernel_idempotent_base():
     eps = 0.4
     v = np.array([0.0, 0.5, 1.5])
     ref = Measure.uniform(sp)
-    pi0 = Measure.probability(sp, ann._gibbs_weights(v, 1.0, ref.weights))
-    pi1 = Measure.probability(sp, ann._gibbs_weights(v, 2.0, ref.weights))
+    pi0 = Measure(sp, ann._gibbs_weights(v, 1.0, ref.weights))
+    pi1 = Measure(sp, ann._gibbs_weights(v, 2.0, ref.weights))
     K = [IntegralOperator.rank_one(sp, pi0), IntegralOperator.rank_one(sp, pi1)]
     m = ann.AnnealingModel(
         space=sp, potential=TestFunction(sp, v), betas=(1.0, 2.0), epsilon=eps,
@@ -85,7 +89,7 @@ def test_geometric_kernel_invariance():
     for l in range(m.levels + 1):
         pi = ann.gibbs_measure(m, l)
         out = act_measure(pi, ann.geometric_kernel(m, l))
-        assert tv_norm(out - pi) < 1e-10
+        assert tv_distance(out, pi) < 1e-10
 
 
 def test_annealing_map_fixed_points():
@@ -93,7 +97,7 @@ def test_annealing_map_fixed_points():
         m = model4(epsilon=eps)
         for l in range(m.levels):
             out = ann.annealing_map(m, l, ann.gibbs_measure(m, l))
-            assert tv_norm(out - ann.gibbs_measure(m, l + 1)) < 1e-10
+            assert tv_distance(out, ann.gibbs_measure(m, l + 1)) < 1e-10
 
 
 def test_annealing_map_unit_potential():
@@ -104,7 +108,7 @@ def test_annealing_map_unit_potential():
     mu = random_probability(rng, sp)
     out = ann.annealing_map(m, 0, mu)
     manual = act_measure(act_measure(mu, m.kernels_l[1]), ann.geometric_kernel(m, 1))
-    assert tv_norm(out - manual) < 1e-14
+    assert tv_distance(out, manual) < 1e-14
 
 
 def test_annealing_map_stepwise_composition():
@@ -117,7 +121,7 @@ def test_annealing_map_stepwise_composition():
         step = ann.boltzmann_gibbs(mu, ann.potential_fn(m, l))
         step = act_measure(step, m.kernels_l[l + 1])
         step = act_measure(step, ann.geometric_kernel(m, l + 1))
-        assert tv_norm(out - step) < 1e-13
+        assert tv_distance(out, step) < 1e-13
 
 
 def test_mixture_kernel_rank_one_at_zero_epsilon():
@@ -140,7 +144,7 @@ def test_mixture_kernel_contraction_and_invariance():
                 M = ann.mixture_kernel(m, l, mu)
                 assert dobrushin(M) <= eps + 1e-12
                 target = mixture_invariant_measure(m, l, mu)
-                assert tv_norm(act_measure(target, M) - target) < 1e-10
+                assert tv_distance(act_measure(target, M), target) < 1e-10
 
 
 def test_mixture_lipschitz_bound():
@@ -155,14 +159,14 @@ def test_mixture_lipschitz_bound():
             f = TestFunction(m.space, rng.standard_normal(4))
             diff = ann.mixture_kernel(m, l, mu).matrix - ann.mixture_kernel(m, l, nu).matrix
             lhs = np.abs(diff @ f.values).max()
-            rhs = const * tv_norm(mu - nu) * np.abs(f.values).max()
+            rhs = const * tv_distance(mu, nu) * np.abs(f.values).max()
             assert lhs <= rhs + 1e-12
 
 
 def test_default_metropolis():
     sp = FiniteSpace("s", 2)
-    swap = IntegralOperator(sp, sp, np.array([[0.0, 1.0], [1.0, 0.0]]), markov=True)
-    pi = Measure.probability(sp, [0.8, 0.2])
+    swap = IntegralOperator(sp, sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pi = Measure(sp, [0.8, 0.2])
     M = ann.metropolis_kernel(pi, swap)
     assert M.matrix[0, 1] == pytest.approx(0.25)
     assert M.matrix[1, 0] == pytest.approx(1.0)
@@ -170,7 +174,7 @@ def test_default_metropolis():
     uni = Measure.uniform(sp)
     assert np.allclose(ann.metropolis_kernel(uni, swap).matrix, swap.matrix)
     with pytest.raises(ValueError, match="symmetric"):
-        asym = IntegralOperator(sp, sp, np.array([[0.5, 0.5], [0.9, 0.1]]), markov=True)
+        asym = IntegralOperator(sp, sp, np.array([[0.5, 0.5], [0.9, 0.1]]))
         ann.make_metropolis_model(sp, np.array([0.0, 1.0]), (1.0,), 0.3, asym)
 
 
@@ -182,12 +186,12 @@ def test_metropolis_detailed_balance():
         # mix identity, uniform redraw, and index reversal: all symmetric
         a, b = rng.random(2) * 0.4
         sym = a * np.eye(n) + b * np.eye(n)[::-1] + (1 - a - b) * np.full((n, n), 1.0 / n)
-        prop = IntegralOperator(sp, sp, sym, markov=True)
+        prop = IntegralOperator(sp, sp, sym)
         pi = random_probability(rng, sp)
         M = ann.metropolis_kernel(pi, prop)
         flow = pi.weights[:, None] * M.matrix
         assert np.abs(flow - flow.T).max() < 1e-14
-        assert tv_norm(act_measure(pi, M) - pi) < 1e-12
+        assert tv_distance(act_measure(pi, M), pi) < 1e-12
 
 
 def _ring_proposal(n):
@@ -217,7 +221,7 @@ def test_metropolis_rows_sum_over_nonzero_flows_bit_for_bit():
     for n, proposal in cases:
         sp = FiniteSpace(f"s{n}", n)
         pi = random_probability(rng, sp)
-        M = ann.metropolis_kernel(pi, IntegralOperator(sp, sp, proposal, markov=True)).matrix
+        M = ann.metropolis_kernel(pi, IntegralOperator(sp, sp, proposal)).matrix
         flow = proposal * np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
         np.fill_diagonal(flow, 0.0)
         rows = [1.0 - math.fsum(row) for row in flow.tolist()]
@@ -228,7 +232,7 @@ def test_metropolis_rows_sum_over_nonzero_flows_bit_for_bit():
 def test_model_rejects_bad_kernels():
     sp = FiniteSpace("s", 3)
     shift = np.roll(np.eye(3), 1, axis=1)
-    bad = IntegralOperator(sp, sp, shift, markov=True)
+    bad = IntegralOperator(sp, sp, shift)
     with pytest.raises(ValueError):
         ann.AnnealingModel(
             space=sp,

@@ -449,8 +449,11 @@ def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     (None, {"IMCMC_WORKERS": "0"}, [], "IMCMC_WORKERS"),
     (None, {}, ["--workers", "0"], "--workers"),
     (None, {"IMCMC_SEED": "abc"}, [], "IMCMC_SEED"),
+    (("p = 0.5", "p = abc"), {}, [], "model.p"),
+    (("betas = 1.0 2.0 3.0", "betas = 1.0 nan 3.0"), {}, [], "model"),
 ], ids=["terminal-indicator", "indicator", "workers-word", "workers-zero",
-        "env-workers-word", "env-workers-zero", "flag-workers-zero", "env-seed-word"])
+        "env-workers-word", "env-workers-zero", "flag-workers-zero", "env-seed-word",
+        "p-word", "betas-nan"])
 def test_config_fault_exit_2(tmp_path, monkeypatch, capsys, edit, env, flags, field):
     text = toy_text(levels=1, iterations=100, replicates=4, out=str(tmp_path / "v"))
     if edit:
@@ -462,6 +465,63 @@ def test_config_fault_exit_2(tmp_path, monkeypatch, capsys, edit, env, flags, fi
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err, err
     assert not (tmp_path / "v").exists()
+
+
+EXPLICIT_FK = """
+[model]
+type = fk
+spaces = 2 2
+initial = 0.5 0.5
+transition_1 = 0.9 0.1; 0.2 0.8
+potential_0 = 1.0 0.5
+
+[engine]
+levels = 1
+iterations = 100
+replicates = 4
+
+[functions]
+f = terminal_indicator(0)
+"""
+
+ANNEALING = """
+[model]
+type = annealing
+size = 3
+potential = 0.0 0.5 1.5
+betas = 0.5 1.0
+epsilon = 0.2
+
+[engine]
+levels = 1
+iterations = 100
+replicates = 4
+
+[functions]
+ground = indicator(0)
+"""
+
+
+@pytest.mark.parametrize("text, edit, field", [
+    (EXPLICIT_FK, ("potential_0 = 1.0 0.5", "potential_0 = 1.0 0.5 0.5"), "model.potential_0"),
+    (EXPLICIT_FK, ("[engine]", "m0 = 1 0 0; 0 1 0; 0 0 1\n[engine]"), "model.m0"),
+    (ANNEALING, ("epsilon = 0.2", "epsilon = x"), "model.epsilon"),
+    (ANNEALING, ("potential = 0.0 0.5 1.5", "potential = 0.0 nan 1.5"), "model"),
+    (ANNEALING, ("[engine]", "reference = 1 2\n[engine]"), "model.reference"),
+    (ANNEALING, ("[engine]", "reference =\n[engine]"), "model.reference"),
+    (ANNEALING, ("ground = indicator(0)", "ground@1 = 1 0"), "functions.ground@1"),
+    (ANNEALING, ("[engine]", "proposal = 0.5 0.5; 0.5 0.5\n[engine]"), "model.proposal"),
+    (ANNEALING, ("[engine]", "proposal = 0.5 0.5 0; 0.25 0.5 0.25; 0 0.5 0.5\n[engine]"),
+     "proposal"),
+], ids=["potential-length", "m0-shape", "epsilon-word", "potential-nan", "reference-length",
+        "reference-empty", "function-length", "proposal-shape", "proposal-asymmetric"])
+def test_model_fault_exit_2(tmp_path, capsys, text, edit, field):
+    out = tmp_path / "v"
+    cfgp = write_cfg(tmp_path, text.replace(*edit) + f"\n[output]\ndirectory = {out}\n")
+    assert cli.main(["verify", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["oracle", "simulate"])

@@ -26,10 +26,10 @@ def annealing_config(levels=2, iterations=2000, seed=99, eps=0.3):
 def chain2_config(iterations=2000, seed=7):
     """Plain two-state chain as a zero-level model with a custom kernel."""
     sp = FiniteSpace("chain2", 2)
-    M = IntegralOperator(sp, sp, np.array([[0.9, 0.1], [0.2, 0.8]]), markov=True)
+    M = IntegralOperator(sp, sp, np.array([[0.9, 0.1], [0.2, 0.8]]))
     model = fk.FKModel(
         base_spaces=(sp,),
-        initial=Measure.probability(sp, [2 / 3, 1 / 3]),
+        initial=Measure(sp, [2 / 3, 1 / 3]),
         transitions=(),
         potentials=(),
         level0_kernel=M,
@@ -373,7 +373,7 @@ def test_step_law_fk_mh():
         history = rng.integers(0, space_prev.size, size=hist_len)
         cur = int(rng.integers(0, fk.path_space(model, level).space.size))
         counts = np.bincount(history, minlength=space_prev.size)
-        eta = Measure.probability(space_prev, counts / counts.sum())
+        eta = Measure(space_prev, counts / counts.sum())
         row = fk.mh_kernel(model, level, eta).matrix[cur]
         samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
@@ -392,7 +392,7 @@ def test_step_law_fk_heterogeneous():
         history = rng.integers(0, space_prev.size, size=9)
         cur = int(rng.integers(0, fk.path_space(model, level).space.size))
         counts = np.bincount(history, minlength=space_prev.size)
-        eta = Measure.probability(space_prev, counts / counts.sum())
+        eta = Measure(space_prev, counts / counts.sum())
         row = fk.mh_kernel(model, level, eta).matrix[cur]
         samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
@@ -427,7 +427,7 @@ def test_step_law_fk_rank_one():
     history = rng.integers(0, space_prev.size, size=9)
     cur = 3
     counts = np.bincount(history, minlength=space_prev.size)
-    eta = Measure.probability(space_prev, counts / counts.sum())
+    eta = Measure(space_prev, counts / counts.sum())
     row = fk.rank_one_kernel(model, 2, eta).to_operator().matrix[cur]
     samples = transition_samples(cfg, 2, history, cur, rng, 10**6)
     assert chi_square_against_row(samples, row) > 1e-3
@@ -440,7 +440,7 @@ def test_step_law_annealing():
         history = rng.integers(0, 4, size=6)
         cur = 2
         counts = np.bincount(history, minlength=4)
-        eta = Measure.probability(cfg.model.space, counts / counts.sum())
+        eta = Measure(cfg.model.space, counts / counts.sum())
         row = ann.mixture_kernel(cfg.model, level, eta).matrix[cur]
         samples = transition_samples(cfg, level, history, cur, rng, 10**6)
         assert chi_square_against_row(samples, row) > 1e-3
@@ -469,7 +469,7 @@ def test_step_mh_rejection_keeps_whole_path():
 
 def test_constant_potential_always_accepts():
     spaces = tuple(FiniteSpace(f"S'{l}", 2) for l in range(2))
-    flat = IntegralOperator(spaces[0], spaces[1], np.array([[0.6, 0.4], [0.3, 0.7]]), markov=True)
+    flat = IntegralOperator(spaces[0], spaces[1], np.array([[0.6, 0.4], [0.3, 0.7]]))
     model = fk.FKModel(
         base_spaces=spaces,
         initial=Measure.uniform(spaces[0]),

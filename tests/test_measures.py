@@ -13,10 +13,9 @@ from imcmc.measures import (
     dobrushin,
     integrate,
     oscillation,
-    tv_norm,
 )
 from helpers import random_function, random_probability, random_stochastic, two_state_chain
-from reference import product_space, tensor
+from reference import product_space, tensor, tv_distance
 
 
 def test_space_validation():
@@ -33,18 +32,20 @@ def test_space_validation():
 def test_probability_validation():
     sp = FiniteSpace("s", 2)
     with pytest.raises(ValueError):
-        Measure.probability(sp, [0.6, 0.6])
+        Measure(sp, [0.6, 0.6])
     with pytest.raises(ValueError):
-        Measure.probability(sp, [1.2, -0.2])
-    Measure.probability(sp, [0.25, 0.75])
+        Measure(sp, [1.2, -0.2])
+    Measure(sp, [0.25, 0.75])
 
 
 def test_markov_validation():
     sp = FiniteSpace("s", 2)
     with pytest.raises(ValueError):
-        IntegralOperator(sp, sp, [[0.9, 0.2], [0.2, 0.8]], markov=True)
+        IntegralOperator(sp, sp, [[0.9, 0.2], [0.2, 0.8]])
     with pytest.raises(ValueError):
-        IntegralOperator(sp, sp, [[1.1, -0.1], [0.2, 0.8]], markov=True)
+        IntegralOperator(sp, sp, [[1.1, -0.1], [0.2, 0.8]])
+    with pytest.raises(ValueError):
+        IntegralOperator(sp, sp, [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_apply_operator():
@@ -53,7 +54,7 @@ def test_apply_operator():
     assert np.allclose(apply_operator(M, f).values, [0.9, 0.2])
     ident = IntegralOperator.identity(space)
     assert np.array_equal(apply_operator(ident, f).values, f.values)
-    mu = Measure.probability(space, [0.3, 0.7])
+    mu = Measure(space, [0.3, 0.7])
     const = apply_operator(IntegralOperator.rank_one(space, mu), f)
     assert np.allclose(const.values, integrate(mu, f))
 
@@ -70,7 +71,6 @@ def test_act_measure():
     space, M, pi = two_state_chain()
     # the stationary law of this chain is (2/3, 1/3)
     out = act_measure(pi, M)
-    assert out.kind == "probability"
     assert np.allclose(out.weights, pi.weights, atol=1e-15)
     row = act_measure(Measure.dirac(space, 1), M)
     assert np.allclose(row.weights, [0.2, 0.8])
@@ -80,16 +80,19 @@ def test_act_measure():
 
 def test_integrate():
     sp = FiniteSpace("s", 2)
-    assert integrate(Measure.probability(sp, [0.4, 0.6]), TestFunction.constant(sp, 1.0)) == 1.0
-    assert integrate(Measure.probability(sp, [0.5, 0.5]), TestFunction(sp, [1.0, -1.0])) == 0.0
-    assert integrate(Measure.probability(sp, [2 / 3, 1 / 3]), TestFunction(sp, [1.0, 0.0])) == pytest.approx(2 / 3)
+    assert integrate(Measure(sp, [0.4, 0.6]), TestFunction.constant(sp, 1.0)) == 1.0
+    assert integrate(Measure(sp, [0.5, 0.5]), TestFunction(sp, [1.0, -1.0])) == 0.0
+    assert integrate(Measure(sp, [2 / 3, 1 / 3]), TestFunction(sp, [1.0, 0.0])) == pytest.approx(2 / 3)
 
 
 def test_tv_norm():
+    # the total variation distance of two laws, in the unit-ball convention
     sp = FiniteSpace("s", 2)
-    assert tv_norm(Measure.probability(sp, [0.4, 0.6])) == 1.0
-    assert tv_norm(Measure.dirac(sp, 0) - Measure.dirac(sp, 1)) == 2.0
-    assert tv_norm(Measure(sp, [0.3, -0.1])) == pytest.approx(0.4)
+    assert tv_distance(Measure(sp, [0.4, 0.6]), Measure(sp, [0.4, 0.6])) == 0.0
+    assert tv_distance(Measure.dirac(sp, 0), Measure.dirac(sp, 1)) == 2.0
+    assert tv_distance(Measure(sp, [0.3, 0.7]), Measure(sp, [0.5, 0.5])) == pytest.approx(0.4)
+    with pytest.raises(SpaceMismatchError):
+        tv_distance(Measure.uniform(sp), Measure.uniform(FiniteSpace("t", 2)))
 
 
 def test_oscillation():
@@ -104,8 +107,6 @@ def test_dobrushin():
     assert dobrushin(M) == pytest.approx(0.7)
     assert dobrushin(IntegralOperator.identity(space)) == 1.0
     assert dobrushin(IntegralOperator.rank_one(space, pi)) == 0.0
-    with pytest.raises(ValueError):
-        dobrushin(IntegralOperator(space, space, [[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_dobrushin_matches_pairwise_max():
@@ -129,10 +130,10 @@ def test_dobrushin_matches_pairwise_max():
     kernels.append(perm)
     for m in kernels:
         sp = FiniteSpace("k", len(m))
-        beta = dobrushin(IntegralOperator(sp, sp, m, markov=True))
+        beta = dobrushin(IntegralOperator(sp, sp, m))
         assert abs(beta - pairwise(m)) <= 1e-15
     sp = FiniteSpace("perm", len(perm))
-    assert dobrushin(IntegralOperator(sp, sp, perm, markov=True)) == 1.0
+    assert dobrushin(IntegralOperator(sp, sp, perm)) == 1.0
 
 
 def test_compose():
@@ -141,7 +142,6 @@ def test_compose():
     assert np.array_equal(compose(M, ident).matrix, M.matrix)
     sq = compose(M, M)
     assert np.allclose(sq.matrix, [[0.83, 0.17], [0.34, 0.66]])
-    assert sq.markov
 
 
 def test_dobrushin_submultiplicative():
@@ -173,8 +173,8 @@ def test_tv_contraction():
         sp = FiniteSpace("s", n)
         M = random_stochastic(rng, n, space_src=sp, space_dst=sp)
         mu, nu = random_probability(rng, sp), random_probability(rng, sp)
-        lhs = tv_norm(act_measure(mu, M) - act_measure(nu, M))
-        assert lhs <= dobrushin(M) * tv_norm(mu - nu) + 1e-12
+        lhs = tv_distance(act_measure(mu, M), act_measure(nu, M))
+        assert lhs <= dobrushin(M) * tv_distance(mu, nu) + 1e-12
 
 
 def test_duality():
@@ -196,7 +196,6 @@ def test_tensor_measure_function():
     mu, nu = random_probability(rng, a), random_probability(rng, b)
     f, g = random_function(rng, a), random_function(rng, b)
     prod = tensor(mu, nu)
-    assert prod.kind == "probability"
     assert integrate(prod, tensor(f, g)) == pytest.approx(
         integrate(mu, f) * integrate(nu, g), abs=1e-12
     )
@@ -214,7 +213,6 @@ def test_tensor_operators_markov():
     M = random_stochastic(rng, 2, space_src=a, space_dst=a)
     N = random_stochastic(rng, 3, space_src=b, space_dst=b)
     T = tensor(M, N)
-    assert T.markov
     # distributivity over product states
     mu, nu = random_probability(rng, a), random_probability(rng, b)
     f, g = random_function(rng, a), random_function(rng, b)
@@ -233,8 +231,8 @@ def test_allclose_configurable_tolerance():
     from imcmc.measures import allclose
 
     sp = FiniteSpace("s", 2)
-    a = Measure.probability(sp, [0.5, 0.5])
-    b = Measure.probability(sp, [0.5 + 1e-10, 0.5 - 1e-10])
+    a = Measure(sp, [0.5, 0.5])
+    b = Measure(sp, [0.5 + 1e-10, 0.5 - 1e-10])
     assert not allclose(a, b)  # default 1e-12
     assert allclose(a, b, atol=1e-9)
     with pytest.raises(TypeError):

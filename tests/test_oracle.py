@@ -15,7 +15,6 @@ from imcmc.measures import (
     TestFunction,
     act_measure,
     dobrushin,
-    tv_norm,
 )
 from imcmc.reporting import read_csv
 import reference
@@ -51,7 +50,7 @@ def ring_model(n, betas=(0.3,), eps=0.3):
         proposal[x, (x + 1) % n] = proposal[x, (x - 1) % n] = 0.5
     return ann.make_metropolis_model(
         sp, 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n), betas, eps,
-        IntegralOperator(sp, sp, proposal, markov=True),
+        IntegralOperator(sp, sp, proposal),
     )
 
 
@@ -73,7 +72,7 @@ def _check_invariance(M, pi, atol):
     assert oracle.resolvent_bundle(kernel, pi).invariant is pi
     shifted = pi.weights + 1e-9 * (np.arange(pi.space.size) - (pi.space.size - 1) / 2.0)
     with pytest.raises(oracle.OracleError, match="not invariant"):
-        oracle.resolvent_bundle(kernel, Measure.probability(pi.space, shifted))
+        oracle.resolvent_bundle(kernel, Measure(pi.space, shifted))
 
 
 def test_invariant_measure_two_state():
@@ -94,7 +93,7 @@ def test_contraction_index():
     assert n0 == 1 and m_n0 == pytest.approx(0.7) and p_n0 == pytest.approx(2 / 0.3)
     # a pure permutation never contracts
     sp = FiniteSpace("perm", 3)
-    perm = IntegralOperator(sp, sp, np.roll(np.eye(3), 1, axis=1), markov=True)
+    perm = IntegralOperator(sp, sp, np.roll(np.eye(3), 1, axis=1))
     with pytest.raises(oracle.OracleError, match="M\\^8 has no positive column"):
         oracle.contraction_index(FactoredKernel.dense(perm))
 
@@ -103,7 +102,7 @@ def _exact_beta_search(sp, m):
     """First exact ``beta(M^n) < 1`` over the powers ``n <= 64``, or None."""
     power = m
     for _ in range(64):
-        beta = dobrushin(IntegralOperator(sp, sp, power, markov=True))
+        beta = dobrushin(IntegralOperator(sp, sp, power))
         if beta < 1.0:
             return beta
         power = power @ m
@@ -127,7 +126,7 @@ def test_doeblin_certificates_on_sparse_kernels():
         m[np.arange(n), rng.integers(0, n, n)] += rng.random(n)  # no empty row
         m /= m.sum(axis=1, keepdims=True)
         sp = FiniteSpace(f"sparse{i}", n)
-        M = IntegralOperator(sp, sp, m, markov=True)
+        M = IntegralOperator(sp, sp, m)
         if _positive_column_by_wielandt(m):
             ergodic.add(i)
         beta = _exact_beta_search(sp, m)
@@ -144,7 +143,7 @@ def test_doeblin_certificates_on_sparse_kernels():
         assert p_n0 == 2.0 * n0 / (1.0 - m_n0)
         power = power.to_operator().matrix
         assert np.allclose(power, np.linalg.matrix_power(m, n0), rtol=0.0, atol=1e-13)
-        assert m_n0 >= dobrushin(IntegralOperator(sp, sp, power, markov=True)) - 1e-15
+        assert m_n0 >= dobrushin(IntegralOperator(sp, sp, power)) - 1e-15
         b = oracle.resolvent_bundle(FactoredKernel.dense(M), stationary_measure(M))
         assert b.norm <= p_n0
     assert rejected == set(range(400)) - ergodic
@@ -160,10 +159,10 @@ def test_wielandt_kernel_is_certified():
     sp = FiniteSpace("wielandt8", n)
     assert (np.linalg.matrix_power(m, 49) == 0).any()
     assert (np.linalg.matrix_power(m, 50) > 0).all()
-    M = IntegralOperator(sp, sp, m, markov=True)
+    M = IntegralOperator(sp, sp, m)
     b = oracle.resolvent_bundle(FactoredKernel.dense(M), stationary_measure(M))
     assert b.m_n0 < 1.0 and b.norm <= b.p_n0
-    cycle = IntegralOperator(sp, sp, np.roll(np.eye(n), 1, axis=1), markov=True)
+    cycle = IntegralOperator(sp, sp, np.roll(np.eye(n), 1, axis=1))
     with pytest.raises(oracle.OracleError, match="Wielandt's bound 50"):
         oracle.contraction_index(FactoredKernel.dense(cycle))
 
@@ -406,12 +405,12 @@ def test_factored_levels_match_dense(case):
         assert np.abs(b.kernel.apply(h) - M @ h).max() <= 1e-14 * np.abs(h).max() * pi.size
         assert np.abs(b.kernel.act(mu) - mu @ M).max() <= 1e-14 * mu.sum()
         # certificates: the factored squaring against the dense matrix
-        dense = FactoredKernel.dense(IntegralOperator(b.space, b.space, M, markov=True))
+        dense = FactoredKernel.dense(IntegralOperator(b.space, b.space, M))
         n0, m_n0, _, _, _ = oracle.contraction_index(dense)
         assert b.n0 == n0 and abs(b.m_n0 - m_n0) <= 1e-14
         assert np.abs(b.power.to_operator().matrix - np.linalg.matrix_power(M, n0)).max() <= 1e-13
         # the whole resolvent against the dense solve
-        P = dense_resolvent(IntegralOperator(b.space, b.space, M, markov=True), b.invariant)
+        P = dense_resolvent(IntegralOperator(b.space, b.space, M), b.invariant)
         norm = float(np.abs(P).sum(axis=1).max())
         assert abs(b.norm - norm) <= 1e-12 * norm
         assert np.abs(resolvent_matrix(b) - P).max() <= 1e-12 * norm
@@ -581,13 +580,13 @@ def test_d_semigroup_conventions():
 
 
 def test_coefficient_table():
-    assert [oracle.coefficient_sq(l) for l in range(4)] == [1.0, 2.0, 6.0, 20.0]
+    assert [oracle.cross_coefficient(l, l) for l in range(4)] == [1.0, 2.0, 6.0, 20.0]
 
 
 def test_cross_coefficient_table():
-    # diagonal reduces to the variance coefficients
+    # the diagonal is the variance coefficient (2l)!/l!^2
     for l in range(4):
-        assert oracle.cross_coefficient(l, l) == oracle.coefficient_sq(l)
+        assert oracle.cross_coefficient(l, l) == math.comb(2 * l, l)
     # off-diagonal values are the weight-array overlaps, below the
     # Cauchy-Schwarz product of the variance coefficients
     assert oracle.cross_coefficient(1, 0) == 1.0
@@ -595,7 +594,7 @@ def test_cross_coefficient_table():
     assert oracle.cross_coefficient(2, 1) == 3.0
     assert oracle.cross_coefficient(3, 2) == 10.0
     for dk, dj in ((1, 0), (2, 1), (3, 1)):
-        bound = math.sqrt(oracle.coefficient_sq(dk)) * math.sqrt(oracle.coefficient_sq(dj))
+        bound = math.sqrt(oracle.cross_coefficient(dk, dk) * oracle.cross_coefficient(dj, dj))
         assert oracle.cross_coefficient(dk, dj) < bound
 
 
@@ -695,14 +694,14 @@ def test_product_model_base_case():
     # limit measure on the first output coordinate times D_1
     D = dense_first_order_D(spec.model, 0, spec.pis[0])
     expect = np.einsum("a,rb->rab", spec.pis[0].weights, D)
-    assert np.allclose(pm.d_op.matrix, expect.reshape(pm.d_op.matrix.shape), atol=1e-14)
+    assert np.allclose(pm.d_op, expect.reshape(pm.d_op.shape), atol=1e-14)
 
 
 def test_product_limit_invariant():
     for spec in (toy_spec(k_max=3), annealing_spec(k_max=3)):
         pm = reference.product_model(spec, 2)
         out = act_measure(pm.limit, pm.kernel)
-        assert tv_norm(out - pm.limit) < 1e-10
+        assert reference.tv_distance(out, pm.limit) < 1e-10
 
 
 def test_product_remainder_quadratic():
