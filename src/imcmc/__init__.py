@@ -8,14 +8,7 @@ from .measures import (
     Measure,
     SpaceMismatchError,
     TestFunction,
-    act_measure,
-    allclose,
-    apply_operator,
-    compose,
-    dobrushin,
     integrate,
-    operator_norm,
-    oscillation,
 )
 
 __version__ = "0.1.0"

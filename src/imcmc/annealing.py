@@ -147,6 +147,7 @@ def potential_fn(model: AnnealingModel, l: int) -> TestFunction:
     return TestFunction(model.space, np.exp(-delta * (v - v.min())))
 
 
+# Kept only for the benchmark tracer, which names it; no command calls it.
 def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     """Geometric average ``(1-eps) sum_k eps^k K_l^k`` in closed form.
 
@@ -166,27 +167,13 @@ def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     return IntegralOperator(model.space, model.space, mat)
 
 
-def annealing_map(model: AnnealingModel, l: int, mu: Measure) -> Measure:
-    """Level map: reweight by ``G_l``, apply ``L_{l+1}``, then the geometric kernel.
-
-    Sends probability measures on the common space to probability
-    measures; the Gibbs measures are its fixed points.
-    """
-    if not 0 <= l < model.levels:
-        raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
-    psi = boltzmann_gibbs(mu, potential_fn(model, l))
-    w = psi.weights @ model.kernels_l[l + 1].matrix @ geometric_kernel(model, l + 1).matrix
-    w = np.maximum(w, 0.0)
-    return Measure(model.space, w / w.sum())
-
-
 def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperator:
     """Sampling kernel for level `l`: one ``K_l`` move or a reweighted redraw.
 
     ``M(x, y) = eps K_l(x, y) + (1 - eps) (bg(mu) L_l)(y)``.  Its rows
     share the ``(1-eps)``-weighted part, so its contraction coefficient
-    is at most ``eps``; its invariant measure is
-    ``annealing_map(model, l-1, mu)``.
+    is at most ``eps``; its invariant measure is ``bg(mu) L_l`` moved by
+    the level-`l` geometric kernel.
     """
     if l < 1:
         raise ValueError("the level-0 kernel is homogeneous; use model.level0_kernel")

@@ -187,8 +187,11 @@ def cmd_verify(cfg: RunConfig, inject: bool) -> int:
 
 
 def cmd_weights(k_max: int, n: int, out_dir: str | None) -> int:
-    rows = weight_limit_table(k_max, n)
-    table = [[k, m, val, lim, rel] for (k, m, val, lim, rel) in rows]
+    try:
+        rows = weight_limit_table(k_max, n)
+    except ValueError as e:
+        print(f"weights: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{'k':>3} {'n':>9} {'partial':>14} {'limit':>10} {'rel_error':>12}")
     for k, m, val, lim, rel in rows:
         print(f"{k:>3} {m:>9} {val:>14.8f} {lim:>10.1f} {rel:>12.3e}")
@@ -199,7 +202,7 @@ def cmd_weights(k_max: int, n: int, out_dir: str | None) -> int:
             write_csv(
                 fh,
                 ["k", "n", "partial_sum", "limit", "rel_error"],
-                table,
+                rows,
                 {"artifact_version": __version__},
             )
         print(f"table written to {path / 'weights.csv'}")
@@ -232,9 +235,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "weights":
-            if args.kmax > 6:
-                print("weights: --kmax must be <= 6", file=sys.stderr)
-                return EXIT_CONFIG
             return cmd_weights(args.kmax, args.n, args.out)
         try:
             cfg = _apply_overrides(load_config(args.config), args)

@@ -56,6 +56,7 @@ Functions are either ``terminal_indicator(i)`` / ``indicator(i)``
 from __future__ import annotations
 
 import configparser
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,6 @@ from . import annealing as ann
 from . import fk
 from .engine import EngineConfig
 from .measures import MAX_STATES, FiniteSpace, IntegralOperator, Measure, TestFunction
-from .reporting import config_digest
 
 
 class ConfigError(ValueError):
@@ -147,7 +147,7 @@ class RunConfig:
 
     @property
     def digest(self) -> str:
-        return config_digest(self.raw)
+        return hashlib.sha256(self.raw).hexdigest()
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(

@@ -244,6 +244,7 @@ def mh_factors(model: FKModel, l: int, mu: Measure) -> FactoredKernel:
     return FactoredKernel(ps.space, np.repeat(term_prev, s_new), flows, reject)
 
 
+# Kept only for the benchmark tracer, which names it; no command calls it.
 def mh_kernel(model: FKModel, l: int, mu: Measure) -> IntegralOperator:
     """The kernel of :func:`mh_factors` as a dense matrix: a test reference."""
     return mh_factors(model, l, mu).to_operator()

@@ -54,21 +54,7 @@ MEMORY_FRACTION = 0.5
 # Weight arrays
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class WeightArray:
-    """Iterated Cesaro weights of one order over horizon ``n``."""
-
-    order: int
-    horizon: int
-    values: np.ndarray
-    normalized: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.normalized.setflags(write=False)
-
-
-def s_weights(k: int, n: int) -> WeightArray:
+def s_weights(k: int, n: int) -> np.ndarray:
     """Order-`k` weight array over ``p = 0 .. n`` by reverse cumulative sums."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
@@ -78,22 +64,22 @@ def s_weights(k: int, n: int) -> WeightArray:
     inv = 1.0 / np.arange(1, n + 2)
     for _ in range(k - 1):
         values = np.cumsum((values * inv)[::-1])[::-1]
-    norm = math.sqrt(float((values**2).sum()))
-    return WeightArray(order=k, horizon=n, values=values, normalized=values / norm)
+    return values
 
 
 def weight_limit_check(k: int, n: int) -> float:
     """``(1/n) sum_q s^(k+1)_n(q)^2``, which converges to ``(2k)!/k!^2``."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
-    arr = s_weights(k + 1, n)
-    return float((arr.values**2).sum() / n)
+    if n < 1:
+        raise ValueError(f"horizon must be >= 1, got {n}")
+    return float((s_weights(k + 1, n) ** 2).sum() / n)
 
 
 def weight_limit_table(k_max: int, n: int) -> list[tuple[int, int, float, float, float]]:
     """Rows ``(k, n, partial sum, limit, relative error)`` for ``k = 1 .. k_max``."""
-    if k_max > 6:
-        raise ValueError("orders above 6 are outside the supported table range")
+    if not 1 <= k_max <= 6:
+        raise ValueError(f"order must be in 1..6, got {k_max}")
     rows = []
     for k in range(1, k_max + 1):
         val = weight_limit_check(k, n)
@@ -120,12 +106,6 @@ class FluctuationSamples:
     columns: tuple[SampleColumn, ...]
     values: np.ndarray  # (R, len(columns))
     replicates: tuple[int, ...]
-
-    def column(self, level: int, function: str, n: int) -> np.ndarray:
-        for i, c in enumerate(self.columns):
-            if c == SampleColumn(level, function, n):
-                return self.values[:, i]
-        raise KeyError(f"no column for level={level} function={function!r} n={n}")
 
     def to_csv(self, fh, metadata: dict | None = None) -> None:
         header = ["replicate"] + [f"{c.level}:{c.function}:{c.n}" for c in self.columns]

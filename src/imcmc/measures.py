@@ -5,11 +5,10 @@ state spaces, probability laws as weight vectors (:class:`Measure`),
 Markov kernels as dense matrices (:class:`IntegralOperator`) or kept in
 class factors (:class:`FactoredKernel`), first-order operators kept as a
 transport and the action of a Markov step (:class:`FirstOrderOperator`),
-and the handful of coefficients (oscillation, Dobrushin contraction) the
-rest of the package reasons with.  A :class:`Measure` is always a law and
-an :class:`IntegralOperator` always a Markov kernel: both are validated
-at construction.  Signed objects, such as the difference of two laws or
-a first-order operator ``D``, are plain arrays or
+and the Dobrushin contraction coefficient.  A :class:`Measure` is always
+a law and an :class:`IntegralOperator` always a Markov kernel: both are
+validated at construction.  Signed objects, such as the difference of
+two laws or a first-order operator ``D``, are plain arrays or
 :class:`FirstOrderOperator` values.
 
 Conventions
@@ -132,12 +131,6 @@ class Measure:
         object.__setattr__(self, "weights", w)
 
     @staticmethod
-    def dirac(space: FiniteSpace, index: int) -> "Measure":
-        w = np.zeros(space.size)
-        w[index] = 1.0
-        return Measure(space, w)
-
-    @staticmethod
     def uniform(space: FiniteSpace) -> "Measure":
         return Measure(space, np.full(space.size, 1.0 / space.size))
 
@@ -168,10 +161,6 @@ class TestFunction:
         v = np.zeros(space.size)
         v[index] = 1.0
         return TestFunction(space, v)
-
-    @staticmethod
-    def constant(space: FiniteSpace, value: float) -> "TestFunction":
-        return TestFunction(space, np.full(space.size, float(value)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,31 +372,13 @@ class FirstOrderOperator:
 # Operations
 # ---------------------------------------------------------------------------
 
-def apply_operator(M: IntegralOperator, f: TestFunction) -> TestFunction:
-    """``M(f)(x) = sum_y M(x, y) f(y)``, a function on ``M.src``."""
-    _check_space(M.dst, f.space, "apply_operator")
-    return TestFunction(M.src, M.matrix @ f.values)
-
-
-def act_measure(mu: Measure, M: IntegralOperator) -> Measure:
-    """Dual action ``(mu M)(y) = sum_x mu(x) M(x, y)`` on ``M.dst``."""
-    _check_space(M.src, mu.space, "act_measure")
-    # guard against -1e-17 style round-off on otherwise exact rows
-    w = np.maximum(mu.weights @ M.matrix, 0.0)
-    return Measure(M.dst, w / w.sum())
-
-
 def integrate(mu: Measure, f: TestFunction) -> float:
     """``mu(f) = sum_x mu(x) f(x)``."""
     _check_space(mu.space, f.space, "integrate")
     return float(mu.weights @ f.values)
 
 
-def oscillation(f: TestFunction) -> float:
-    """``osc(f) = max f - min f``."""
-    return float(f.values.max() - f.values.min())
-
-
+# Kept only for the benchmark tracer, which names it; no command calls it.
 def dobrushin(M: IntegralOperator) -> float:
     """Dobrushin contraction coefficient of a Markov kernel.
 
@@ -435,33 +406,7 @@ def dobrushin(M: IntegralOperator) -> float:
     return best
 
 
-def compose(M: IntegralOperator, N: IntegralOperator) -> IntegralOperator:
-    """Kernel composition ``(M N)(x, z) = sum_y M(x, y) N(y, z)``."""
-    _check_space(M.dst, N.src, "compose")
-    return IntegralOperator(M.src, N.dst, M.matrix @ N.matrix)
-
-
+# Kept only for the benchmark tracer, which names it; no command calls it.
 def operator_norm(M: IntegralOperator) -> float:
     """Norm induced by the sup norm on functions: max row absolute sum."""
     return float(np.abs(M.matrix).sum(axis=1).max())
-
-
-def allclose(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise comparison of two measures, functions, or operators.
-
-    The default tolerance is the package-wide 1e-12 absolute; pass `atol`
-    to tighten or relax a single comparison.
-    """
-    if type(a) is not type(b):
-        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, Measure):
-        _check_space(a.space, b.space, "allclose")
-        return bool(np.abs(a.weights - b.weights).max() <= atol)
-    if isinstance(a, TestFunction):
-        _check_space(a.space, b.space, "allclose")
-        return bool(np.abs(a.values - b.values).max() <= atol)
-    if isinstance(a, IntegralOperator):
-        _check_space(a.src, b.src, "allclose")
-        _check_space(a.dst, b.dst, "allclose")
-        return bool(np.abs(a.matrix - b.matrix).max() <= atol)
-    raise TypeError(f"unsupported type {type(a).__name__}")

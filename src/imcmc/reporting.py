@@ -7,8 +7,6 @@ significant digits so a read-back reproduces the exact binary values.
 
 from __future__ import annotations
 
-import hashlib
-
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -46,6 +44,3 @@ def read_csv(fh) -> tuple[list[str], list[list[str]], dict[str, str]]:
             rows.append(line.split(","))
     return header or [], rows, metadata
 
-
-def config_digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()

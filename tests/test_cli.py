@@ -624,4 +624,12 @@ def test_cmd_weights(tmp_path, capsys):
     assert [float(r[3]) for r in rows] == [2.0, 6.0, 20.0]
     rels = [float(r[4]) for r in rows]
     assert rels[0] < 0.02 and rels[1] < 0.03 and rels[2] < 0.05
-    assert cli.main(["weights", "--kmax", "7"]) == 2
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    for args in (["--kmax", "7"], ["--n", "-1"], ["--n", "0"], ["--kmax", "0"], ["--kmax", "-2"]):
+        assert cli.main(["weights", *args, "--out", str(bad)]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert captured.err.startswith("weights: ") and captured.err.count("\n") == 1, args
+        assert "Traceback" not in captured.err
+        assert not (bad / "weights.csv").exists()

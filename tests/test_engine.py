@@ -292,13 +292,15 @@ def test_fluctuation_field_values():
     space = cfg.level_spaces()[0]
     pi = fk.exact_path_measure(cfg.model, 0)
     f = TestFunction(space, [1.0, 0.0])
-    const = TestFunction.constant(space, 2.0)
+    const = TestFunction(space, np.full(space.size, 2.0))
     fields = harness.run_replicates(cfg, 2, [[("f", f), ("c", const)]], [0, 100], [pi])
     first = engine.run_batch(cfg, range(2)).states[0][:, 0]
     # n = 0 reduces to f(X_0) - pi(f)
     expect = f.values[first] - float(pi.weights @ f.values)
-    assert fields.column(0, "f", 0) == pytest.approx(expect)
-    assert fields.column(0, "c", 100) == pytest.approx(np.zeros(2), abs=1e-12)
+    f_col = fields.columns.index(harness.SampleColumn(0, "f", 0))
+    c_col = fields.columns.index(harness.SampleColumn(0, "c", 100))
+    assert fields.values[:, f_col] == pytest.approx(expect)
+    assert fields.values[:, c_col] == pytest.approx(np.zeros(2), abs=1e-12)
 
 
 def test_running_counts_match_recount():
@@ -474,7 +476,7 @@ def test_constant_potential_always_accepts():
         base_spaces=spaces,
         initial=Measure.uniform(spaces[0]),
         transitions=(flat,),
-        potentials=(TestFunction.constant(spaces[0], 1.0),),
+        potentials=(TestFunction(spaces[0], np.full(spaces[0].size, 1.0)),),
     )
     cfg = engine.EngineConfig(model=model, levels=1, iterations=10, seed=3)
     rng = np.random.default_rng(15)

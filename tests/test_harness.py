@@ -16,21 +16,18 @@ from reference import weight_overlap_check
 # ---------------------------------------------------------------------------
 
 def test_s_weights_order_one_is_ones():
-    arr = harness.s_weights(1, 10)
-    assert np.array_equal(arr.values, np.ones(11))
-    assert np.allclose((arr.normalized**2).sum(), 1.0)
+    assert np.array_equal(harness.s_weights(1, 10), np.ones(11))
 
 
 def test_s_weights_hand_values():
     # order 2, horizon 2: tail harmonic sums (11/6, 5/6, 1/3)
-    arr = harness.s_weights(2, 2)
-    assert np.allclose(arr.values, [11 / 6, 5 / 6, 1 / 3], atol=1e-15)
+    assert np.allclose(harness.s_weights(2, 2), [11 / 6, 5 / 6, 1 / 3], atol=1e-15)
 
 
 def test_s_weights_monotone():
     for n in (10, 1000, 10_000):
         for k in range(1, 6):
-            v = harness.s_weights(k, n).values
+            v = harness.s_weights(k, n)
             assert (np.diff(v) <= 1e-15).all()
             assert (v >= 0).all()
 
@@ -47,13 +44,15 @@ def test_weight_limit_convergence():
 
 def test_order_one_partial_sum_exact():
     n = 1000
-    arr = harness.s_weights(1, n)
-    assert (arr.values**2).sum() / n == pytest.approx((n + 1) / n)
+    assert (harness.s_weights(1, n) ** 2).sum() / n == pytest.approx((n + 1) / n)
 
 
 def test_normalized_first_weight_decays():
     # decay is O(log n / sqrt(n)): slow, but strictly decreasing on the grid
-    w0 = [harness.s_weights(2, n).normalized[0] for n in (10**2, 10**3, 10**4)]
+    w0 = []
+    for n in (10**2, 10**3, 10**4):
+        v = harness.s_weights(2, n)
+        w0.append(v[0] / math.sqrt((v**2).sum()))
     assert w0[0] > w0[1] > w0[2]
     assert w0[-1] < 2.0 * math.log(10**4) / math.sqrt(10**4)
 
@@ -61,8 +60,12 @@ def test_normalized_first_weight_decays():
 def test_weight_limit_table():
     rows = harness.weight_limit_table(3, 10**4)
     assert [r[3] for r in rows] == [2.0, 6.0, 20.0]
-    with pytest.raises(ValueError):
-        harness.weight_limit_table(7, 100)
+    for k_max in (7, 0, -2):
+        with pytest.raises(ValueError, match="order must be in 1..6"):
+            harness.weight_limit_table(k_max, 100)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            harness.weight_limit_table(3, n)
 
 
 def test_weight_overlap_limits():
@@ -174,15 +177,6 @@ def test_run_replicates_centering():
     for i in range(samples.values.shape[1]):
         col = samples.values[:, i]
         assert abs(col.mean()) <= 4.0 * col.std(ddof=1) / math.sqrt(col.size)
-
-
-def test_column_lookup():
-    cfg, spec, functions = toy_setup()
-    samples = harness.run_replicates(cfg, 4, functions, [2000], spec.pis)
-    col = samples.column(1, "fterm", 2000)
-    assert col.shape == (4,)
-    with pytest.raises(KeyError):
-        samples.column(0, "nope", 2000)
 
 
 def test_variance_of_variance_scales():

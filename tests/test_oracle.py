@@ -13,7 +13,6 @@ from imcmc.measures import (
     IntegralOperator,
     Measure,
     TestFunction,
-    act_measure,
     dobrushin,
 )
 from imcmc.reporting import read_csv
@@ -485,6 +484,38 @@ def test_resolvent_bundle_detects_perturbed_flow(monkeypatch, level, shift):
         oracle.resolvent_bundle(kernel, pi)
 
 
+def test_resolvent_rejects_a_class_that_never_moves():
+    # one state that rejects every proposal: certified (m = 0), but 1 - r = 0
+    sp = FiniteSpace("one", 1)
+    kernel = FactoredKernel(sp, [0], [[0.0]], [1.0])
+    with pytest.raises(oracle.OracleError, match="rejects every move"):
+        oracle.resolvent_bundle(kernel, Measure(sp, [1.0]))
+
+
+def test_series_stops_at_its_certified_term_count():
+    # level 0 of the 16-ring certifies n0 = 32 at m_n0 = 0.25; claiming
+    # m_n0 = 1e-3 allows too few blocks for the tail to fall below tolerance
+    bundle = oracle.build_clt_spec(ring_model(16), 0).bundles[0]
+    fb = np.eye(16)[0] - bundle.invariant.weights[0]
+    oracle.resolvent_series(bundle, fb)
+    with pytest.raises(oracle.OracleError, match="exceeded its certified term count"):
+        oracle.resolvent_series(dataclasses.replace(bundle, m_n0=1e-3), fb)
+
+
+def test_resolvent_norm_above_its_bound_is_rejected(monkeypatch):
+    # the 16-ring's attained ||P|| is 20.2; a certificate claiming 0.5 must fail
+    bundle = oracle.build_clt_spec(ring_model(16), 0).bundles[0]
+    certify = oracle.contraction_index
+
+    def low_bound(kernel):
+        n0, m_n0, _, power, power_sum = certify(kernel)
+        return n0, m_n0, 0.5, power, power_sum
+
+    monkeypatch.setattr(oracle, "contraction_index", low_bound)
+    with pytest.raises(oracle.OracleError, match="exceeds contraction bound 0.5"):
+        oracle.resolvent_bundle(bundle.kernel, bundle.invariant)
+
+
 def test_factored_stack_stays_below_one_dense_matrix():
     # 4096 states at level 3: a single S x S float64 array is 128 MiB
     tracemalloc.start()
@@ -507,7 +538,8 @@ def test_local_variance_two_state():
     bundle = oracle.resolvent_bundle(FactoredKernel.dense(M), pi)
     f = TestFunction(space, [1.0, 0.0])
     assert oracle.local_variance(bundle, f) == pytest.approx(34.0 / 27.0, abs=1e-12)
-    assert oracle.local_variance(bundle, TestFunction.constant(space, 3.0)) == pytest.approx(0.0, abs=1e-13)
+    const = TestFunction(space, np.full(space.size, 3.0))
+    assert oracle.local_variance(bundle, const) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_local_variance_rank_one_is_static_variance():
@@ -532,7 +564,8 @@ def test_local_covariance_properties():
         oracle.local_variance(bundle, f), abs=1e-10
     )
     # kills constants
-    assert oracle.local_covariance(bundle, f, TestFunction.constant(space, 2.0)) == pytest.approx(0.0, abs=1e-13)
+    const = TestFunction(space, np.full(space.size, 2.0))
+    assert oracle.local_covariance(bundle, f, const) == pytest.approx(0.0, abs=1e-13)
     # bilinear
     a = 1.7
     lhs = oracle.local_covariance(bundle, f, TestFunction(space, a * g.values + h.values))
@@ -547,7 +580,7 @@ def test_series_check_detects_perturbed_resolvent():
     bad[bundle.kernel.classes[1], 2] += 1e-6  # entry (1, 2) of P, with its class
     broken = dataclasses.replace(bundle, flow=bad)
     f = TestFunction(bundle.space, np.eye(size)[2])  # reads the perturbed column
-    const = TestFunction.constant(bundle.space, 1.0)
+    const = TestFunction(bundle.space, np.full(bundle.space.size, 1.0))
     oracle.local_variance(bundle, f)
     oracle.local_covariance(bundle, const, f)
     with pytest.raises(oracle.OracleError):
@@ -629,7 +662,7 @@ def test_cross_covariance_consistency():
             oracle.asymptotic_variance(spec, k, f), abs=1e-12
         )
     f0 = TestFunction(spec.spaces[0], rng.standard_normal(2))
-    const = TestFunction.constant(spec.spaces[1], 5.0)
+    const = TestFunction(spec.spaces[1], np.full(spec.spaces[1].size, 5.0))
     assert oracle.asymptotic_cross_covariance(spec, 1, 0, const, f0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -700,7 +733,7 @@ def test_product_model_base_case():
 def test_product_limit_invariant():
     for spec in (toy_spec(k_max=3), annealing_spec(k_max=3)):
         pm = reference.product_model(spec, 2)
-        out = act_measure(pm.limit, pm.kernel)
+        out = reference.act_measure(pm.limit, pm.kernel)
         assert reference.tv_distance(out, pm.limit) < 1e-10
 
 
