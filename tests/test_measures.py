@@ -3,6 +3,7 @@ import pytest
 
 from imcmc.measures import (
     FiniteSpace,
+    FirstOrderOperator,
     IntegralOperator,
     Measure,
     SpaceMismatchError,
@@ -54,6 +55,19 @@ def test_apply_operator():
     mu = Measure(space, [0.3, 0.7])
     const = IntegralOperator.rank_one(space, mu).matrix @ f.values
     assert np.allclose(const, integrate(mu, f))
+
+
+def test_apply_operator_space_mismatch():
+    # an operator applied to a function on another space names both spaces
+    space, M, pi = two_state_chain()
+    D = FirstOrderOperator(
+        space, space, np.array([0.5, 1.0]), pi.weights, 1.0, lambda v: M.matrix @ v
+    )
+    assert D.apply(TestFunction(space, [1.0, 0.0])).space == space
+    other = FiniteSpace("other", 2)
+    with pytest.raises(SpaceMismatchError) as err:
+        D.apply(TestFunction(other, [1.0, 0.0]))
+    assert "chain2" in str(err.value) and "other" in str(err.value)
 
 
 def test_act_measure():
