@@ -140,6 +140,8 @@ def _batch_digest(res):
 #: Digests of stream layout version 1; a layout change bumps both together.
 BATCH_DIGESTS = {
     "fk_mh": "50b55e8446ea39c13cff87f9dd88ab5bc42a672f47744b49431163a5c70e4228",
+    "fk_mh_16": "a2f54c526c5dd848be203059ad0dc82e21e2569f9bea56314f53ed019608acf6",
+    "fk_mh_17": "720a803d0d673c7334031091683b398803e64c900e4d729008f5cf87106a5aeb",
     "fk_mh_256": "31efb2ba5e50b69818536f955094cf06e8fc0106c79fc089960fdd901fddbf53",
     "fk_mh_257": "5b900e5a19fd901a34c72959019fe84f54569b42df8f91f944840c937fd02b53",
     "fk_rank_one": "ee0df7e6fabe51e18dc94c746b1d2d679af4104f49a3c45e513ab11b322bab1e",
@@ -152,6 +154,17 @@ BATCH_DIGESTS = {
 }
 
 
+#: MH models whose level 1 reads a history of 16 or 17 states (the last
+#: alphabet that fits in 4 bits, and the first that does not) or of 256 or
+#: 257 (the last that fits in one byte, and the first that does not)
+_MH_BASES = {
+    "fk_mh_16": (16, 2, 2),
+    "fk_mh_17": (17, 2, 2),
+    "fk_mh_256": (256, 2),
+    "fk_mh_257": (257, 2),
+}
+
+
 def _digest_config(name):
     """The models of :data:`BATCH_DIGESTS`; the wide ones have alphabets above 8."""
     from helpers import random_fk_model
@@ -161,11 +174,11 @@ def _digest_config(name):
         if name.endswith("rank_one"):
             model = dataclasses.replace(model, kernel_type="rank_one")
         return engine.EngineConfig(model=model, levels=2, iterations=2100, seed=11)
-    if name in ("fk_mh_256", "fk_mh_257"):
-        # an MH level reading a history of 256 or 257 states: the last
-        # space whose indices fit in one byte, and the first that does not
-        model = random_fk_model((int(name[-3:]), 2), seed=8)
-        return engine.EngineConfig(model=model, levels=1, iterations=2100, seed=11)
+    if name in _MH_BASES:
+        model = random_fk_model(_MH_BASES[name], seed=8)
+        return engine.EngineConfig(
+            model=model, levels=len(_MH_BASES[name]) - 1, iterations=2100, seed=11
+        )
     if name == "annealing_wide":
         model = ann.make_metropolis_model(
             FiniteSpace("S", 12), np.linspace(0.0, 3.0, 12), (0.3, 0.6, 0.9), 0.3
