@@ -24,9 +24,13 @@ Rank-one levels need no scan.  Chains on more than :data:`TABLE_STATES`
 states step directly instead of tabulating the move from every state.
 
 Only a level that a Metropolis-Hastings level above it reads keeps its
-trajectory, since that level proposes from the whole past; it is stored
-in the narrowest unsigned dtype that holds every index of its space, one
-byte up to 256 states and two up to 65,536.  Other levels keep running
+trajectory, since that level proposes from the whole past.  A
+trajectory is stored packed, at the narrowest of 1, 2, 4, 8 or 16 bits
+per state that holds every index of its space: eight states to a byte
+on 2 states, four on up to 4, two on up to 16, one byte per state up to
+256 states and two up to 65,536.  Each block's states are packed in as
+they are made, a proposal reads its word and shifts its state out, and
+a kept trajectory is unpacked once, for the result.  Other levels keep running
 occupation counts, and a redraw level rebuilds the cumulative counts of
 the level below at each step of the block, which induces exactly the
 transition law of walking the history.  These running counts take the
@@ -43,10 +47,11 @@ uniforms, and one state buffer of (replicate, step) per level, in the
 level's history dtype, which the level writes while the level above
 reads it.  These are allocated once per call.  A slice copies only the
 uniform planes its rule reads: one for level 0, two for rank-one
-levels, all three otherwise.  Up to ``4 * BLOCK_CELLS`` replicates, a
-block holds at most that many (replicate, step) cells, so its uniforms
-stay within 3.75 MiB and a level's state buffer within 128 KiB per byte
-of its dtype.
+levels, all three otherwise.  A block is at most :data:`MAX_BLOCK`
+steps and, up to ``4 * BLOCK_CELLS`` replicates, at most that many
+(replicate, step) cells, so its uniforms stay within 3 MiB (0.75 MiB
+at 64 replicates), one slice's within 0.75 MiB, and a level's state
+buffer within 128 KiB per byte of its dtype.
 
 Randomness contract
 -------------------
@@ -94,7 +99,7 @@ TABLE_STATES = 8
 BLOCK_CELLS = 1 << 15
 
 #: Most time steps in a block, the number whose uniforms are drawn at once.
-MAX_BLOCK = 2048
+MAX_BLOCK = 512
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): `hashmix`
@@ -350,6 +355,73 @@ def _history_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
+def _packing(size: int) -> tuple[int, int]:
+    """Bits per state, and states per word, of a `size`-state history.
+
+    The bits are the narrowest power of two that holds every state index;
+    a word is one element of the space's history dtype, so below 8 bits
+    a byte holds 8, 4 or 2 states and from 8 bits up a word holds one.
+    """
+    bits = 1 << (max(1, (size - 1).bit_length()) - 1).bit_length()
+    return bits, max(1, 8 // bits)
+
+
+class _History:
+    """Trajectories (rows, length) of a `size`-state level, packed.
+
+    Time ``t`` of a row sits in word ``t // per`` of it, ``bits * (t %
+    per)`` bits up; see :func:`_packing`.  Words start at zero, and each
+    time is stored once.
+    """
+
+    def __init__(self, rows: int, length: int, size: int):
+        self.bits, self.per = _packing(size)
+        self.length = length
+        self.words = np.zeros((rows, -(-length // self.per)), dtype=_history_dtype(size))
+
+    def put(self, t0: int, xs: np.ndarray) -> None:
+        """Store the states `xs` (rows, T) at times ``t0 .. t0 + T - 1``."""
+        per, (rows, T) = self.per, xs.shape
+        if per == 1:
+            self.words[:, t0 : t0 + T] = xs
+            return
+        lo, w0 = t0 % per, t0 // per
+        lanes = np.zeros((rows, -(-(lo + T) // per), per), dtype=self.words.dtype)
+        lanes.reshape(rows, -1)[:, lo : lo + T] = xs
+        # the first word may hold states of earlier times already
+        words = self.words[:, w0 : w0 + lanes.shape[1]]
+        for i in range(per):
+            words |= lanes[:, :, i] << i * self.bits
+
+    def take(self, t: np.ndarray) -> np.ndarray:
+        """States at times `t` (rows, T) of each row, as intp; a single row
+        is read at every row of `t`."""
+        rows = np.arange(len(self.words))[:, None] * self.words.shape[1]
+        flat = self.words.reshape(-1)
+        if self.per == 1:
+            return flat.take(t + rows).astype(np.intp)
+        pos = t >> self.per.bit_length() - 1
+        pos += rows
+        states = flat.take(pos)
+        # the shifts as bytes: shifting bytes by an intp array computes in
+        # intp, which took twice as long
+        shift = t.astype(np.uint8)
+        shift &= self.per - 1
+        shift *= self.bits
+        states >>= shift
+        states &= (1 << self.bits) - 1
+        return states.astype(np.intp)
+
+    def unpack(self) -> np.ndarray:
+        """The states, (rows, length), in the history dtype."""
+        if self.per == 1:
+            return self.words
+        shifts = np.arange(0, 8, self.bits, dtype=np.uint8)
+        states = self.words[:, :, None] >> shifts
+        states &= (1 << self.bits) - 1
+        return states.reshape(len(self.words), -1)[:, : self.length]
+
+
 def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
     """Which levels keep their trajectory: all with `keep_history`, else
     those that a Metropolis-Hastings level above reads."""
@@ -361,14 +433,21 @@ def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
 def replicate_bytes(config: EngineConfig) -> int:
     """Most bytes one replicate adds to a ``run_batch(..., keep_history=False)``.
 
-    Its kept histories, plus its share, at the longest block, of the
-    block's and one slice's float64 uniforms and of the state buffers,
-    one per level in its history dtype.
+    Its kept histories, packed as :class:`_History` stores them, plus
+    its share, at the longest block, of the block's and one slice's
+    float64 uniforms and of the state buffers, one per level in its
+    history dtype.  Charging the slice's share at a whole block also
+    covers a level's step temporaries, about 1.5 MiB whatever the chunk,
+    from about 150 replicates a chunk up.
     """
-    items = [_history_dtype(sp.size).itemsize for sp in config.level_spaces()]
-    kept = _kept_histories(config, keep_history=False)
-    history = sum(item for item, k in zip(items, kept) if k)
-    return (config.iterations + 1) * history + MAX_BLOCK * (2 * DRAWS_PER_STEP * 8 + sum(items))
+    spaces = config.level_spaces()
+    items = [_history_dtype(sp.size).itemsize for sp in spaces]
+    history = sum(
+        -(-(config.iterations + 1) // _packing(sp.size)[1]) * item
+        for sp, item, kept in zip(spaces, items, _kept_histories(config, keep_history=False))
+        if kept
+    )
+    return history + MAX_BLOCK * (2 * DRAWS_PER_STEP * 8 + sum(items))
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
@@ -423,28 +502,35 @@ def _step_chain(cdf, cur, u, n, lower):
     return _kernel_scan(cdf, cur, u[0])
 
 
-def _step_fk_mh(cdf, g, term, s_new, cur, u, n, history):
+def _step_fk_mh(cdf, ratio, term, s_new, cur, u, n, history):
     """Proposal: a uniformly drawn past path of the level below, extended.
 
-    `term` maps a path of the level below to its terminal coordinate.
+    `ratio` is the acceptance table ``g[y] / g[c]`` of a proposal with
+    terminal ``y`` from a path with terminal ``c``, and `term` maps a
+    path of the level below to its terminal coordinate.  `history` is
+    the level below's :class:`_History`, with one row per replicate or a
+    single row that every replicate reads.
     """
     B, T = u.shape[1:]
-    H = history.shape[1]
     p = (u[0] * (n + 1)).astype(np.intp)
     np.minimum(p, n, out=p)
-    # one history row per replicate, or a single row that every replicate reads
-    p += np.arange(history.shape[0])[:, None] * H
-    drawn = history.reshape(-1).take(p).astype(np.intp)
+    drawn = history.take(p)
+    del p
     yterm = term.take(drawn)
     # held[:, 0] is the current state and held[:, t + 1] the proposal of step t
     held = np.empty((B, T + 1), dtype=np.intp)
     held[:, 0] = cur
     np.add(drawn * s_new, _cdf_draw(cdf, yterm, u[1]), out=held[:, 1:])
+    del drawn
     # accept[c, b, t]: step t accepts when the current prefix terminal is c
-    accept = u[2] < g.take(yterm) / g[:, None, None]
-    alphabet = np.arange(g.size)[:, None, None]
-    pos = _scan(np.where(accept, yterm, alphabet), term.take(cur // s_new))
+    accept = u[2] < ratio.take(yterm, axis=1)
+    alphabet = np.arange(len(ratio))[:, None, None]
+    table = np.where(accept, yterm, alphabet)
+    del yterm
+    pos = _scan(table, term.take(cur // s_new))
+    del table
     last = np.where(accept.ravel().take(pos), np.arange(1, T + 1), 0)
+    del accept, pos
     np.maximum.accumulate(last, axis=1, out=last)
     # the state is the proposal of the last accepted step, else `cur`
     last += np.arange(B)[:, None] * (T + 1)
@@ -496,7 +582,7 @@ def _rules(config: EngineConfig) -> list[_Rule]:
         g = model.potentials[k - 1].values
         term = spaces[k - 1].terminal
         if model.kernel_type == "mh":
-            step = partial(_step_fk_mh, cdf, g, term, s_new)
+            step = partial(_step_fk_mh, cdf, g[None, :] / g[:, None], term, s_new)
             rules.append(_Rule(step, "history", max(s_prev, s_new), 3))
         else:
             # potential of a level-(k-1) path state: that of its terminal
@@ -519,8 +605,8 @@ def run_batch(
     per-level occupation counts of states ``0..n`` are snapshotted.
     `block` is the number of time steps whose uniforms are drawn at once,
     by default ``min(MAX_BLOCK, 4 * BLOCK_CELLS // B)`` for ``B``
-    replicates: 2048 up to 64 replicates, 512 at 256.  The
-    trajectories do not depend on it.
+    replicates: 512 up to 256 replicates, 256 at 512.  The trajectories
+    do not depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
     checkpoints = sorted(set(int(n) for n in checkpoints))
@@ -535,10 +621,7 @@ def run_batch(
     block = block or min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
     gens = [[_philox(key) for key in _stream_keys(config.seed, replicates, k)] for k in range(L + 1)]
     keep = _kept_histories(config, keep_history)
-    hist = [
-        np.zeros((B, N + 1), dtype=_history_dtype(size)) if kept else None
-        for kept, size in zip(keep, sizes)
-    ]
+    hist = [_History(B, N + 1, size) if kept else None for kept, size in zip(keep, sizes)]
 
     cur, counts = [], []
     for k in range(L + 1):
@@ -546,7 +629,7 @@ def run_batch(
         uniform = _cdf_table(np.full((1, sizes[k]), 1.0 / sizes[k]))
         x0 = _cdf_draw(uniform, np.zeros(B, dtype=np.intp), u0)
         if keep[k]:
-            hist[k][:, 0] = x0
+            hist[k].put(0, x0[:, None])
         cur.append(x0)
         counts.append(_row_counts(x0[:, None], sizes[k]))
     snaps = {n: [None] * (L + 1) for n in checkpoints}
@@ -579,9 +662,10 @@ def run_batch(
                         below_counts, below[:, lo:hi], sizes[k - 1], N
                     )
                 xs[:, lo:hi] = rule.step(x, u, n[lo:hi], lower)
+                del lower  # before the next slice's counts are built
                 x = xs[:, hi - 1].astype(np.intp)
             if keep[k]:
-                hist[k][:, t0 + 1 : t0 + T + 1] = xs
+                hist[k].put(t0 + 1, xs)
             # what the level above reads: counts through t0, then the block
             below_counts, below = counts[k], xs
             done = 0
@@ -597,7 +681,7 @@ def run_batch(
         config=config,
         replicates=replicates,
         spaces=spaces,
-        states=tuple(hist) if keep_history else None,
+        states=tuple(h.unpack() for h in hist) if keep_history else None,
         final_counts=tuple(counts),
         checkpoint_counts={c: tuple(v) for c, v in snaps.items()},
     )

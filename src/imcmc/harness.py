@@ -128,15 +128,15 @@ def run_replicates(
 
     `functions` lists, per level, pairs ``(name, TestFunction)``; `pis`
     are the limit measures per level.  Replicates run in lockstep in
-    balanced chunks of at most :data:`DEFAULT_CHUNK`, and of no more
-    than fit in each worker's share of :data:`MEMORY_FRACTION` of the
-    memory this process may use; when not even one replicate fits, a
-    ``MemoryError`` that names the need is raised before any process
-    starts.  With `workers` above 1 the chunks run on that many forked
-    processes, capped at the CPUs this process may use; every worker is
-    joined before the call returns.  Each replicate draws from its own
-    streams, so the result is bit-identical for any worker count and
-    chunk size.
+    balanced chunks (:func:`_chunks`) of at most :data:`DEFAULT_CHUNK`,
+    and of no more than fit in each worker's share of
+    :data:`MEMORY_FRACTION` of the memory this process may use; when not
+    even one replicate fits, a ``MemoryError`` that names the need is
+    raised before any process starts.  With `workers` above 1 the chunks
+    run on that many forked processes, capped at the CPUs this process
+    may use; every worker is joined before the call returns.  Each
+    replicate draws from its own streams, so the result is bit-identical
+    for any worker count and chunk size.
     """
     if R < 2:
         raise ValueError(f"need at least 2 replicates, got {R}")
@@ -157,8 +157,7 @@ def run_replicates(
             f"one replicate needs {need / 2**20:.1f} MiB, above the {budget / 2**20:.1f} MiB "
             f"planned for each of {p} worker(s)"
         )
-    size = min(DEFAULT_CHUNK, math.ceil(R / p), budget // need)
-    chunks = [range(lo, min(lo + size, R)) for lo in range(0, R, size)]
+    chunks = _chunks(R, p, min(DEFAULT_CHUNK, budget // need))
     p = min(p, len(chunks))
     if p == 1:
         parts = [run_chunk(ids) for ids in chunks]
@@ -175,6 +174,15 @@ def run_replicates(
     return FluctuationSamples(
         columns=columns, values=np.vstack(parts), replicates=tuple(range(R))
     )
+
+
+def _chunks(R: int, workers: int, largest: int) -> list[range]:
+    """``range(R)`` in the fewest chunks of at most `largest` whose count
+    is a multiple of `workers`, but no more chunks than replicates; their
+    sizes differ by at most one."""
+    fewest = -(-R // largest)
+    count = min(R, -(-fewest // workers) * workers)
+    return [range(i * R // count, (i + 1) * R // count) for i in range(count)]
 
 
 #: The cgroup memory limit files: v2's ``memory.max``, then v1's, which is

@@ -171,8 +171,7 @@ def resolvent(kernel: FactoredKernel, pi: Measure) -> np.ndarray:
         raise OracleError(f"a class of {kernel.space.id!r} rejects every move")
     dc = d[kernel.classes]
     w = pi.weights / dc
-    B = kernel.class_sums(kernel.flows)
-    B /= -d
+    B = kernel.class_sums(kernel.flows) / -d  # a new array: flows are read-only
     B[np.diag_indices(kernel.b)] += 1.0
     B += np.outer(d, kernel.class_sums(w))
     V = np.linalg.solve(B, kernel.flows)

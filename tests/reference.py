@@ -446,8 +446,8 @@ def transition_samples(
     cur = np.full(size, int(current), dtype=np.intp)
     lower = None
     if rule.reads == "history":
-        dtype = engine._history_dtype(config.level_spaces()[level - 1].size)
-        lower = history_states.astype(dtype)[None, :]
+        lower = engine._History(1, history_states.size, config.level_spaces()[level - 1].size)
+        lower.put(0, history_states[None, :])
     elif rule.reads == "counts":
         counts = np.bincount(history_states, minlength=config.level_spaces()[level - 1].size)
         lower = np.broadcast_to(counts[:, None, None], (counts.size, size, 1))

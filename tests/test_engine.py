@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -244,6 +245,24 @@ def test_occupation_matches_recount():
         engine.run_batch(cfg, [1], checkpoints=[401])
 
 
+@pytest.mark.parametrize(
+    "size, bits", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (16, 4), (17, 8), (256, 8), (257, 16)]
+)
+def test_history_packs_blocks_at_any_offset(size, bits):
+    rng = np.random.default_rng(size)
+    states = rng.integers(0, size, (3, 50))
+    hist = engine._History(3, 50, size)
+    assert hist.bits == bits and hist.words.nbytes == 3 * math.ceil(50 * bits / 8)
+    # blocks of 1, 7 and 13 steps start inside a word as often as at its start
+    for lo, hi in ((0, 1), (1, 8), (8, 21), (21, 34), (34, 47), (47, 50)):
+        hist.put(lo, states[:, lo:hi])
+    unpacked = hist.unpack()
+    assert unpacked.dtype == engine._history_dtype(size)
+    assert np.array_equal(unpacked, states)
+    t = rng.integers(0, 50, (3, 20))
+    assert np.array_equal(hist.take(t), np.take_along_axis(states, t, axis=1))
+
+
 def _lean_peak(cfg, replicates):
     """tracemalloc peak of a lean run of `cfg`, whose counts it checks."""
     import tracemalloc
@@ -260,15 +279,23 @@ def _lean_peak(cfg, replicates):
     return peak
 
 
-def _peak_of_256_replicates():
-    """tracemalloc peak of a lean 256-replicate toy run."""
-    return _lean_peak(toy_config(iterations=3000), 256)
+def _config_of(kind, iterations):
+    """Toy config with a `kind` kernel, or the annealing config."""
+    if kind == "annealing":
+        return annealing_config(iterations=iterations)
+    return toy_config(iterations=iterations, kernel_type=kind)
+
+
+@functools.cache
+def _peak_of_256_replicates(kind="mh", iterations=3000):
+    """tracemalloc peak of a lean 256-replicate run of :func:`_config_of`."""
+    return _lean_peak(_config_of(kind, iterations), 256)
 
 
 def test_run_batch_memory_bounded_by_cells():
     # 256 replicates run 512-step blocks (1024 at 2^16 cells) through
-    # reused state buffers and keep one-byte histories; 2048-step blocks with a fresh state array per
-    # level and two-byte histories peak near 32 MiB here
+    # reused state buffers and keep packed histories; 2048-step blocks with
+    # a fresh state array per level and two-byte histories peak near 32 MiB
     peak = _peak_of_256_replicates()
     assert peak < 20 * 2**20, peak / 2**20
 
@@ -287,6 +314,25 @@ def test_run_batch_slices_of_2_15_cells():
     # 7.4 MiB; slices of 2^16 cells and 1024-step blocks near 12.7 MiB
     peak = _peak_of_256_replicates()
     assert peak < 9 * 2**20, peak / 2**20
+
+
+def test_run_batch_packs_histories():
+    # 256 toy replicates at n = 30,000 keep 2.9 MiB of histories, levels 0
+    # and 1 at 1 and 2 bits per state, and peak near 8.3 MiB; one byte per
+    # state took 15.4 MiB of histories and peaked near 20.6 MiB
+    peak = _peak_of_256_replicates("mh", 30000)
+    assert peak < 11 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("kind, iterations", [("mh", 30000), ("rank_one", 3000), ("annealing", 3000)])
+def test_replicate_bytes_bounds_lean_peak(kind, iterations):
+    # the chunk planner's charge per replicate covers a 256-replicate
+    # chunk's peak and overstates it by at most half: 1.10x, 1.15x and
+    # 1.19x here.  Charged at byte-wide histories and 2048-step blocks,
+    # the MH run came to 42.1 MB, twice its 21.6 MB peak at those sizes
+    need = engine.replicate_bytes(_config_of(kind, iterations)) * 256
+    peak = _peak_of_256_replicates(kind, iterations)
+    assert peak <= need <= 1.5 * peak, (need / 2**20, peak / 2**20)
 
 
 def test_redraw_levels_carry_narrow_counts():

@@ -100,7 +100,7 @@ def test_run_replicates_deterministic(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     cfg, spec, functions = toy_setup()
     runs = {}
-    # R=300 runs as 256 + 44 serially, 150 + 150 and 100 * 3 in processes
+    # R=300 runs as 150 + 150 serially and on two processes, 100 * 3 on three
     for R in (7, 300):
         for workers in (1, 2, 3):
             runs[R, workers] = harness.run_replicates(
@@ -147,6 +147,24 @@ def test_run_replicates_chunks_by_memory(monkeypatch):
     budgeted = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)
     assert sizes == [1] * 7
     assert np.array_equal(budgeted.values, free.values)
+
+
+def test_chunks_are_balanced():
+    # one 256-replicate chunk and one of 144 set a single worker's peak,
+    # and 256 + 256 + 88 left one of two workers 344 replicates
+    sizes = {
+        (R, workers): [len(c) for c in harness._chunks(R, workers, harness.DEFAULT_CHUNK)]
+        for R, workers in ((400, 1), (600, 2), (256, 1), (7, 3), (2, 4))
+    }
+    assert sizes == {
+        (400, 1): [200, 200],
+        (600, 2): [150] * 4,
+        (256, 1): [256],
+        (7, 3): [2, 2, 3],
+        (2, 4): [1, 1],
+    }
+    assert [len(c) for c in harness._chunks(7, 1, 3)] == [2, 2, 3]
+    assert list(harness._chunks(600, 2, 256)[1]) == list(range(150, 300))
 
 
 def test_memory_limit_reads_cgroup_v1_where_v2_is_absent(tmp_path, monkeypatch):
