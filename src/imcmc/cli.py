@@ -15,9 +15,8 @@ Commands
 
 Exit codes: 0 success, 1 statistical failure, 2 configuration error,
 3 numeric/internal error.  ``--seed``/``--workers`` flags override the
-``IMCMC_SEED``/``IMCMC_WORKERS`` environment variables, which override
-the config file; workers are read by ``verify`` alone.  Every output is
-a deterministic function of the config bytes and the seed.
+config file; workers are read by ``verify`` alone.  Every output is a
+deterministic function of the config bytes and the flags.
 """
 
 from __future__ import annotations
@@ -43,21 +42,10 @@ EXIT_NUMERIC = 3
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    seed = cfg.seed
-    if os.environ.get("IMCMC_SEED"):
-        seed = parse_int("IMCMC_SEED", os.environ["IMCMC_SEED"])
-    if args.seed is not None:
-        seed = args.seed
-    out = dataclasses.replace(cfg, seed=seed)
+    out = dataclasses.replace(cfg, seed=cfg.seed if args.seed is None else args.seed)
     if args.command == "verify":
-        workers = cfg.workers
-        if os.environ.get("IMCMC_WORKERS"):
-            workers = parse_int("IMCMC_WORKERS", os.environ["IMCMC_WORKERS"], 1)
-        if args.workers is not None:
-            workers = parse_int("--workers", args.workers, 1)
-        if workers is None:
-            workers = len(os.sched_getaffinity(0))
-        out = dataclasses.replace(out, workers=workers)
+        workers = cfg.workers if args.workers is None else parse_int("--workers", args.workers, 1)
+        out = dataclasses.replace(out, workers=workers or len(os.sched_getaffinity(0)))
     if args.out:
         out = dataclasses.replace(out, output_dir=args.out)
     return out
@@ -144,7 +132,6 @@ def cmd_verify(cfg: RunConfig, inject: bool) -> int:
         cfg.engine_config(),
         cfg.replicates,
         cfg.functions,
-        cfg.iterations,
         checkpoints=cfg.checkpoints,
         inject_variance_error=inject,
         workers=cfg.workers,

@@ -50,7 +50,8 @@ A general Feynman-Kac model lists per-level pieces explicitly::
 
 Functions are either ``terminal_indicator(i)`` / ``indicator(i)``
 (defined on every level) or per-level value tables keyed
-``name@level = v0 v1 ...``.
+``name@level = v0 v1 ...``.  Every other section takes only the keys
+shown above for its model; any other key is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,13 @@ def _stochastic(path: str, m: np.ndarray) -> np.ndarray:
     return m / m.sum(axis=1, keepdims=True)
 
 
+def _known_keys(section: str, sec, known) -> None:
+    """A ``ConfigError`` naming the first key of `sec` outside `known`."""
+    for key in sec:
+        if key not in known:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+
+
 def _checked(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, a ``ValueError`` reported against the field `path`."""
     try:
@@ -164,6 +172,7 @@ def _build_fk_model(sec) -> fk.FKModel:
     if kernel not in ("mh", "rank_one"):
         raise ConfigError("model.kernel", f"must be 'mh' or 'rank_one', got {kernel!r}")
     if preset == "toy":
+        _known_keys("model", sec, {"type", "preset", "kernel", "p", "betas"})
         if "p" not in sec or "betas" not in sec:
             raise ConfigError("model", "preset 'toy' needs fields p and betas")
         p = _float("model.p", sec["p"])
@@ -182,6 +191,8 @@ def _build_fk_model(sec) -> fk.FKModel:
         raise ConfigError("model.spaces", f"sizes must lie in 1..{MAX_STATES}, got {sizes}")
     spaces = tuple(FiniteSpace(id=f"S'{l}", size=s) for l, s in enumerate(sizes))
     L = len(sizes) - 1
+    numbered = {f"transition_{l}" for l in range(1, L + 1)} | {f"potential_{l}" for l in range(L)}
+    _known_keys("model", sec, numbered | {"type", "kernel", "spaces", "initial", "m0"})
     if "initial" not in sec:
         raise ConfigError("model.initial", "required")
     w = _floats("model.initial", sec["initial"])
@@ -217,6 +228,8 @@ def _build_fk_model(sec) -> fk.FKModel:
 
 
 def _build_annealing_model(sec) -> ann.AnnealingModel:
+    keys = {"type", "size", "potential", "betas", "epsilon", "reference", "proposal"}
+    _known_keys("model", sec, keys)
     for key in ("potential", "betas", "epsilon"):
         if key not in sec:
             raise ConfigError(f"model.{key}", "required for an annealing model")
@@ -319,6 +332,8 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError("model.type", f"must be 'fk' or 'annealing', got {mtype!r}")
 
     esec = parser["engine"]
+    keys = {"levels", "iterations", "seed", "replicates", "checkpoints", "workers"}
+    _known_keys("engine", esec, keys)
     try:
         levels = int(esec.get("levels", model.levels))
         iterations = int(esec["iterations"])
@@ -353,11 +368,8 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError("functions", "missing section")
 
     osec = parser["output"] if "output" in parser else {}
+    _known_keys("output", osec, {"directory"})
     output_dir = osec.get("directory", "out")
-    formats = osec.get("formats", "csv").split() if osec else ["csv"]
-    for fmt in formats:
-        if fmt != "csv":
-            raise ConfigError("output.formats", f"unsupported format {fmt!r}")
 
     return RunConfig(
         model=model,

@@ -4,8 +4,8 @@ Level 0 is a homogeneous Markov chain; level ``k >= 1`` draws its state
 at time ``n+1`` from a kernel indexed by the occupation measure of the
 states ``0 .. n`` of level ``k-1``.  Level ``k-1`` never reads level
 ``k``, so the engine runs the levels one at a time: for each block of
-``block`` time steps it advances level 0 through the block, then level 1
-against the level-0 states just produced, and so on up the stack.
+time steps it advances level 0 through the block, then level 1 against
+the level-0 states just produced, and so on up the stack.
 
 A level's block is bulk work followed by a scan.  The bulk work builds
 every proposal, CDF draw and accept decision of the block at once,
@@ -382,9 +382,6 @@ class _History:
     def put(self, t0: int, xs: np.ndarray) -> None:
         """Store the states `xs` (rows, T) at times ``t0 .. t0 + T - 1``."""
         per, (rows, T) = self.per, xs.shape
-        if per == 1:
-            self.words[:, t0 : t0 + T] = xs
-            return
         lo, w0 = t0 % per, t0 // per
         lanes = np.zeros((rows, -(-(lo + T) // per), per), dtype=self.words.dtype)
         lanes.reshape(rows, -1)[:, lo : lo + T] = xs
@@ -397,12 +394,9 @@ class _History:
         """States at times `t` (rows, T) of each row, as intp; a single row
         is read at every row of `t`."""
         rows = np.arange(len(self.words))[:, None] * self.words.shape[1]
-        flat = self.words.reshape(-1)
-        if self.per == 1:
-            return flat.take(t + rows).astype(np.intp)
         pos = t >> self.per.bit_length() - 1
         pos += rows
-        states = flat.take(pos)
+        states = self.words.reshape(-1).take(pos)
         # the shifts as bytes: shifting bytes by an intp array computes in
         # intp, which took twice as long
         shift = t.astype(np.uint8)
@@ -414,8 +408,6 @@ class _History:
 
     def unpack(self) -> np.ndarray:
         """The states, (rows, length), in the history dtype."""
-        if self.per == 1:
-            return self.words
         # one shift per lane: broadcasting the shifts along a last axis of
         # 2 to 8 took 2 to 6 times as long
         states = np.empty(self.words.shape + (self.per,), dtype=self.words.dtype)
@@ -433,15 +425,21 @@ def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
     return [keep_history or (mh and k < config.levels) for k in range(config.levels + 1)]
 
 
-def replicate_bytes(config: EngineConfig) -> int:
-    """Most bytes one replicate adds to a ``run_batch(..., keep_history=False)``.
+#: Bytes charged per Philox generator; tracemalloc sees about 810.
+_STREAM_BYTES = 1024
 
-    Its kept histories, packed as :class:`_History` stores them, plus
-    its share, at the longest block, of the block's and one slice's
-    float64 uniforms and of the state buffers, one per level in its
-    history dtype.  Charging the slice's share at a whole block also
-    covers a level's step temporaries, about 1.5 MiB whatever the chunk,
-    from about 150 replicates a chunk up.
+
+def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
+    """Bytes charged to a ``run_batch(..., keep_history=False)`` of ``B``
+    replicates, as ``(fixed, each)``: ``fixed + B * each``.
+
+    The fixed part is a slice's: its uniforms and step temporaries, about
+    six int64 arrays of :data:`BLOCK_CELLS` cells, charged as seven; the
+    levels' CDF tables, and a slice step of more cells, are not charged.
+    Each replicate adds its kept histories, packed as :class:`_History`
+    stores them, and, at the longest block, its float64 uniforms and
+    state buffers, one per level in its history dtype, and one generator
+    per level.
     """
     spaces = config.level_spaces()
     items = [_history_dtype(sp.size).itemsize for sp in spaces]
@@ -450,7 +448,8 @@ def replicate_bytes(config: EngineConfig) -> int:
         for sp, item, kept in zip(spaces, items, _kept_histories(config, keep_history=False))
         if kept
     )
-    return history + MAX_BLOCK * (2 * DRAWS_PER_STEP * 8 + sum(items))
+    each = MAX_BLOCK * (DRAWS_PER_STEP * 8 + sum(items)) + _STREAM_BYTES * len(spaces)
+    return 7 * 8 * BLOCK_CELLS, history + each
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
@@ -600,16 +599,15 @@ def run_batch(
     *,
     checkpoints=(),
     keep_history: bool = True,
-    block: int | None = None,
 ) -> BatchResult:
     """Run the given replicate ids, one level at a time per block of time steps.
 
     `checkpoints` is an iterable of iteration indices ``n`` at which the
-    per-level occupation counts of states ``0..n`` are snapshotted.
-    `block` is the number of time steps whose uniforms are drawn at once,
-    by default ``min(MAX_BLOCK, 4 * BLOCK_CELLS // B)`` for ``B``
-    replicates: 512 up to 256 replicates, 256 at 512.  The trajectories
-    do not depend on it.
+    per-level occupation counts of states ``0..n`` are snapshotted.  A
+    block, the time steps whose uniforms are drawn at once, is
+    ``min(MAX_BLOCK, 4 * BLOCK_CELLS // B)`` steps for ``B`` replicates:
+    512 up to 256 replicates, 256 at 512.  The trajectories do not
+    depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
     checkpoints = sorted(set(int(n) for n in checkpoints))
@@ -621,7 +619,7 @@ def run_batch(
     sizes = [sp.size for sp in spaces]
     rules = _rules(config)
     B, N, L = len(replicates), config.iterations, config.levels
-    block = block or min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
+    block = min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
     gens = [[_philox(key) for key in _stream_keys(config.seed, replicates, k)] for k in range(L + 1)]
     keep = _kept_histories(config, keep_history)
     hist = [_History(B, N + 1, size) if kept else None for kept, size in zip(keep, sizes)]

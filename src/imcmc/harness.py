@@ -129,10 +129,11 @@ def run_replicates(
     `functions` lists, per level, pairs ``(name, TestFunction)``; `pis`
     are the limit measures per level.  Replicates run in lockstep in
     balanced chunks (:func:`_chunks`) of at most :data:`DEFAULT_CHUNK`,
-    and of no more than fit in each worker's share of
-    :data:`MEMORY_FRACTION` of the memory this process may use; when not
-    even one replicate fits, a ``MemoryError`` that names the need is
-    raised before any process starts.  With `workers` above 1 the chunks
+    and of no more than the largest chunk whose charge
+    (:func:`~imcmc.engine.replicate_bytes`) fits in each worker's share
+    of :data:`MEMORY_FRACTION` of the memory this process may use; when
+    not even one replicate fits, a ``MemoryError`` that names the need
+    is raised before any process starts.  With `workers` above 1 the chunks
     run on that many forked processes, capped at the CPUs this process
     may use; every worker is joined before the call returns.  Each
     replicate draws from its own streams, so the result is bit-identical
@@ -151,13 +152,14 @@ def run_replicates(
     )
     run_chunk = partial(_chunk_samples, config, functions, checkpoints, pis, len(columns))
     p = min(workers or 1, len(os.sched_getaffinity(0)))
-    need, budget = replicate_bytes(config), int(_memory_limit() * MEMORY_FRACTION) // p
-    if need > budget:
+    fixed, each = replicate_bytes(config)
+    budget = int(_memory_limit() * MEMORY_FRACTION) // p
+    if fixed + each > budget:
         raise MemoryError(
-            f"one replicate needs {need / 2**20:.1f} MiB, above the {budget / 2**20:.1f} MiB "
-            f"planned for each of {p} worker(s)"
+            f"one replicate needs {(fixed + each) / 2**20:.1f} MiB, above the "
+            f"{budget / 2**20:.1f} MiB planned for each of {p} worker(s)"
         )
-    chunks = _chunks(R, p, min(DEFAULT_CHUNK, budget // need))
+    chunks = _chunks(R, p, min(DEFAULT_CHUNK, (budget - fixed) // each))
     p = min(p, len(chunks))
     if p == 1:
         parts = [run_chunk(ids) for ids in chunks]
@@ -336,15 +338,17 @@ def bias_allowance(n: int, k: int, c_bias: float = DEFAULT_C_BIAS) -> float:
 
 def empirical_fluctuations(
     samples: FluctuationSamples,
-    theory: dict[SampleColumn, float] | None = None,
+    theory: dict[SampleColumn, float],
     *,
     theory_cross: dict[tuple[SampleColumn, SampleColumn], float] | None = None,
     c_bias: float = DEFAULT_C_BIAS,
 ) -> FluctuationReport:
-    """Summarize replicate samples, optionally against theoretical moments.
+    """Summarize replicate samples against theoretical moments.
 
-    Without `theory`, rows carry NaN theory values and pass vacuously;
-    with it, the acceptance band is ``3 SE`` plus the bias allowance.
+    A column in `theory` passes within ``3 SE`` plus the bias allowance,
+    and any other carries NaN theory values and passes vacuously.  Each
+    pair of `theory_cross` passes within its ``3 SE`` plus the allowance
+    at the geometric mean of its two columns' `theory` variances.
     Normality statistics need around 30 replicates to mean anything;
     they are reported regardless and never gate.
     """
@@ -360,7 +364,7 @@ def empirical_fluctuations(
         if not degenerate and R >= 3:
             z = (x - x.mean()) / x.std(ddof=1)
             skew, exkurt, ks = normality_stats(z)
-        if theory is not None and col in theory:
+        if col in theory:
             th = theory[col]
             se = abs(th) * math.sqrt(2.0 / (R - 1))
             band = 3.0 * se + bias_allowance(col.n, col.level, c_bias) * abs(th)
@@ -382,8 +386,7 @@ def empirical_fluctuations(
         for (ca, cb), th in theory_cross.items():
             xa, xb = samples.values[:, index[ca]], samples.values[:, index[cb]]
             emp = float(np.cov(xa, xb, ddof=1)[0, 1])
-            va = theory[ca] if theory and ca in theory else float(xa.var(ddof=1))
-            vb = theory[cb] if theory and cb in theory else float(xb.var(ddof=1))
+            va, vb = theory[ca], theory[cb]
             se = math.sqrt(max(va * vb + th * th, 0.0) / (R - 1))
             scale = math.sqrt(max(va * vb, 0.0))
             k_eff = max(ca.level, cb.level)
@@ -409,7 +412,6 @@ def verify_theorem(
     config: EngineConfig,
     R: int,
     functions,
-    n: int,
     *,
     checkpoints=(),
     inject_variance_error: bool = False,
@@ -418,13 +420,15 @@ def verify_theorem(
     """Full pipeline: oracle moments, replicated simulation, comparison.
 
     `functions` lists per level the named test functions to check.  The
-    final checkpoint `n` gates the result; earlier `checkpoints` are
-    reported without theory so convergence trends are visible in one
-    run.  With `inject_variance_error` the theoretical variances are
-    doubled -- a self-test that the comparison has power to fail.
+    horizon ``n = config.iterations`` gates the result; earlier
+    `checkpoints` are reported without theory so convergence trends are
+    visible in one run.  With `inject_variance_error` the theoretical
+    variances are doubled -- a self-test that the comparison has power
+    to fail.
     Returns the report and the samples it summarizes.
     """
     spec = oracle.build_clt_spec(config.model, config.levels)
+    n = config.iterations
     checkpoints = sorted(set(int(m) for m in checkpoints) | {n})
     samples = run_replicates(config, R, functions, checkpoints, spec.pis, workers=workers)
 

@@ -278,15 +278,13 @@ class FactoredKernel:
     def class_sums(self, a: np.ndarray) -> np.ndarray:
         """``a E``: entries of `a` summed over each class, along the last axis.
 
-        With ``b = S`` every class is one state, and ordering the entries
-        by class is the whole sum; where that order is the identity, as
-        on :meth:`dense` kernels, `a` itself is returned, uncopied.
+        Where every class is the one state of its index, as on
+        :meth:`dense` kernels, `a` itself is returned, uncopied.
         """
         if self.b == self.space.size and (self.classes == np.arange(self.b)).all():
             return a
         order, starts = self._segments()
-        a = np.take(a, order, axis=-1)
-        return a if self.b == self.space.size else np.add.reduceat(a, starts, axis=-1)
+        return np.add.reduceat(np.take(a, order, axis=-1), starts, axis=-1)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """``M h``, as ``(F h)[c] + r[c] h``."""

@@ -188,7 +188,7 @@ def test_criterion_5_single_level_clt():
     f = TestFunction(model.base_spaces[0], [1.0, 0.0])
     theory = oracle.asymptotic_variance(spec, 0, f)
     assert abs(theory - 34.0 / 27.0) <= 1e-12
-    report, _ = harness.verify_theorem(cfg, 1000, [[("f1", f)]], 10_000)
+    report, _ = harness.verify_theorem(cfg, 1000, [[("f1", f)]])
     row = [r for r in report.variance_rows if r.n == 10_000][0]
     assert report.passed, row
     elapsed = time.time() - start
@@ -206,7 +206,7 @@ def test_criterion_6_multivariate_clt():
     cfg = engine.EngineConfig(model=model, levels=2, iterations=20_000, seed=20240811)
     spec = oracle.build_clt_spec(model, 2)
     functions = with_first_coordinate(spec, terminal_indicators(spec))
-    report, _ = harness.verify_theorem(cfg, 400, functions, 20_000, workers=4)
+    report, _ = harness.verify_theorem(cfg, 400, functions, workers=4)
     gate = [r for r in report.variance_rows if r.n == 20_000]
     assert {r.level for r in gate} == {0, 1, 2}
     assert sum(r.function == "first" for r in gate) == 2
@@ -242,7 +242,7 @@ def test_criterion_7_rank_one_degenerate_case():
         assert abs(oracle.local_variance(spec.bundles[k], f) - static) <= 1e-12
     cfg = engine.EngineConfig(model=model, levels=1, iterations=10_000, seed=20240807)
     functions = with_first_coordinate(spec, terminal_indicators(spec))
-    report, _ = harness.verify_theorem(cfg, 400, functions, 10_000)
+    report, _ = harness.verify_theorem(cfg, 400, functions)
     assert report.passed, report.variance_rows
     assert any(r.function == "first" for r in report.variance_rows)
     elapsed = time.time() - start

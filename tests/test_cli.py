@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import multiprocessing
@@ -383,15 +384,32 @@ def test_seed_override_changes_output(tmp_path):
     assert data_a != data_b
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    cfgp = write_cfg(tmp_path, toy_text(levels=0, iterations=50, replicates=2, seed=1))
-    monkeypatch.setenv("IMCMC_SEED", "2")
-    cli.main(["simulate", "--config", cfgp, "--out", str(out1)])
-    monkeypatch.delenv("IMCMC_SEED")
-    cli.main(["simulate", "--config", cfgp, "--out", str(out2), "--seed", "2"])
+def test_environment_is_not_an_input(tmp_path, monkeypatch):
+    cfgp = write_cfg(tmp_path, toy_text(levels=1, iterations=300, replicates=8, seed=1))
     strip = lambda p: [l for l in (p / "trajectories.csv").read_text().splitlines() if not l.startswith("#")]
-    assert strip(out1) == strip(out2)
+    runs = {}
+    for env in ({}, {"IMCMC_SEED": "2", "IMCMC_WORKERS": "abc"}):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        out = tmp_path / str(len(env))
+        verified = cli.main(["verify", "--config", cfgp, "--out", str(out / "v"), "--workers", "1"])
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out / "s")]) == 0
+        samples = (out / "v" / "raw_samples.csv").read_bytes()
+        runs[len(env)] = (verified, samples, strip(out / "s"))
+    assert runs[0] == runs[2] and runs[0][0] in (0, 1)
+
+
+def test_no_module_reads_the_environment():
+    # os.environ, os.environb and os.getenv, as attributes or imported names
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                readers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}" for a in node.names if a.name in names]
+    assert not readers, readers
 
 
 # ---------------------------------------------------------------------------
@@ -440,26 +458,20 @@ def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     assert sorted(built) == ["S'0", "S'0^(0:1)", "S'0^(0:2)"]
 
 
-@pytest.mark.parametrize("edit, env, flags, field", [
-    (("terminal_indicator(0)", "terminal_indicator(x)"), {}, [], "functions.fterm"),
-    (("terminal_indicator(0)", "indicator(x)"), {}, [], "functions.fterm"),
-    (("[functions]", "workers = two\n[functions]"), {}, [], "engine.workers"),
-    (("[functions]", "workers = 0\n[functions]"), {}, [], "engine.workers"),
-    (None, {"IMCMC_WORKERS": "abc"}, [], "IMCMC_WORKERS"),
-    (None, {"IMCMC_WORKERS": "0"}, [], "IMCMC_WORKERS"),
-    (None, {}, ["--workers", "0"], "--workers"),
-    (None, {"IMCMC_SEED": "abc"}, [], "IMCMC_SEED"),
-    (("p = 0.5", "p = abc"), {}, [], "model.p"),
-    (("betas = 1.0 2.0 3.0", "betas = 1.0 nan 3.0"), {}, [], "model"),
+@pytest.mark.parametrize("edit, flags, field", [
+    (("terminal_indicator(0)", "terminal_indicator(x)"), [], "functions.fterm"),
+    (("terminal_indicator(0)", "indicator(x)"), [], "functions.fterm"),
+    (("[functions]", "workers = two\n[functions]"), [], "engine.workers"),
+    (("[functions]", "workers = 0\n[functions]"), [], "engine.workers"),
+    (None, ["--workers", "0"], "--workers"),
+    (("p = 0.5", "p = abc"), [], "model.p"),
+    (("betas = 1.0 2.0 3.0", "betas = 1.0 nan 3.0"), [], "model"),
 ], ids=["terminal-indicator", "indicator", "workers-word", "workers-zero",
-        "env-workers-word", "env-workers-zero", "flag-workers-zero", "env-seed-word",
-        "p-word", "betas-nan"])
-def test_config_fault_exit_2(tmp_path, monkeypatch, capsys, edit, env, flags, field):
+        "flag-workers-zero", "p-word", "betas-nan"])
+def test_config_fault_exit_2(tmp_path, capsys, edit, flags, field):
     text = toy_text(levels=1, iterations=100, replicates=4, out=str(tmp_path / "v"))
     if edit:
         text = text.replace(*edit)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
     cfgp = write_cfg(tmp_path, text)
     assert cli.main(["verify", "--config", cfgp, *flags]) == 2
     err = capsys.readouterr().err
@@ -524,16 +536,32 @@ def test_model_fault_exit_2(tmp_path, capsys, text, edit, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, edit, field", [
+    (toy_text(), ("[engine]", "kernal = rank_one\n[engine]"), "model.kernal"),
+    # read as the default 2 replicates, a toy verify passed even with its
+    # variances doubled
+    (toy_text(), ("replicates =", "replicate ="), "engine.replicate"),
+    (toy_text(), ("directory =", "directroy ="), "output.directroy"),
+    (toy_text(), ("[output]", "[output]\nformats = csv"), "output.formats"),
+    (EXPLICIT_FK, ("[engine]", "transition_2 = 0.9 0.1; 0.2 0.8\n[engine]"), "model.transition_2"),
+    (ANNEALING, ("[engine]", "kernel = mh\n[engine]"), "model.kernel"),
+], ids=["model", "engine", "output", "output-formats", "fk-transition", "annealing-kernel"])
+def test_unknown_key_exit_2(tmp_path, capsys, text, edit, field):
+    cfgp = write_cfg(tmp_path, text.replace(*edit))
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{field}: unknown key" in err, err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("command", ["oracle", "simulate"])
-def test_workers_only_on_verify(tmp_path, monkeypatch, capsys, command):
+def test_workers_only_on_verify(tmp_path, capsys, command):
     cfgp = write_cfg(tmp_path, toy_text(levels=1, iterations=50, replicates=2,
                                         out=str(tmp_path / "o")))
     with pytest.raises(SystemExit) as usage:
         cli.main([command, "--config", cfgp, "--workers", "2"])
     assert usage.value.code == 2
     assert "--workers" in capsys.readouterr().err
-    # a command that runs in one process does not read the worker count
-    monkeypatch.setenv("IMCMC_WORKERS", "abc")
     assert cli.main([command, "--config", cfgp]) == 0
 
 

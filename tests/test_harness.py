@@ -140,8 +140,9 @@ def test_run_replicates_chunks_by_memory(monkeypatch):
         sizes.append(len(replicates))
         return run_batch(config, replicates, **kwargs)
 
-    # a budget of exactly one replicate: level 0's history plus the block buffers
-    need = engine.replicate_bytes(cfg)
+    # a budget of exactly one replicate's chunk: the slice's share, level
+    # 0's history and the replicate's block buffers
+    need = sum(engine.replicate_bytes(cfg))
     monkeypatch.setattr(harness, "_memory_limit", lambda: math.ceil(need / harness.MEMORY_FRACTION))
     monkeypatch.setattr(harness, "run_batch", recorded)
     budgeted = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)
@@ -289,7 +290,7 @@ def test_report_round_trip():
 
 def test_verify_theorem_small():
     cfg, spec, functions = toy_setup(levels=1, iterations=4000, seed=11)
-    report, _ = harness.verify_theorem(cfg, 120, functions, 4000)
+    report, _ = harness.verify_theorem(cfg, 120, functions)
     assert report.passed
     levels = {r.level for r in report.variance_rows if r.n == 4000}
     assert levels == {0, 1}
@@ -298,7 +299,7 @@ def test_verify_theorem_small():
 
 def test_verify_theorem_injection_fails():
     cfg, spec, functions = toy_setup(levels=1, iterations=4000, seed=11)
-    report, _ = harness.verify_theorem(cfg, 120, functions, 4000, inject_variance_error=True)
+    report, _ = harness.verify_theorem(cfg, 120, functions, inject_variance_error=True)
     assert not report.passed
 
 
@@ -320,7 +321,7 @@ def test_verify_theorem_annealing_cross():
         abs(oracle.asymptotic_cross_covariance(spec, a, b, f, f)) > 1e-3
         for a in range(3) for b in range(a)
     )
-    report, _ = harness.verify_theorem(cfg, 200, functions, 8000)
+    report, _ = harness.verify_theorem(cfg, 200, functions)
     assert len(report.covariance_rows) == 3
     assert report.passed
 
@@ -335,6 +336,6 @@ def test_verify_cross_covariance_nontrivial():
     functions = [[("f0", f0)], [("f1", f1)]]
     theory = oracle.asymptotic_cross_covariance(spec, 1, 0, f1, f0)
     assert abs(theory) > 1e-3  # the pair is a real check, not 0 == 0
-    report, _ = harness.verify_theorem(cfg, 300, functions, 5000)
+    report, _ = harness.verify_theorem(cfg, 300, functions)
     cross = [r for r in report.covariance_rows if {r.level_a, r.level_b} == {0, 1}]
     assert cross and cross[0].passed
