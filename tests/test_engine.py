@@ -305,6 +305,22 @@ def test_run_batch_memory_bounded_by_cells():
     assert peak < 9 * 2**20, peak / 2**20
 
 
+def test_run_batch_state_buffers_in_history_dtype():
+    # one one-byte state buffer per level, and level 0 copying one uniform
+    # plane of its three, peaked near 12.7 MiB at 2^16 cells; two int64
+    # state buffers that the levels take in turn, and all three planes,
+    # near 16.1 MiB
+    peak = _peak_of()
+    assert peak < 14 * 2**20, peak / 2**20
+
+
+def test_run_batch_slices_of_2_15_cells():
+    # 512-step blocks of 256 replicates, 3 MiB of uniforms, peak near
+    # 5.9 MiB; slices of 2^16 cells and 1024-step blocks near 12.7 MiB
+    peak = _peak_of()
+    assert peak < 9 * 2**20, peak / 2**20
+
+
 def test_run_batch_packs_histories():
     # 256 toy replicates at n = 30,000 keep 2.9 MiB of histories, levels 0
     # and 1 at 1 and 2 bits per state, and peak near 8.3 MiB; one byte per
