@@ -437,6 +437,68 @@ def test_cmd_verify_pass_and_inject(tmp_path, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
+ANNEALING_VERIFY = """
+[model]
+type = annealing
+size = 4
+potential = 0.0 1.0 2.0 3.0
+betas = 0.3 0.6 0.9 1.2
+epsilon = 0.3
+proposal = uniform
+
+[engine]
+levels = 2
+iterations = 600
+seed = 20240812
+replicates = 40
+checkpoints = 100 600
+
+[functions]
+ground = indicator(0)
+top@2 = 0 0 0 1
+"""
+
+#: SHA-256 of every CSV a small run writes, per command: the variance rows
+#: (with theory-free rows at the earlier checkpoint), the cross rows, the
+#: raw samples and the trajectories; a change to any value, column, number
+#: format or metadata line shows here.
+RUN_DIGESTS = {
+    "verify": {
+        "fluctuations": "635e27e404ed6ca7dd5888226e77c26ff76529a8b525bfc7bd544061b689764b",
+        "cross_covariances": "c8d60794b0031c2283a340cd8e6f29c17f41df8600b9ebc353a303ab8bf35690",
+        "raw_samples": "9e9b913ddfbd0566e6a301afb29df4e19ca6ff749a36b015963052a1aa7a256e",
+    },
+    "verify-inject": {
+        "fluctuations": "80e78180264a800542123ace6f21f4abf4e48de36d9b9748807a4bf39ae8b205",
+        "cross_covariances": "53d883d831b6ba639fc022bac2e9fdc3dc1a439fb1f02dcab483b0693124949d",
+        "raw_samples": "9e9b913ddfbd0566e6a301afb29df4e19ca6ff749a36b015963052a1aa7a256e",
+    },
+    "simulate": {
+        "trajectories": "537e7d1295d81f4db435e06e925e3fefb85b43d45b207f8cb11aeed69280d7da",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_DIGESTS))
+def test_run_tables_are_pinned(tmp_path, case):
+    out = tmp_path / "o"
+    if case == "simulate":
+        cfgp = write_cfg(tmp_path, toy_text(levels=1, iterations=50, replicates=2))
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    else:
+        cfgp = write_cfg(tmp_path, ANNEALING_VERIFY)
+        flags = ["--inject-variance-error"] if case == "verify-inject" else []
+        # at R = 40 the bias allowance hides the doubled theory, so the
+        # verdict is pinned through the pass column, not the exit code
+        code = cli.main(["verify", "--config", cfgp, "--out", str(out), "--workers", "1", *flags])
+        assert code in (0, 1)
+    digests = {
+        table: hashlib.sha256((out / f"{table}.csv").read_bytes()).hexdigest()
+        for table in RUN_DIGESTS[case]
+    }
+    assert digests == RUN_DIGESTS[case]
+
+
 def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     # R above the harness chunk, so run_batch runs two chunks
     assert harness.DEFAULT_CHUNK < 300
