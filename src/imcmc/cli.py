@@ -33,7 +33,7 @@ from . import __version__, oracle
 from .config import ConfigError, RunConfig, load_config, parse_int
 from .engine import export_trajectories_csv, run_batch
 from .harness import verify_theorem, weight_limit_table
-from .reporting import write_csv
+from .reporting import write_csv, write_metadata
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -120,8 +120,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     path = out / "trajectories.csv"
     with open(path, "w") as fh:
         export_trajectories_csv(result, fh)
-        for key, value in _metadata(cfg).items():
-            fh.write(f"# {key}: {value}\n")
+        write_metadata(fh, _metadata(cfg))
     print(f"trajectories written to {path}")
     return EXIT_OK
 
@@ -136,27 +135,9 @@ def cmd_verify(cfg: RunConfig, inject: bool) -> int:
         inject_variance_error=inject,
         workers=cfg.workers,
     )
-    with open(out / "fluctuations.csv", "w") as fh:
-        report.to_csv(fh, _metadata(cfg))
+    report.write(out, _metadata(cfg))
     with open(out / "raw_samples.csv", "w") as fh:
         samples.to_csv(fh, _metadata(cfg))
-    rows = [
-        [
-            r.level_a, r.function_a, r.level_b, r.function_b, r.n, r.replicates,
-            r.cov_theory, r.cov_empirical, r.se, r.z, r.passed,
-        ]
-        for r in report.covariance_rows
-    ]
-    with open(out / "cross_covariances.csv", "w") as fh:
-        write_csv(
-            fh,
-            [
-                "level_a", "function_a", "level_b", "function_b", "n", "R",
-                "cov_theory", "cov_empirical", "se", "z", "pass",
-            ],
-            rows,
-            _metadata(cfg),
-        )
 
     print(f"{'level':>5} {'function':>12} {'n':>8} {'theory':>12} "
           f"{'empirical':>12} {'z':>7} {'pass':>5}")

@@ -40,7 +40,7 @@ import numpy as np
 from . import oracle
 from .engine import EngineConfig, replicate_bytes, run_batch
 from .measures import TestFunction
-from .reporting import read_csv, write_csv
+from .reporting import read_rows, write_csv, write_rows
 
 DEFAULT_C_BIAS = 1.0
 DEFAULT_CHUNK = 256
@@ -277,40 +277,24 @@ class FluctuationReport:
             r.passed for r in self.covariance_rows
         )
 
-    def to_csv(self, fh, metadata: dict | None = None) -> None:
-        header = [
-            "level", "function", "n", "R", "var_theory", "var_empirical",
-            "se", "z", "skew", "exkurt", "ks_stat", "degenerate", "pass",
-        ]
-        rows = [
-            [
-                r.level, r.function, r.n, r.replicates, r.var_theory,
-                r.var_empirical, r.se, r.z, r.skew, r.exkurt, r.ks_stat,
-                r.degenerate, r.passed,
-            ]
-            for r in self.variance_rows
-        ]
-        meta = {"replicates": self.replicates, "horizon": self.horizon}
-        meta.update(metadata or {})
-        write_csv(fh, header, rows, meta)
+    def write(self, directory, metadata: dict | None = None) -> None:
+        """Write the variance rows to ``fluctuations.csv`` and the cross
+        rows to ``cross_covariances.csv`` in the `directory` path."""
+        meta = {"replicates": self.replicates, "horizon": self.horizon, **(metadata or {})}
+        with open(directory / "fluctuations.csv", "w") as fh:
+            write_rows(fh, VarianceRow, self.variance_rows, meta)
+        with open(directory / "cross_covariances.csv", "w") as fh:
+            write_rows(fh, CovarianceRow, self.covariance_rows, metadata)
 
     @staticmethod
-    def from_csv(fh) -> "FluctuationReport":
-        header, rows, meta = read_csv(fh)
-        variance_rows = tuple(
-            VarianceRow(
-                level=int(r[0]), function=r[1], n=int(r[2]), replicates=int(r[3]),
-                var_theory=float(r[4]), var_empirical=float(r[5]), se=float(r[6]),
-                z=float(r[7]), skew=float(r[8]), exkurt=float(r[9]),
-                ks_stat=float(r[10]), degenerate=(r[11] == "true"),
-                passed=(r[12] == "true"),
-            )
-            for r in rows
-        )
+    def read(directory) -> "FluctuationReport":
+        """The report that :meth:`write` wrote to `directory`."""
+        with open(directory / "fluctuations.csv") as fh:
+            variance_rows, meta = read_rows(fh, VarianceRow)
+        with open(directory / "cross_covariances.csv") as fh:
+            covariance_rows, _ = read_rows(fh, CovarianceRow)
         return FluctuationReport(
-            replicates=int(meta.get("replicates", 0)),
-            horizon=int(meta.get("horizon", 0)),
-            variance_rows=variance_rows,
+            int(meta["replicates"]), int(meta["horizon"]), variance_rows, covariance_rows
         )
 
 

@@ -432,6 +432,8 @@ def test_cmd_verify_pass_and_inject(tmp_path, capsys):
     sh, srows, _ = read_rows(out / "raw_samples.csv")
     assert sh[0] == "replicate" and len(srows) == 100
     assert len(sh) == 1 + len(rows)  # one sample column per report row
+    report = harness.FluctuationReport.read(out)
+    assert report.passed and report.replicates == 100 and len(report.variance_rows) == len(rows)
 
     assert cli.main(["verify", "--config", cfgp, "--inject-variance-error"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out

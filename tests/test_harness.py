@@ -1,7 +1,7 @@
-import io
 import math
 import multiprocessing
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -270,18 +270,31 @@ def test_empirical_cross_covariance_independent_columns():
     assert abs(row.cov_empirical) <= 3.0 * row.se
 
 
-def test_report_round_trip():
-    cols = [harness.SampleColumn(0, "f", 500), harness.SampleColumn(1, "g", 500)]
+def test_report_round_trip(tmp_path):
+    # a theory-free column at the earlier checkpoint (NaN theory, SE and
+    # z) and a cross pair at the horizon, read back in one call
+    cols = [
+        harness.SampleColumn(0, "f", 100),
+        harness.SampleColumn(0, "f", 500),
+        harness.SampleColumn(1, "g", 500),
+    ]
     rng = np.random.default_rng(4)
-    samples = synthetic_samples(rng, 64, cols)
-    report = harness.empirical_fluctuations(samples, {c: 1.0 for c in cols})
-    buf = io.StringIO()
-    report.to_csv(buf, {"config_sha256": "deadbeef"})
-    buf.seek(0)
-    back = harness.FluctuationReport.from_csv(buf)
-    assert back.replicates == report.replicates
-    for a, b in zip(back.variance_rows, report.variance_rows):
-        assert a == b  # float fields round-trip exactly at 17 significant digits
+    samples = synthetic_samples(rng, 64, cols, cov=np.array([[1, 0.5, 0.3], [0.5, 1, 0.4], [0.3, 0.4, 1]]))
+    theory = {c: 1.0 for c in cols[1:]}
+    report = harness.empirical_fluctuations(samples, theory, theory_cross={tuple(cols[1:]): 0.4})
+    assert math.isnan(report.variance_rows[0].var_theory) and len(report.covariance_rows) == 1
+    report.write(tmp_path, {"config_sha256": "deadbeef"})
+    back = harness.FluctuationReport.read(tmp_path)
+    assert (back.replicates, back.horizon) == (64, 500)
+    # every field round-trips in its type, floats exactly at 17 significant
+    # digits; NaN equals NaN
+    same = lambda a, b: all(
+        type(x) is type(y) and (x == y or x != x and y != y) for x, y in zip(astuple(a), astuple(b))
+    )
+    assert len(back.variance_rows) == 3 and len(back.covariance_rows) == 1
+    for got, want in [*zip(back.variance_rows, report.variance_rows),
+                      *zip(back.covariance_rows, report.covariance_rows)]:
+        assert type(got) is type(want) and same(got, want), (got, want)
 
 
 # ---------------------------------------------------------------------------
