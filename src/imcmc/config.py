@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,37 +275,44 @@ def _build_functions(sec, spaces: list[fk.PathSpace]) -> list[list[tuple[str, Te
     out: list[list[tuple[str, TestFunction]]] = [[] for _ in spaces]
     levels = len(spaces) - 1
     for key, value in sec.items():
+        path = f"functions.{key}"
         name, _, lvl = key.partition("@")
         value = value.strip()
+        # a name is a CSV cell of every verify table
+        if not re.fullmatch(r"\w+", name, re.ASCII):
+            raise ConfigError(path, f"a name takes letters, digits and _ only, got {name!r}")
         if lvl:
             try:
                 k = int(lvl)
             except ValueError:
-                raise ConfigError(f"functions.{key}", f"bad level suffix {lvl!r}")
+                raise ConfigError(path, f"bad level suffix {lvl!r}")
             if not 0 <= k <= levels:
-                raise ConfigError(f"functions.{key}", f"level {k} out of range 0..{levels}")
-            values = _floats(f"functions.{key}", value)
-            f = _checked(f"functions.{key}", TestFunction, spaces[k].space, values)
-            out[k].append((name, f))
-            continue
-        if value.startswith("terminal_indicator(") and value.endswith(")"):
-            idx = parse_int(f"functions.{key}", value[len("terminal_indicator(") : -1])
+                raise ConfigError(path, f"level {k} out of range 0..{levels}")
+            values = _floats(path, value)
+            defined = [(k, _checked(path, TestFunction, spaces[k].space, values))]
+        elif value.startswith("terminal_indicator(") and value.endswith(")"):
+            idx = parse_int(path, value[len("terminal_indicator(") : -1])
+            defined = []
             for k, ps in enumerate(spaces):
                 vals = (ps.terminal == idx).astype(float)
                 if not vals.any():
-                    raise ConfigError(f"functions.{key}", f"state {idx} out of range")
-                out[k].append((name, TestFunction(ps.space, vals)))
+                    raise ConfigError(path, f"state {idx} out of range")
+                defined.append((k, TestFunction(ps.space, vals)))
         elif value.startswith("indicator(") and value.endswith(")"):
-            idx = parse_int(f"functions.{key}", value[len("indicator(") : -1])
+            idx = parse_int(path, value[len("indicator(") : -1])
+            defined = []
             for k, ps in enumerate(spaces):
                 if not 0 <= idx < ps.space.size:
-                    raise ConfigError(f"functions.{key}", f"state {idx} out of range at level {k}")
-                out[k].append((name, TestFunction.indicator(ps.space, idx)))
+                    raise ConfigError(path, f"state {idx} out of range at level {k}")
+                defined.append((k, TestFunction.indicator(ps.space, idx)))
         else:
             raise ConfigError(
-                f"functions.{key}",
-                "expected terminal_indicator(i), indicator(i), or a name@level table",
+                path, "expected terminal_indicator(i), indicator(i), or a name@level table"
             )
+        for k, f in defined:
+            if any(known == name for known, _ in out[k]):
+                raise ConfigError(path, f"{name!r} is already defined at level {k}")
+            out[k].append((name, f))
     for k, fs in enumerate(out):
         if not fs:
             raise ConfigError("functions", f"no function defined for level {k}")
@@ -334,19 +342,14 @@ def parse_config(raw: bytes) -> RunConfig:
     esec = parser["engine"]
     keys = {"levels", "iterations", "seed", "replicates", "checkpoints", "workers"}
     _known_keys("engine", esec, keys)
-    try:
-        levels = int(esec.get("levels", model.levels))
-        iterations = int(esec["iterations"])
-        seed = int(esec.get("seed", 0))
-        replicates = int(esec.get("replicates", 2))
-    except (KeyError, ValueError) as e:
-        raise ConfigError("engine", f"bad or missing field: {e}")
-    if not 0 <= levels <= model.levels:
+    if "iterations" not in esec:
+        raise ConfigError("engine.iterations", "required")
+    levels = parse_int("engine.levels", esec.get("levels", model.levels), 0)
+    if levels > model.levels:
         raise ConfigError("engine.levels", f"must lie in 0..{model.levels}, got {levels}")
-    if iterations < 1:
-        raise ConfigError("engine.iterations", "must be >= 1")
-    if replicates < 2:
-        raise ConfigError("engine.replicates", "must be >= 2")
+    iterations = parse_int("engine.iterations", esec["iterations"], 1)
+    seed = parse_int("engine.seed", esec.get("seed", 0))
+    replicates = parse_int("engine.replicates", esec.get("replicates", 2), 2)
     checkpoints = (
         _ints("engine.checkpoints", esec["checkpoints"])
         if "checkpoints" in esec

@@ -530,8 +530,18 @@ def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     (None, ["--workers", "0"], "--workers"),
     (("p = 0.5", "p = abc"), [], "model.p"),
     (("betas = 1.0 2.0 3.0", "betas = 1.0 nan 3.0"), [], "model"),
+    # a name defined twice at level 1 would key two columns alike
+    (("fterm = terminal_indicator(0)", "fterm = terminal_indicator(0)\nfterm@1 = 1 1 0 0"),
+     [], "functions.fterm@1"),
+    # a comma in a name would shift the columns of every verify table
+    (("fterm = ", "f,g = "), [], "functions.f,g"),
+    (("fterm = terminal_indicator(0)", "@1 = 1 1 0 0"), [], "functions.@1"),
+    (("iterations = 100", "iterations = abc"), [], "engine.iterations"),
+    (("iterations = 100\n", ""), [], "engine.iterations"),
+    (("seed = 3", "seed = 1.5"), [], "engine.seed"),
 ], ids=["terminal-indicator", "indicator", "workers-word", "workers-zero",
-        "flag-workers-zero", "p-word", "betas-nan"])
+        "flag-workers-zero", "p-word", "betas-nan", "name-twice", "name-comma",
+        "name-empty", "iterations-word", "iterations-missing", "seed-fraction"])
 def test_config_fault_exit_2(tmp_path, capsys, edit, flags, field):
     text = toy_text(levels=1, iterations=100, replicates=4, out=str(tmp_path / "v"))
     if edit:
