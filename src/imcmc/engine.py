@@ -433,15 +433,33 @@ def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
     """Bytes charged to a ``run_batch(..., keep_history=False)`` of ``B``
     replicates, as ``(fixed, each)``: ``fixed + B * each``.
 
-    The fixed part is a slice's: its uniforms and step temporaries, about
-    six int64 arrays of :data:`BLOCK_CELLS` cells, charged as seven; the
-    levels' CDF tables, and a slice step of more cells, are not charged.
-    Each replicate adds its kept histories, packed as :class:`_History`
-    stores them, and, at the longest block, its float64 uniforms and
-    state buffers, one per level in its history dtype, and one generator
-    per level.
+    The fixed part is the levels' tables, as :func:`_rules` builds them,
+    and a slice's uniforms and step temporaries, about six int64 arrays
+    of :data:`BLOCK_CELLS` cells, charged as seven.  A slice clamped to
+    one step has ``B * width`` cells, more than that on a wide alphabet,
+    so each replicate adds seven int64 cells per state of the widest
+    rule.  Each replicate also adds its kept histories, packed as
+    :class:`_History` stores them; at the longest block, its float64
+    uniforms and state buffers, one per level in its history dtype; one
+    generator per level; and its int64 occupation counts, one row per
+    level and two more of the largest while a block's are added.
     """
-    spaces = config.level_spaces()
+    model, spaces = config.model, config.level_spaces()
+    sizes = [sp.size for sp in spaces]
+    # CDF tables hold (columns - 1) x rows float64 cells; a level's width
+    # is that of its rule in _rules
+    cells, width = (sizes[0] - 1) * sizes[0], sizes[0]
+    for k in range(1, config.levels + 1):
+        if isinstance(model, ann.AnnealingModel):
+            cells += 2 * (sizes[k] - 1) * sizes[k]
+            width = max(width, sizes[k])
+            continue
+        s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
+        mh = model.kernel_type == "mh"
+        # the transition's CDFs, and an MH level's acceptance ratios or a
+        # rank-one level's path weights
+        cells += (s_new - 1) * s_prev + (s_prev * s_prev if mh else sizes[k - 1])
+        width = max(width, s_prev if mh else sizes[k - 1], s_new)
     items = [_history_dtype(sp.size).itemsize for sp in spaces]
     history = sum(
         -(-(config.iterations + 1) // _packing(sp.size)[1]) * item
@@ -449,7 +467,8 @@ def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
         if kept
     )
     each = MAX_BLOCK * (DRAWS_PER_STEP * 8 + sum(items)) + _STREAM_BYTES * len(spaces)
-    return 7 * 8 * BLOCK_CELLS, history + each
+    each += 7 * 8 * width + 8 * (sum(sizes) + 2 * max(sizes))
+    return 8 * cells + 7 * 8 * BLOCK_CELLS, history + each
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:

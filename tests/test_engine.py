@@ -283,7 +283,10 @@ def _lean_peak(cfg, replicates):
 
 
 def _config_of(kind, iterations):
-    """Toy config with a `kind` kernel, or the annealing config."""
+    """Toy config with a `kind` kernel, the annealing config, or the model
+    of the digest `kind`."""
+    if kind in BATCH_DIGESTS:
+        return dataclasses.replace(_digest_config(kind), iterations=iterations)
     if kind == "annealing":
         return annealing_config(iterations=iterations)
     return toy_config(iterations=iterations, kernel_type=kind)
@@ -329,19 +332,34 @@ def test_run_batch_packs_histories():
     assert peak < 11 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize(
-    "kind, iterations", [("mh", 3000), ("mh", 30000), ("rank_one", 3000), ("annealing", 3000)]
-)
+#: Digest models whose tables or slices outgrow the narrow ones': 512
+#: annealing states, a 257-state level 0, and 270 path states
+_WIDE = ("annealing_512", "fk_mh_257", "fk_wide_mh")
+
+
+@pytest.mark.parametrize("kind, iterations", [
+    ("mh", 3000), ("mh", 30000), ("rank_one", 3000), ("annealing", 3000),
+    # lean annealing keeps no history: its peak is the same at n = 600,
+    # 1200 and 3000, and n = 3000 took 50 s under tracemalloc
+    ("annealing_512", 600), ("fk_mh_257", 3000), ("fk_wide_mh", 3000),
+])
 def test_replicate_bytes_bounds_lean_peak(kind, iterations):
     # the chunk planner's charge covers the peak of a chunk of 64, 128 or
-    # 256 replicates and overstates it by at most half: 1.04x to 1.22x
+    # 256 replicates and overstates it by at most half: 1.05x to 1.23x
     # here.  Its former charge, the slice's uniforms at a whole block per
-    # replicate and no fixed part, fell 30-37 % short at 64 replicates
+    # replicate and no fixed part, fell 30-37 % short at 64 replicates.
+    # On the wide models it covers 16, 64 or 256 replicates, at 1.06x to
+    # 1.77x; before it charged the levels' tables (10 MiB of the 512-state
+    # model's 12 MiB peak), slices clamped to one step of more than
+    # BLOCK_CELLS cells, and the occupation counts, it read 0.17 to 0.94
     fixed, each = engine.replicate_bytes(_config_of(kind, iterations))
-    for replicates in (64, 128, 256):
+    wide = kind in _WIDE
+    for replicates in (16, 64, 256) if wide else (64, 128, 256):
         need = fixed + each * replicates
         peak = _peak_of(kind, iterations, replicates)
-        assert peak <= need <= 1.5 * peak, (replicates, need / 2**20, peak / 2**20)
+        assert peak <= need and (wide or need <= 1.5 * peak), (
+            replicates, need / 2**20, peak / 2**20
+        )
 
 
 def test_redraw_levels_carry_narrow_counts():
