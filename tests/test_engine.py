@@ -340,7 +340,7 @@ _WIDE = ("annealing_512", "fk_mh_257", "fk_wide_mh")
 @pytest.mark.parametrize("kind, iterations", [
     ("mh", 3000), ("mh", 30000), ("rank_one", 3000), ("annealing", 3000),
     # lean annealing keeps no history: its peak is the same at n = 600,
-    # 1200 and 3000, and n = 3000 took 50 s under tracemalloc
+    # 1200 and 3000, and n = 3000 took 50 s under tracemalloc on a 2-CPU VM
     ("annealing_512", 600), ("fk_mh_257", 3000), ("fk_wide_mh", 3000),
 ])
 def test_replicate_bytes_bounds_lean_peak(kind, iterations):
