@@ -2,16 +2,16 @@
 
 The level-`l` target is the Gibbs measure ``exp(-beta_l V) * lam``
 normalized, for an increasing inverse-temperature schedule ``beta_0 <
-beta_1 < ...`` and a strictly positive reference measure ``lam``.  Two
-families of user-supplied Markov kernels ``K_l`` and ``L_l``, each
-leaving the level-`l` Gibbs measure invariant, drive the dynamics:
+beta_1 < ...`` and a strictly positive reference measure ``lam``.  One
+user-supplied Markov kernel ``K_l`` per level, leaving the level-`l`
+Gibbs measure invariant, drives the dynamics:
 
 * the level map reweights by ``G_l = exp(-(beta_{l+1}-beta_l) V)``,
-  applies ``L_{l+1}``, then the geometrically-averaged kernel
+  applies ``K_{l+1}``, then the geometrically-averaged kernel
   ``K_eps = (1-eps) * sum_k eps^k K^k``;
 * the sampling kernel for level ``l`` mixes one ``K_l`` move (weight
   ``eps``) with a redraw from the reweighted measure pushed through
-  ``L_l`` (weight ``1-eps``), so its contraction coefficient is at most
+  ``K_l`` (weight ``1-eps``), so its contraction coefficient is at most
   ``eps``.
 
 Potentials are handled with max-shifted exponentials throughout; the
@@ -62,9 +62,9 @@ class AnnealingModel:
         ``beta_0 .. beta_L``; the model has ``L = len(betas) - 1`` levels.
     epsilon : float
         Mixture weight in ``[0, 1)``.
-    kernels_k, kernels_l : tuple of IntegralOperator
-        Markov kernels ``K_l`` and ``L_l`` for ``l = 0 .. L``, each
-        validated to leave the level-`l` Gibbs measure invariant.
+    kernels : tuple of IntegralOperator
+        Markov kernels ``K_l`` for ``l = 0 .. L``, each validated to
+        leave the level-`l` Gibbs measure invariant.
     reference : Measure, optional
         Strictly positive reference measure, uniform when omitted.
 
@@ -75,8 +75,7 @@ class AnnealingModel:
     potential: TestFunction
     betas: tuple[float, ...]
     epsilon: float
-    kernels_k: tuple[IntegralOperator, ...]
-    kernels_l: tuple[IntegralOperator, ...]
+    kernels: tuple[IntegralOperator, ...]
     reference: Measure | None = None
 
     def __post_init__(self):
@@ -96,19 +95,18 @@ class AnnealingModel:
         if ref.space != self.space or ref.weights.min() <= 0.0:
             raise ValueError("reference must be strictly positive on the model space")
         L = self.levels
-        for name, kernels in (("kernels_k", self.kernels_k), ("kernels_l", self.kernels_l)):
-            if len(kernels) != L + 1:
-                raise ValueError(f"{name}: expected {L + 1} kernels, got {len(kernels)}")
-            for l, M in enumerate(kernels):
-                if M.src != self.space or M.dst != self.space:
-                    raise ValueError(f"{name}[{l}] must be a kernel on the model space")
-                pi = gibbs_measure(self, l).weights
-                resid = np.abs(pi @ M.matrix - pi).max()
-                if resid > KERNEL_INVARIANCE_TOL:
-                    raise ValueError(
-                        f"{name}[{l}] does not leave the level-{l} Gibbs measure "
-                        f"invariant (residual {resid:.3e})"
-                    )
+        if len(self.kernels) != L + 1:
+            raise ValueError(f"kernels: expected {L + 1} kernels, got {len(self.kernels)}")
+        for l, M in enumerate(self.kernels):
+            if M.src != self.space or M.dst != self.space:
+                raise ValueError(f"kernels[{l}] must be a kernel on the model space")
+            pi = gibbs_measure(self, l).weights
+            resid = np.abs(pi @ M.matrix - pi).max()
+            if resid > KERNEL_INVARIANCE_TOL:
+                raise ValueError(
+                    f"kernels[{l}] does not leave the level-{l} Gibbs measure "
+                    f"invariant (residual {resid:.3e})"
+                )
 
     @property
     def levels(self) -> int:
@@ -117,7 +115,7 @@ class AnnealingModel:
     @property
     def level0_kernel(self) -> IntegralOperator:
         """The homogeneous kernel driving level 0: ``K_0``."""
-        return self.kernels_k[0]
+        return self.kernels[0]
 
     def level_space(self, k: int) -> PathSpace:
         """The space of level `k`: the model space, every state its own terminal."""
@@ -157,7 +155,7 @@ def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
     if not 0 <= l <= model.levels:
         raise ValueError(f"level {l} out of range 0..{model.levels}")
     eps = model.epsilon
-    K = model.kernels_k[l]
+    K = model.kernels[l]
     if eps == 0.0:
         return IntegralOperator.identity(model.space)
     n = model.space.size
@@ -170,9 +168,9 @@ def geometric_kernel(model: AnnealingModel, l: int) -> IntegralOperator:
 def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperator:
     """Sampling kernel for level `l`: one ``K_l`` move or a reweighted redraw.
 
-    ``M(x, y) = eps K_l(x, y) + (1 - eps) (bg(mu) L_l)(y)``.  Its rows
+    ``M(x, y) = eps K_l(x, y) + (1 - eps) (bg(mu) K_l)(y)``.  Its rows
     share the ``(1-eps)``-weighted part, so its contraction coefficient
-    is at most ``eps``; its invariant measure is ``bg(mu) L_l`` moved by
+    is at most ``eps``; its invariant measure is ``bg(mu) K_l`` moved by
     the level-`l` geometric kernel.
     """
     if l < 1:
@@ -181,8 +179,8 @@ def mixture_kernel(model: AnnealingModel, l: int, mu: Measure) -> IntegralOperat
         raise ValueError(f"level {l} out of range 1..{model.levels}")
     eps = model.epsilon
     psi = boltzmann_gibbs(mu, potential_fn(model, l - 1))
-    rho = psi.weights @ model.kernels_l[l].matrix
-    matrix = eps * model.kernels_k[l].matrix + (1.0 - eps) * np.tile(rho, (model.space.size, 1))
+    rho = psi.weights @ model.kernels[l].matrix
+    matrix = eps * model.kernels[l].matrix + (1.0 - eps) * np.tile(rho, (model.space.size, 1))
     return IntegralOperator(model.space, model.space, matrix)
 
 
@@ -190,7 +188,7 @@ def first_order_D(model: AnnealingModel, l: int, eta: Measure, bundle) -> FirstO
     """First-order expansion operator of the level map around `eta`.
 
     The transport realization of the reweighting step at `eta`, scaled by
-    ``1/eta(G_l)`` and followed by the step ``Q = L_{l+1} G_{l+1}``, with
+    ``1/eta(G_l)`` and followed by the step ``Q = K_{l+1} G_{l+1}``, with
     ``G_{l+1}`` the geometric kernel.  Not Markov (constant mass
     ``1/eta(G_l)``).
 
@@ -198,19 +196,19 @@ def first_order_D(model: AnnealingModel, l: int, eta: Measure, bundle) -> FirstO
     Its kernel is ``M = eps K_{l+1} + (1-eps) 1 (x) pi_{l+1}``, so the
     geometric kernel is ``(1-eps) (I - eps K_{l+1})^{-1} = (1-eps) P +
     1 (x) pi_{l+1}`` with ``P`` the bundle's resolvent, and ``Q f =
-    L_{l+1}((1-eps) P f + pi_{l+1}(f))`` costs two mat-vecs: no solve and
+    K_{l+1}((1-eps) P f + pi_{l+1}(f))`` costs two mat-vecs: no solve and
     no operator product.  The step does not depend on `eta`.
     """
     if not 0 <= l < model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
     G = potential_fn(model, l)
     denom = integrate(eta, G)
-    L = model.kernels_l[l + 1].matrix
+    K = model.kernels[l + 1].matrix
     pi = bundle.invariant.weights
     eps = model.epsilon
     return FirstOrderOperator(
         model.space, model.space, G.values, boltzmann_gibbs(eta, G).weights, 1.0 / denom,
-        lambda v: L @ ((1.0 - eps) * bundle.apply(v) + float(pi @ v)),
+        lambda v: K @ ((1.0 - eps) * bundle.apply(v) + float(pi @ v)),
     )
 
 
@@ -246,7 +244,7 @@ def make_metropolis_model(
     proposal: IntegralOperator | None = None,
     reference: Measure | None = None,
 ) -> AnnealingModel:
-    """Build a model whose ``K_l`` and ``L_l`` are Metropolis kernels.
+    """Build a model whose kernels ``K_l`` are Metropolis kernels.
 
     `proposal` must be symmetric; it defaults to the uniform redraw,
     which is symmetric on any space.
@@ -271,7 +269,6 @@ def make_metropolis_model(
         potential=potential,
         betas=betas,
         epsilon=epsilon,
-        kernels_k=kernels,
-        kernels_l=kernels,
+        kernels=kernels,
         reference=reference,
     )

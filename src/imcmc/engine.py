@@ -429,7 +429,7 @@ def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
 _STREAM_BYTES = 1024
 
 
-def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
+def replicate_bytes(config: EngineConfig, checkpoints: int) -> tuple[int, int]:
     """Bytes charged to a ``run_batch(..., keep_history=False)`` of ``B``
     replicates, as ``(fixed, each)``: ``fixed + B * each``.
 
@@ -441,8 +441,9 @@ def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
     rule.  Each replicate also adds its kept histories, packed as
     :class:`_History` stores them; at the longest block, its float64
     uniforms and state buffers, one per level in its history dtype; one
-    generator per level; and its int64 occupation counts, one row per
-    level and two more of the largest while a block's are added.
+    generator per level; and its int64 occupation counts: one row per
+    level, as many again at each of the `checkpoints` snapshots, and two
+    more of the largest while a block's are added.
     """
     model, spaces = config.model, config.level_spaces()
     sizes = [sp.size for sp in spaces]
@@ -451,7 +452,7 @@ def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
     cells, width = (sizes[0] - 1) * sizes[0], sizes[0]
     for k in range(1, config.levels + 1):
         if isinstance(model, ann.AnnealingModel):
-            cells += 2 * (sizes[k] - 1) * sizes[k]
+            cells += (sizes[k] - 1) * sizes[k]
             width = max(width, sizes[k])
             continue
         s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
@@ -467,7 +468,7 @@ def replicate_bytes(config: EngineConfig) -> tuple[int, int]:
         if kept
     )
     each = MAX_BLOCK * (DRAWS_PER_STEP * 8 + sum(items)) + _STREAM_BYTES * len(spaces)
-    each += 7 * 8 * width + 8 * (sum(sizes) + 2 * max(sizes))
+    each += 7 * 8 * width + 8 * ((1 + checkpoints) * sum(sizes) + 2 * max(sizes))
     return 8 * cells + 7 * 8 * BLOCK_CELLS, history + each
 
 
@@ -564,14 +565,14 @@ def _step_fk_rank_one(cdf, weights, term, s_new, cur, u, n, counts):
     return drawn * s_new + _cdf_draw(cdf, term.take(drawn), u[1])
 
 
-def _step_annealing(k_cdf, l_cdf, weights, eps, cur, u, n, counts):
+def _step_annealing(cdf, weights, eps, cur, u, n, counts):
     """Kernel move with weight eps, else reweighted redraw plus move.
 
     The redraw target reuses the kernel move's uniform, as layout 1 fixes.
     """
     drawn = _weighted_redraw(counts, weights, u[1])
-    redraw = _cdf_draw(l_cdf, drawn, u[2])
-    return _kernel_scan(k_cdf, cur, u[1], move=u[0] < eps, other=redraw)
+    redraw = _cdf_draw(cdf, drawn, u[2])
+    return _kernel_scan(cdf, cur, u[1], move=u[0] < eps, other=redraw)
 
 
 @dataclass(frozen=True)
@@ -591,8 +592,7 @@ def _rules(config: EngineConfig) -> list[_Rule]:
         if isinstance(model, ann.AnnealingModel):
             step = partial(
                 _step_annealing,
-                _cdf_table(model.kernels_k[k].matrix),
-                _cdf_table(model.kernels_l[k].matrix),
+                _cdf_table(model.kernels[k].matrix),
                 ann.potential_fn(model, k - 1).values,
                 model.epsilon,
             )

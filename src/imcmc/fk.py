@@ -59,8 +59,8 @@ class FKModel:
         ``transitions[l-1]`` is the Markov kernel ``L'_l`` from
         ``S'_{l-1}`` into ``S'_l``, for ``l = 1 .. L``.
     potentials : tuple of TestFunction
-        ``potentials[l]`` is ``G'_l`` on ``S'_l`` with values in
-        ``(0, 1]``, for ``l = 0 .. L-1``.
+        ``potentials[l]`` is ``G'_l`` on ``S'_l`` with normal float
+        values in ``(0, 1]``, for ``l = 0 .. L-1``.
     level0_kernel : IntegralOperator, optional
         Markov kernel on ``S'_0`` with invariant measure `initial`;
         defaults to the constant redraw from `initial`.
@@ -94,9 +94,10 @@ class FKModel:
         for l, G in enumerate(self.potentials):
             if G.space != self.base_spaces[l]:
                 raise ValueError(f"potential {l} lives on the wrong space")
-            if G.values.min() <= 0.0 or G.values.max() > 1.0:
+            # subnormal values lose precision, and 1/G overflows among them
+            if G.values.min() < np.finfo(float).tiny or G.values.max() > 1.0:
                 raise ValueError(
-                    f"potential {l} must take values in (0, 1]; range is "
+                    f"potential {l} must take normal values in (0, 1]; range is "
                     f"[{G.values.min():.3e}, {G.values.max():.3e}]"
                 )
         if self.kernel_type not in ("mh", "rank_one"):

@@ -152,7 +152,7 @@ def run_replicates(
     )
     run_chunk = partial(_chunk_samples, config, functions, checkpoints, pis, len(columns))
     p = min(workers or 1, len(os.sched_getaffinity(0)))
-    fixed, each = replicate_bytes(config)
+    fixed, each = replicate_bytes(config, len(checkpoints))
     budget = int(_memory_limit() * MEMORY_FRACTION) // p
     if fixed + each > budget:
         raise MemoryError(

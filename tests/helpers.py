@@ -85,7 +85,7 @@ def dense_first_order_D(model, l, eta):
         step = path_extension(model, l).matrix
     else:
         G = ann.potential_fn(model, l)
-        step = model.kernels_l[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
+        step = model.kernels[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
     return transport_kernel(eta, G).matrix @ step / integrate(eta, G)
 
 

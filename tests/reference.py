@@ -368,7 +368,7 @@ def product_map(spec: CltSpec, l: int, mu: Measure) -> Measure:
 def geometric_kernel_series(model: ann.AnnealingModel, l: int, terms: int) -> np.ndarray:
     """Truncated series ``(1-eps) sum_{k<=terms} eps^k K_l^k`` (cross-check path)."""
     eps = model.epsilon
-    K = model.kernels_k[l].matrix
+    K = model.kernels[l].matrix
     acc = np.eye(model.space.size)
     power = np.eye(model.space.size)
     coeff = 1.0
@@ -380,7 +380,7 @@ def geometric_kernel_series(model: ann.AnnealingModel, l: int, terms: int) -> np
 
 
 def annealing_map(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
-    """Level map: reweight by ``G_l``, apply ``L_{l+1}``, then the geometric kernel.
+    """Level map: reweight by ``G_l``, apply ``K_{l+1}``, then the geometric kernel.
 
     Sends probability measures on the common space to probability
     measures; the Gibbs measures are its fixed points.
@@ -388,7 +388,7 @@ def annealing_map(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
     if not 0 <= l < model.levels:
         raise ValueError(f"level {l} has no successor (model has {model.levels} levels)")
     psi = ann.boltzmann_gibbs(mu, ann.potential_fn(model, l))
-    w = psi.weights @ model.kernels_l[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
+    w = psi.weights @ model.kernels[l + 1].matrix @ ann.geometric_kernel(model, l + 1).matrix
     w = np.maximum(w, 0.0)
     return Measure(model.space, w / w.sum())
 
@@ -396,8 +396,8 @@ def annealing_map(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
 def mixture_invariant_measure(model: ann.AnnealingModel, l: int, mu: Measure) -> Measure:
     """The measure actually fixed by ``mixture_kernel(model, l, mu)``.
 
-    Solving ``nu = eps nu K_l + (1-eps) bg(mu) L_l`` gives
-    ``nu = bg(mu) L_l K_{eps,l}``, which is exactly
+    Solving ``nu = eps nu K_l + (1-eps) bg(mu) K_l`` gives
+    ``nu = bg(mu) K_l K_{eps,l}``, which is exactly
     ``annealing_map(model, l-1, mu)``; the two construction routes agree.
     """
     if l < 1:

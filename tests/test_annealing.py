@@ -71,7 +71,7 @@ def test_geometric_kernel_idempotent_base():
     K = [IntegralOperator.rank_one(sp, pi0), IntegralOperator.rank_one(sp, pi1)]
     m = ann.AnnealingModel(
         space=sp, potential=TestFunction(sp, v), betas=(1.0, 2.0), epsilon=eps,
-        kernels_k=tuple(K), kernels_l=tuple(K),
+        kernels=tuple(K),
     )
     G = ann.geometric_kernel(m, 0)
     assert np.allclose(G.matrix, (1 - eps) * np.eye(3) + eps * K[0].matrix, atol=1e-12)
@@ -108,7 +108,7 @@ def test_annealing_map_unit_potential():
     rng = np.random.default_rng(2)
     mu = random_probability(rng, sp)
     out = annealing_map(m, 0, mu)
-    manual = act_measure(act_measure(mu, m.kernels_l[1]), ann.geometric_kernel(m, 1))
+    manual = act_measure(act_measure(mu, m.kernels[1]), ann.geometric_kernel(m, 1))
     assert tv_distance(out, manual) < 1e-14
 
 
@@ -120,7 +120,7 @@ def test_annealing_map_stepwise_composition():
         l = int(rng.integers(0, m.levels))
         out = annealing_map(m, l, mu)
         step = ann.boltzmann_gibbs(mu, ann.potential_fn(m, l))
-        step = act_measure(step, m.kernels_l[l + 1])
+        step = act_measure(step, m.kernels[l + 1])
         step = act_measure(step, ann.geometric_kernel(m, l + 1))
         assert tv_distance(out, step) < 1e-13
 
@@ -131,7 +131,7 @@ def test_mixture_kernel_rank_one_at_zero_epsilon():
     mu = random_probability(rng, m.space)
     M = ann.mixture_kernel(m, 1, mu)
     assert dobrushin(M) < 1e-14
-    rho = act_measure(ann.boltzmann_gibbs(mu, ann.potential_fn(m, 0)), m.kernels_l[1])
+    rho = act_measure(ann.boltzmann_gibbs(mu, ann.potential_fn(m, 0)), m.kernels[1])
     assert np.allclose(M.matrix, np.tile(rho.weights, (4, 1)), atol=1e-14)
 
 
@@ -234,14 +234,13 @@ def test_model_rejects_bad_kernels():
     sp = FiniteSpace("s", 3)
     shift = np.roll(np.eye(3), 1, axis=1)
     bad = IntegralOperator(sp, sp, shift)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invariant"):
         ann.AnnealingModel(
             space=sp,
             potential=TestFunction(sp, [0.0, 1.0, 2.0]),
             betas=(1.0, 2.0),
             epsilon=0.2,
-            kernels_k=(bad, bad),
-            kernels_l=(bad, bad),
+            kernels=(bad, bad),
         )
 
 

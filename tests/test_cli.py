@@ -539,9 +539,13 @@ def test_verify_enumerates_each_path_space_once(tmp_path, monkeypatch):
     (("iterations = 100", "iterations = abc"), [], "engine.iterations"),
     (("iterations = 100\n", ""), [], "engine.iterations"),
     (("seed = 3", "seed = 1.5"), [], "engine.seed"),
+    # G'(1) = p is subnormal, and the MH acceptance ratio 1/G' overflows
+    (("p = 0.5", "p = 1e-320"), [], "potential 0"),
 ], ids=["terminal-indicator", "indicator", "workers-word", "workers-zero",
         "flag-workers-zero", "p-word", "betas-nan", "name-twice", "name-comma",
-        "name-empty", "iterations-word", "iterations-missing", "seed-fraction"])
+        "name-empty", "iterations-word", "iterations-missing", "seed-fraction",
+        "p-subnormal"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fault_exit_2(tmp_path, capsys, edit, flags, field):
     text = toy_text(levels=1, iterations=100, replicates=4, out=str(tmp_path / "v"))
     if edit:

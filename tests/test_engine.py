@@ -266,14 +266,14 @@ def test_history_packs_blocks_at_any_offset(size, bits):
     assert np.array_equal(hist.take(t), np.take_along_axis(states, t, axis=1))
 
 
-def _lean_peak(cfg, replicates):
+def _lean_peak(cfg, replicates, checkpoints=()):
     """tracemalloc peak of a lean run of `cfg`, whose counts it checks."""
     import tracemalloc
 
     engine.run_batch(cfg, range(2), keep_history=False)  # enumerates the path spaces
     tracemalloc.start()
     try:
-        res = engine.run_batch(cfg, range(replicates), keep_history=False)
+        res = engine.run_batch(cfg, range(replicates), checkpoints=checkpoints, keep_history=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,9 +293,11 @@ def _config_of(kind, iterations):
 
 
 @functools.cache
-def _peak_of(kind="mh", iterations=3000, replicates=256):
-    """tracemalloc peak of a lean run of :func:`_config_of`."""
-    return _lean_peak(_config_of(kind, iterations), replicates)
+def _peak_of(kind="mh", iterations=3000, replicates=256, checkpoints=0):
+    """tracemalloc peak of a lean run of :func:`_config_of`, snapshotting
+    the counts at `checkpoints` evenly spaced times."""
+    grid = [iterations * (i + 1) // checkpoints for i in range(checkpoints)]
+    return _lean_peak(_config_of(kind, iterations), replicates, grid)
 
 
 def test_run_batch_memory_bounded_by_cells():
@@ -336,30 +338,47 @@ def test_run_batch_packs_histories():
 #: annealing states, a 257-state level 0, and 270 path states
 _WIDE = ("annealing_512", "fk_mh_257", "fk_wide_mh")
 
-
-@pytest.mark.parametrize("kind, iterations", [
-    ("mh", 3000), ("mh", 30000), ("rank_one", 3000), ("annealing", 3000),
+#: (model, iterations, checkpoints) of the runs the charge must cover
+_BOUNDED = [
+    ("mh", 3000, 0), ("mh", 30000, 0), ("rank_one", 3000, 0), ("annealing", 3000, 0),
     # lean annealing keeps no history: its peak is the same at n = 600,
     # 1200 and 3000, and n = 3000 took 50 s under tracemalloc on a 2-CPU VM
-    ("annealing_512", 600), ("fk_mh_257", 3000), ("fk_wide_mh", 3000),
+    ("annealing_512", 600, 0), ("fk_mh_257", 3000, 0), ("fk_wide_mh", 3000, 0),
+    # each checkpoint keeps a (B, S) int64 snapshot per level: 30 of them
+    # took the peak from 7.42 to 24.71 MiB at 256 replicates, past a
+    # charge of 8.70 MiB that left them out
+    ("fk_wide_mh", 3000, 30),
+]
+
+
+@pytest.mark.parametrize("kind, iterations, checkpoints", _BOUNDED, ids=[
+    "-".join(map(str, case if case[2] else case[:2])) for case in _BOUNDED
 ])
-def test_replicate_bytes_bounds_lean_peak(kind, iterations):
+def test_replicate_bytes_bounds_lean_peak(kind, iterations, checkpoints):
     # the chunk planner's charge covers the peak of a chunk of 64, 128 or
     # 256 replicates and overstates it by at most half: 1.05x to 1.23x
     # here.  Its former charge, the slice's uniforms at a whole block per
     # replicate and no fixed part, fell 30-37 % short at 64 replicates.
-    # On the wide models it covers 16, 64 or 256 replicates, at 1.06x to
-    # 1.77x; before it charged the levels' tables (10 MiB of the 512-state
-    # model's 12 MiB peak), slices clamped to one step of more than
+    # On the wide models it covers 16, 64 or 256 replicates, at 1.07x to
+    # 1.77x; before it charged the levels' tables (now 6 MiB of the
+    # 512-state model's 8 MiB peak), slices clamped to one step of more than
     # BLOCK_CELLS cells, and the occupation counts, it read 0.17 to 0.94
-    fixed, each = engine.replicate_bytes(_config_of(kind, iterations))
+    fixed, each = engine.replicate_bytes(_config_of(kind, iterations), checkpoints)
     wide = kind in _WIDE
     for replicates in (16, 64, 256) if wide else (64, 128, 256):
         need = fixed + each * replicates
-        peak = _peak_of(kind, iterations, replicates)
+        peak = _peak_of(kind, iterations, replicates, checkpoints)
         assert peak <= need and (wide or need <= 1.5 * peak), (
             replicates, need / 2**20, peak / 2**20
         )
+
+
+def test_annealing_levels_build_one_table():
+    # the move and the redraw's extension read one CDF table per level:
+    # two tables per level took the 512-state model to 12.00 MiB, one
+    # takes it near 8.0 MiB
+    peak = _peak_of("annealing_512", 600, 16, 0)
+    assert peak < 10 * 2**20, peak / 2**20
 
 
 def test_redraw_levels_carry_narrow_counts():

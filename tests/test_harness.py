@@ -141,8 +141,9 @@ def test_run_replicates_chunks_by_memory(monkeypatch):
         return run_batch(config, replicates, **kwargs)
 
     # a budget of exactly one replicate's chunk: the slice's share, level
-    # 0's history and the replicate's block buffers
-    need = sum(engine.replicate_bytes(cfg))
+    # 0's history, the replicate's block buffers and its counts at the
+    # run's two checkpoints
+    need = sum(engine.replicate_bytes(cfg, 2))
     monkeypatch.setattr(harness, "_memory_limit", lambda: math.ceil(need / harness.MEMORY_FRACTION))
     monkeypatch.setattr(harness, "run_batch", recorded)
     budgeted = harness.run_replicates(cfg, 7, functions, [100, 300], spec.pis, workers=1)

@@ -53,13 +53,6 @@ def ring_model(n, betas=(0.3,), eps=0.3):
     )
 
 
-def mixed_ring_model(n, betas=(0.3,), eps=0.3):
-    """The ring model with ``K_l`` Metropolized from the uniform proposal, so ``K != L``."""
-    ring = ring_model(n, betas, eps)
-    uniform = ann.make_metropolis_model(ring.space, ring.potential, betas, eps)
-    return dataclasses.replace(ring, kernels_k=uniform.kernels_k)
-
-
 # ---------------------------------------------------------------------------
 # invariant measures
 # ---------------------------------------------------------------------------
@@ -388,7 +381,6 @@ FACTORED_CASES = {
         FiniteSpace("S", 4), np.array([0.0, 1.0, 2.0, 3.0]), (0.3, 0.6, 0.9, 1.2), 0.3
     ),
     "ring-64": lambda: ring_model(64, betas=(0.3, 0.6, 0.9)),
-    "mixed-ring-16": lambda: mixed_ring_model(16, betas=(0.3, 0.6, 0.9)),
 }
 
 
