@@ -226,7 +226,11 @@ def metropolis_kernel(pi: Measure, proposal: IntegralOperator) -> IntegralOperat
         raise ValueError("proposal and target live on different spaces")
     if pi.weights.min() <= 0.0:
         raise ValueError("target must be strictly positive for the acceptance ratios")
-    ratio = np.minimum(1.0, pi.weights[None, :] / pi.weights[:, None])
+    # min(1, pi(y)/pi(x)), divided only where below 1: pi(y)/pi(x)
+    # overflows when pi(x) is subnormal
+    w = pi.weights
+    ratio = np.divide(w[None, :], w[:, None], out=np.ones((w.size, w.size)),
+                      where=w[None, :] < w[:, None])
     flow = proposal.matrix * ratio
     matrix = flow.copy()
     # fsum is correctly rounded, so summing only the nonzero off-diagonal

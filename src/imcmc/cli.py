@@ -33,7 +33,7 @@ from . import __version__, oracle
 from .config import ConfigError, RunConfig, load_config, parse_int
 from .engine import export_trajectories_csv, run_batch
 from .harness import verify_theorem, weight_limit_table
-from .reporting import write_csv, write_metadata
+from .reporting import format_metadata, write_csv
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -118,9 +118,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         cfg.engine_config(), range(cfg.replicates), keep_history=True
     )
     path = out / "trajectories.csv"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         export_trajectories_csv(result, fh)
-        write_metadata(fh, _metadata(cfg))
+        fh.write(format_metadata(_metadata(cfg)).encode())
     print(f"trajectories written to {path}")
     return EXIT_OK
 

@@ -716,29 +716,58 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return text.view(np.uint8).reshape(text.size, -1)
 
 
-def export_trajectories_csv(result: BatchResult, fh) -> None:
-    """Write trajectories as ``replicate,level,iteration,state_index`` rows.
+def _row_template(prefix: bytes, iterations: np.ndarray, width: int) -> np.ndarray:
+    """Byte rows of `prefix`, an iteration's digits, a comma, `width`
+    unset bytes for a state label and a newline, one per iteration."""
+    rows, digits = iterations.shape
+    start = len(prefix)
+    tpl = np.empty((rows, start + digits + width + 2), dtype=np.uint8)
+    tpl[:, :start] = np.frombuffer(prefix, dtype=np.uint8)
+    tpl[:, start : start + digits] = iterations
+    tpl[:, -width - 2] = ord(",")
+    tpl[:, -1] = ord("\n")
+    return tpl
 
-    Each (replicate, level) block is laid out as fixed-width byte rows,
-    each number NUL-padded to the width of the widest in its column; the
-    padding is dropped before writing.
+
+def export_trajectories_csv(result: BatchResult, fh) -> None:
+    """Write trajectories as ``replicate,level,iteration,state_index`` rows
+    to the binary file `fh`, one replicate at a time.
+
+    A (replicate, level) block is a template of fixed-width byte rows,
+    one per iteration, each number NUL-padded to the width of the widest
+    in its column.  One template per level is held, built for the digit
+    count of the replicate ids at hand; a block overwrites its replicate
+    digits and state labels in place.  NULs are dropped only in the rows
+    that can hold them: those of the shorter iteration numbers, or every
+    row when the level's labels differ in width.  The rest are written
+    as they are.
     """
     if result.states is None:
         raise ValueError("histories were not retained for this batch")
-    fh.write("replicate,level,iteration,state_index\n")
+    fh.write(b"replicate,level,iteration,state_index\n")
     iterations = _digits(np.arange(result.iterations + 1))
     rows = len(iterations)
+    # the rows of the shorter iteration numbers, a prefix, end in NULs
+    padded = int(np.count_nonzero(iterations[:, -1] == 0))
     labels = [_digits(np.arange(sp.size)) for sp in result.spaces]
-    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
-    newline = np.full((rows, 1), ord("\n"), dtype=np.uint8)
+    templates, held = [], 0
     for i, r in enumerate(result.replicates):
-        for k, arr in enumerate(result.states):
-            prefix = np.frombuffer(f"{r},{k},".encode(), dtype=np.uint8)
-            text = np.hstack([
-                np.broadcast_to(prefix, (rows, prefix.size)),
-                iterations,
-                comma,
-                labels[k][arr[i]],
-                newline,
-            ]).ravel()
-            fh.write(text[text != 0].tobytes().decode("ascii"))
+        rid = str(r).encode()
+        if len(rid) != held:
+            # one template per level, for ids of this many digits, built
+            # once the previous set is dropped
+            templates.clear()
+            templates += (_row_template(rid + b",%d," % k, iterations, lab.shape[1])
+                          for k, lab in enumerate(labels))
+            held = len(rid)
+        for tpl, lab, arr in zip(templates, labels, result.states):
+            # a column at a time: a broadcast row of a few bytes copies slowly
+            for j, digit in enumerate(rid):
+                tpl[:, j] = digit
+            width = lab.shape[1]
+            tpl[:, -width - 1 : -1] = np.take(lab, arr[i], axis=0)
+            # labels of differing widths may leave NULs in any row
+            short = rows if width > 1 else padded
+            head = tpl[:short].ravel()
+            fh.write(head[head != 0])
+            fh.write(tpl[short:])

@@ -27,16 +27,16 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_metadata(fh, metadata: dict | None) -> None:
-    for key, value in (metadata or {}).items():
-        fh.write(f"# {key}: {value}\n")
+def format_metadata(metadata: dict | None) -> str:
+    """The trailing comment block: one ``# key: value`` line per key."""
+    return "".join(f"# {key}: {value}\n" for key, value in (metadata or {}).items())
 
 
 def write_csv(fh, header: list[str], rows, metadata: dict | None = None) -> None:
     fh.write(",".join(header) + "\n")
     for row in rows:
         fh.write(",".join(format_value(v) for v in row) + "\n")
-    write_metadata(fh, metadata)
+    fh.write(format_metadata(metadata))
 
 
 def read_csv(fh) -> tuple[list[str], list[list[str]], dict[str, str]]:

@@ -478,6 +478,9 @@ RUN_DIGESTS = {
     "simulate": {
         "trajectories": "537e7d1295d81f4db435e06e925e3fefb85b43d45b207f8cb11aeed69280d7da",
     },
+    "simulate-fk-3-4": {
+        "trajectories": "36bfd57ca51997081cc06a4f87ec9e38f0a50db95aa94d1f4883f80cd4ff0212",
+    },
 }
 
 
@@ -486,6 +489,14 @@ def test_run_tables_are_pinned(tmp_path, case):
     out = tmp_path / "o"
     if case == "simulate":
         cfgp = write_cfg(tmp_path, toy_text(levels=1, iterations=50, replicates=2))
+        assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
+    elif case == "simulate-fk-3-4":
+        # 12 path states at level 1 and 12 replicates: labels and
+        # replicate ids of one and two digits
+        text = random_fk_oracle_text((3, 4)).replace(
+            "iterations = 1000", "iterations = 120\nreplicates = 12"
+        )
+        cfgp = write_cfg(tmp_path, text)
         assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 0
     else:
         cfgp = write_cfg(tmp_path, ANNEALING_VERIFY)
@@ -597,14 +608,18 @@ ground = indicator(0)
     (EXPLICIT_FK, ("[engine]", "m0 = 1 0 0; 0 1 0; 0 0 1\n[engine]"), "model.m0"),
     (ANNEALING, ("epsilon = 0.2", "epsilon = x"), "model.epsilon"),
     (ANNEALING, ("potential = 0.0 0.5 1.5", "potential = 0.0 nan 1.5"), "model"),
+    # pi(1) is subnormal at beta = 1 and underflows to 0 at beta = 2
+    (ANNEALING, ("potential = 0.0 0.5 1.5\nbetas = 0.5 1.0",
+                 "potential = 0.0 740 1.5\nbetas = 1.0 2.0"), "model"),
     (ANNEALING, ("[engine]", "reference = 1 2\n[engine]"), "model.reference"),
     (ANNEALING, ("[engine]", "reference =\n[engine]"), "model.reference"),
     (ANNEALING, ("ground = indicator(0)", "ground@1 = 1 0"), "functions.ground@1"),
     (ANNEALING, ("[engine]", "proposal = 0.5 0.5; 0.5 0.5\n[engine]"), "model.proposal"),
     (ANNEALING, ("[engine]", "proposal = 0.5 0.5 0; 0.25 0.5 0.25; 0 0.5 0.5\n[engine]"),
      "proposal"),
-], ids=["potential-length", "m0-shape", "epsilon-word", "potential-nan", "reference-length",
-        "reference-empty", "function-length", "proposal-shape", "proposal-asymmetric"])
+], ids=["potential-length", "m0-shape", "epsilon-word", "potential-nan", "potential-underflow",
+        "reference-length", "reference-empty", "function-length", "proposal-shape",
+        "proposal-asymmetric"])
 def test_model_fault_exit_2(tmp_path, capsys, text, edit, field):
     out = tmp_path / "v"
     cfgp = write_cfg(tmp_path, text.replace(*edit) + f"\n[output]\ndirectory = {out}\n")
@@ -612,6 +627,15 @@ def test_model_fault_exit_2(tmp_path, capsys, text, edit, field):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and field in err, err
     assert not out.exists()
+
+
+def test_subnormal_gibbs_weight_builds_without_warning(tmp_path):
+    # pi(1) is subnormal at both betas, so pi(0)/pi(1) would overflow,
+    # and pytest turns the warning into an error
+    text = ANNEALING.replace("potential = 0.0 0.5 1.5\nbetas = 0.5 1.0",
+                             "potential = 0.0 720 1.5\nbetas = 1.0 1.01")
+    cfgp = write_cfg(tmp_path, text)
+    assert cli.main(["oracle", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("text, edit, field", [

@@ -435,9 +435,10 @@ def test_running_counts_match_recount():
         assert got[0, 0, -1] == iterations and end[0, 0] == iterations + 1
 
 
+# replicate ids whose digit count falls as well as rises
 @pytest.mark.parametrize(
     "name, replicates, iterations",
-    [("fk_wide_mh", (3, 12, 305), 120), ("fk_rank_one", (0, 9, 10, 305), 1000)],
+    [("fk_wide_mh", (12, 3, 305), 120), ("fk_rank_one", (0, 9, 10, 305), 1000)],
     ids=["fk_wide_mh", "fk_rank_one"],
 )
 def test_export_trajectories_matches_row_loop(name, replicates, iterations):
@@ -448,13 +449,32 @@ def test_export_trajectories_matches_row_loop(name, replicates, iterations):
     # each digit row is as wide as the largest value's digits
     for values in [np.arange(iterations + 1)] + [np.arange(sp.size) for sp in res.spaces]:
         assert engine._digits(values).shape == (values.size, len(str(values.size - 1)))
-    out = io.StringIO()
+    out = io.BytesIO()
     engine.export_trajectories_csv(res, out)
     rows = ["replicate,level,iteration,state_index\n"]
     for i, r in enumerate(res.replicates):
         for k, arr in enumerate(res.states):
             rows += [f"{r},{k},{n},{int(arr[i][n])}\n" for n in range(arr.shape[1])]
-    assert out.getvalue() == "".join(rows)
+    assert out.getvalue() == "".join(rows).encode()
+
+
+def test_export_trajectories_memory_does_not_grow_with_replicates():
+    import os
+    import tracemalloc
+
+    # labels of one and two digits at levels 1 and 2
+    cfg = dataclasses.replace(_digest_config("fk_wide_mh"), iterations=2000)
+    peaks = []
+    for replicates in (range(10, 14), range(10, 50)):
+        res = engine.run_batch(cfg, replicates)
+        with open(os.devnull, "wb") as fh:
+            tracemalloc.start()
+            try:
+                engine.export_trajectories_csv(res, fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
