@@ -23,10 +23,10 @@ scan ``a[t+1] = F[t, a[t]]`` over a small alphabet:
 Rank-one levels need no scan.  Chains on more than :data:`TABLE_STATES`
 states step directly instead of tabulating the move from every state.
 
-Only a level that a Metropolis-Hastings level above it reads keeps its
-trajectory, since that level proposes from the whole past.  A
-trajectory is stored packed, at the narrowest of 1, 2, 4, 8 or 16 bits
-per state that holds every index of its space: eight states to a byte
+Only a level whose history the rule above it reads keeps its
+trajectory: a Metropolis-Hastings level proposes from the whole past.
+A trajectory is stored packed, at the narrowest of 1, 2, 4, 8 or 16
+bits per state that holds every index of its space: eight states to a byte
 on 2 states, four on up to 4, two on up to 16, one byte per state up to
 256 states and two up to 65,536.  Each block's states are packed in as
 they are made, a proposal reads its word and shifts its state out, and
@@ -51,7 +51,10 @@ levels, all three otherwise.  A block is at most :data:`MAX_BLOCK`
 steps and, up to ``4 * BLOCK_CELLS`` replicates, at most that many
 (replicate, step) cells, so its uniforms stay within 3 MiB (0.75 MiB
 at 64 replicates), one slice's within 0.75 MiB, and a level's state
-buffer within 128 KiB per byte of its dtype.
+buffer within 128 KiB per byte of its dtype.  :func:`replicate_bytes`,
+the memory charged to a run of many replicates, reads its tables,
+widths and kept histories off the same rules that :func:`run_batch`
+runs.
 
 Randomness contract
 -------------------
@@ -417,12 +420,11 @@ class _History:
         return states.reshape(len(self.words), -1)[:, : self.length]
 
 
-def _kept_histories(config: EngineConfig, keep_history: bool) -> list[bool]:
+def _kept_histories(rules: list[_Rule], keep_history: bool) -> list[bool]:
     """Which levels keep their trajectory: all with `keep_history`, else
-    those that a Metropolis-Hastings level above reads."""
-    model = config.model
-    mh = isinstance(model, fk.FKModel) and model.kernel_type == "mh"
-    return [keep_history or (mh and k < config.levels) for k in range(config.levels + 1)]
+    those whose rule above reads it."""
+    above = [rule.reads for rule in rules[1:]] + [""]
+    return [keep_history or reads == "history" for reads in above]
 
 
 #: Bytes charged per Philox generator; tracemalloc sees about 810.
@@ -433,43 +435,31 @@ def replicate_bytes(config: EngineConfig, checkpoints: int) -> tuple[int, int]:
     """Bytes charged to a ``run_batch(..., keep_history=False)`` of ``B``
     replicates, as ``(fixed, each)``: ``fixed + B * each``.
 
-    The fixed part is the levels' tables, as :func:`_rules` builds them,
-    and a slice's uniforms and step temporaries, about six int64 arrays
-    of :data:`BLOCK_CELLS` cells, charged as seven.  A slice clamped to
-    one step has ``B * width`` cells, more than that on a wide alphabet,
-    so each replicate adds seven int64 cells per state of the widest
-    rule.  Each replicate also adds its kept histories, packed as
-    :class:`_History` stores them; at the longest block, its float64
-    uniforms and state buffers, one per level in its history dtype; one
-    generator per level; and its int64 occupation counts: one row per
-    level, as many again at each of the `checkpoints` snapshots, and two
-    more of the largest while a block's are added.
+    The charge reads the tables, widths and kept histories off the rules
+    that :func:`run_batch` runs.  The fixed part is the float tables
+    those rules hold and a slice's uniforms and step temporaries, about
+    six int64 arrays of :data:`BLOCK_CELLS` cells, charged as seven.  A
+    slice clamped to one step has ``B * width`` cells, more than that on
+    a wide alphabet, so each replicate adds seven int64 cells per state
+    of the widest rule.  Each replicate also adds its kept histories,
+    packed as :class:`_History` stores them; at the longest block, its
+    float64 uniforms and state buffers, one per level in its history
+    dtype; one generator per level; and its int64 occupation counts: one
+    row per level, as many again at each of the `checkpoints` snapshots,
+    and two more of the largest while a block's are added.
     """
-    model, spaces = config.model, config.level_spaces()
-    sizes = [sp.size for sp in spaces]
-    # CDF tables hold (columns - 1) x rows float64 cells; a level's width
-    # is that of its rule in _rules
-    cells, width = (sizes[0] - 1) * sizes[0], sizes[0]
-    for k in range(1, config.levels + 1):
-        if isinstance(model, ann.AnnealingModel):
-            cells += (sizes[k] - 1) * sizes[k]
-            width = max(width, sizes[k])
-            continue
-        s_prev, s_new = model.base_spaces[k - 1].size, model.base_spaces[k].size
-        mh = model.kernel_type == "mh"
-        # the transition's CDFs, and an MH level's acceptance ratios or a
-        # rank-one level's path weights
-        cells += (s_new - 1) * s_prev + (s_prev * s_prev if mh else sizes[k - 1])
-        width = max(width, s_prev if mh else sizes[k - 1], s_new)
-    items = [_history_dtype(sp.size).itemsize for sp in spaces]
+    rules = _rules(config)
+    sizes = [sp.size for sp in config.level_spaces()]
+    items = [_history_dtype(size).itemsize for size in sizes]
     history = sum(
-        -(-(config.iterations + 1) // _packing(sp.size)[1]) * item
-        for sp, item, kept in zip(spaces, items, _kept_histories(config, keep_history=False))
+        -(-(config.iterations + 1) // _packing(size)[1]) * item
+        for size, item, kept in zip(sizes, items, _kept_histories(rules, keep_history=False))
         if kept
     )
-    each = MAX_BLOCK * (DRAWS_PER_STEP * 8 + sum(items)) + _STREAM_BYTES * len(spaces)
-    each += 7 * 8 * width + 8 * ((1 + checkpoints) * sum(sizes) + 2 * max(sizes))
-    return 8 * cells + 7 * 8 * BLOCK_CELLS, history + each
+    each = MAX_BLOCK * (DRAWS_PER_STEP * 8 + sum(items)) + _STREAM_BYTES * len(sizes)
+    each += 7 * 8 * max(rule.width for rule in rules)
+    each += 8 * ((1 + checkpoints) * sum(sizes) + 2 * max(sizes))
+    return sum(rule.table_bytes for rule in rules) + 7 * 8 * BLOCK_CELLS, history + each
 
 
 def _row_counts(states: np.ndarray, size: int) -> np.ndarray:
@@ -582,6 +572,13 @@ class _Rule:
     width: int  # states per (width, B, T) bulk array of the rule
     draws: int  # leading uniforms of each step that the rule reads
 
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of the float tables that the step holds."""
+        return sum(
+            a.nbytes for a in self.step.args if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+        )
+
 
 def _rules(config: EngineConfig) -> list[_Rule]:
     model = config.model
@@ -629,18 +626,19 @@ def run_batch(
     depend on it.
     """
     replicates = tuple(int(r) for r in replicates)
+    if not replicates:
+        raise ValueError("no replicates to run")
     checkpoints = sorted(set(int(n) for n in checkpoints))
-    if checkpoints and checkpoints[-1] > config.iterations:
-        raise ValueError(
-            f"checkpoint {checkpoints[-1]} exceeds iterations {config.iterations}"
-        )
+    for n in checkpoints:
+        if not 0 <= n <= config.iterations:
+            raise ValueError(f"checkpoint {n} lies outside 0..{config.iterations}")
     spaces = config.level_spaces()
     sizes = [sp.size for sp in spaces]
     rules = _rules(config)
     B, N, L = len(replicates), config.iterations, config.levels
-    block = min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // max(B, 1)))
+    block = min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // B))
     gens = [[_philox(key) for key in _stream_keys(config.seed, replicates, k)] for k in range(L + 1)]
-    keep = _kept_histories(config, keep_history)
+    keep = _kept_histories(rules, keep_history)
     hist = [_History(B, N + 1, size) if kept else None for kept, size in zip(keep, sizes)]
 
     cur, counts = [], []

@@ -304,24 +304,11 @@ def test_run_batch_memory_bounded_by_cells():
     # 512-step blocks of 256 replicates (3 MiB of uniforms), one reused
     # state buffer per level in its history dtype, and slices of 2^15
     # cells that copy only the uniform planes their rule reads: peak
-    # 5.86 MiB.  2^16-cell slices, int64 state buffers or 2048-step blocks
-    # each took the peak past 12 MiB
-    peak = _peak_of()
-    assert peak < 9 * 2**20, peak / 2**20
-
-
-def test_run_batch_state_buffers_in_history_dtype():
-    # one one-byte state buffer per level, and level 0 copying one uniform
-    # plane of its three, peaked near 12.7 MiB at 2^16 cells; two int64
-    # state buffers that the levels take in turn, and all three planes,
-    # near 16.1 MiB
-    peak = _peak_of()
-    assert peak < 14 * 2**20, peak / 2**20
-
-
-def test_run_batch_slices_of_2_15_cells():
-    # 512-step blocks of 256 replicates, 3 MiB of uniforms, peak near
-    # 5.9 MiB; slices of 2^16 cells and 1024-step blocks near 12.7 MiB
+    # 5.86 MiB.  2^16-cell slices, with one-byte state buffers and level
+    # 0 copying one plane of three or with 1024-step blocks, peaked near
+    # 12.7 MiB; int64 state buffers or 2048-step blocks each took the
+    # peak past 12 MiB; two int64 state buffers that the levels take in
+    # turn, with all three planes copied, near 16.1 MiB
     peak = _peak_of()
     assert peak < 9 * 2**20, peak / 2**20
 
@@ -371,6 +358,20 @@ def test_replicate_bytes_bounds_lean_peak(kind, iterations, checkpoints):
         assert peak <= need and (wide or need <= 1.5 * peak), (
             replicates, need / 2**20, peak / 2**20
         )
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_DIGESTS))
+def test_replicate_bytes_fixed_part_is_the_rules_tables(name):
+    # the fixed part charges every float table the rules hold, an
+    # annealing level's potential vector among them
+    cfg = _digest_config(name)
+    tables = sum(
+        a.nbytes
+        for rule in engine._rules(cfg)
+        for a in rule.step.args
+        if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+    )
+    assert engine.replicate_bytes(cfg, 0)[0] == tables + 7 * 8 * engine.BLOCK_CELLS
 
 
 def test_annealing_levels_build_one_table():
@@ -639,6 +640,15 @@ def test_level0_lln_rate():
         errs.append(np.abs(occ[:, 0] - pi[0]).mean())
     slope = np.polyfit(np.log10([1000, 10_000, 100_000]), np.log10(errs), 1)[0]
     assert -0.6 <= slope <= -0.4
+
+
+def test_run_batch_rejects_checkpoints_outside_the_run_and_empty_sets():
+    cfg = toy_config(iterations=10)
+    for checkpoints in ([-1], [-1, 5], [0, 11]):
+        with pytest.raises(ValueError, match=r"lies outside 0\.\.10"):
+            engine.run_batch(cfg, [0], checkpoints=checkpoints)
+    with pytest.raises(ValueError, match="no replicates"):
+        engine.run_batch(cfg, [], checkpoints=[5])
 
 
 def test_config_validation():
