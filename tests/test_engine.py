@@ -304,11 +304,24 @@ def test_run_batch_memory_bounded_by_cells():
     # 512-step blocks of 256 replicates (3 MiB of uniforms), one reused
     # state buffer per level in its history dtype, and slices of 2^15
     # cells that copy only the uniform planes their rule reads: peak
-    # 5.86 MiB.  2^16-cell slices, with one-byte state buffers and level
-    # 0 copying one plane of three or with 1024-step blocks, peaked near
-    # 12.7 MiB; int64 state buffers or 2048-step blocks each took the
-    # peak past 12 MiB; two int64 state buffers that the levels take in
-    # turn, with all three planes copied, near 16.1 MiB
+    # 5.86 MiB.  2^16-cell slices, int64 state buffers or 2048-step blocks
+    # each took the peak past 12 MiB
+    peak = _peak_of()
+    assert peak < 9 * 2**20, peak / 2**20
+
+
+def test_run_batch_state_buffers_in_history_dtype():
+    # one one-byte state buffer per level, and level 0 copying one uniform
+    # plane of its three, peaked near 12.7 MiB at 2^16 cells; two int64
+    # state buffers that the levels take in turn, and all three planes,
+    # near 16.1 MiB
+    peak = _peak_of()
+    assert peak < 14 * 2**20, peak / 2**20
+
+
+def test_run_batch_slices_of_2_15_cells():
+    # 512-step blocks of 256 replicates, 3 MiB of uniforms, peak near
+    # 5.9 MiB; slices of 2^16 cells and 1024-step blocks near 12.7 MiB
     peak = _peak_of()
     assert peak < 9 * 2**20, peak / 2**20
 
