@@ -220,17 +220,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as e:
         print(f"linear algebra failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _resource_errors() as e:
+    except (ChildProcessError, MemoryError) as e:
         print(f"worker or memory failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def _resource_errors() -> tuple[type[BaseException], ...]:
-    # an except clause evaluates its types only when an exception reaches
-    # it, so a run that ends normally never imports concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    return (BrokenProcessPool, MemoryError)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,10 @@ normalized squares of the weight arrays built by the recursion
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import signal
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -134,10 +137,11 @@ def run_replicates(
     of :data:`MEMORY_FRACTION` of the memory this process may use; when
     not even one replicate fits, a ``MemoryError`` that names the need
     is raised before any process starts.  With `workers` above 1 the chunks
-    run on that many forked processes, capped at the CPUs this process
-    may use; every worker is joined before the call returns.  Each
-    replicate draws from its own streams, so the result is bit-identical
-    for any worker count and chunk size.
+    run on that many forked children, capped at the CPUs this process may
+    use, which write their rows into one shared array at their replicates
+    (:func:`_run_forked`); every child is reaped before the call returns.
+    Each replicate draws from its own streams, so the result is
+    bit-identical for any worker count and chunk size.
     """
     if R < 2:
         raise ValueError(f"need at least 2 replicates, got {R}")
@@ -162,20 +166,56 @@ def run_replicates(
     chunks = _chunks(R, p, min(DEFAULT_CHUNK, (budget - fixed) // each))
     p = min(p, len(chunks))
     if p == 1:
-        parts = [run_chunk(ids) for ids in chunks]
+        values = np.vstack([run_chunk(ids) for ids in chunks])
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        values = _run_forked(run_chunk, chunks, p, (R, len(columns)))
+    return FluctuationSamples(columns=columns, values=values, replicates=tuple(range(R)))
 
-        # fork spares each worker a fresh import of the package.  Only
-        # BLAS runs threads of its own here, and OpenBLAS stops them
-        # around a fork.  `run_chunk` and its inputs (a few kB) go out
-        # with each chunk and only the sample arrays come back.
-        with ProcessPoolExecutor(p, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    return FluctuationSamples(
-        columns=columns, values=np.vstack(parts), replicates=tuple(range(R))
-    )
+
+def _run_forked(run_chunk, chunks, p, shape) -> np.ndarray:
+    """The rows of every chunk, run on `p` forked children that each write
+    their share ``chunks[w::p]`` into one shared array at its replicates.
+
+    A child leaves only through ``os._exit``, which runs none of the
+    parent's cleanup: 0 once its chunks are written, 1 after printing its
+    traceback to stderr.  As soon as a child ends otherwise, or when the
+    wait is interrupted, every child still running is killed and reaped
+    before the ``ChildProcessError``, or the interrupt, reaches the caller.
+    Forking spares each child a fresh import of the package; only BLAS
+    runs threads of its own here, and OpenBLAS stops them around a fork.
+    """
+    rows = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), np.float64).reshape(shape)
+    pids = []
+    try:
+        for w in range(p):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for ids in chunks[w::p]:
+                        rows[ids.start : ids.stop] = run_chunk(ids)
+                    code = 0
+                except BaseException:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        while pids:
+            # the first child to end, seen without reaping it so that one
+            # the caller owns is left alone; ours are reaped as they end
+            ended = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT).si_pid
+            pid = ended if ended in pids else pids[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code:
+                how = (f"exited with code {code}" if code > 0
+                       else f"was killed by signal {-code} ({signal.strsignal(-code)})")
+                raise ChildProcessError(f"worker {pid} {how}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows.copy()
 
 
 def _chunks(R: int, workers: int, largest: int) -> list[range]:
@@ -187,25 +227,37 @@ def _chunks(R: int, workers: int, largest: int) -> list[range]:
     return [range(i * R // count, (i + 1) * R // count) for i in range(count)]
 
 
-#: The cgroup memory limit files: v2's ``memory.max``, then v1's, which is
-#: read only where the v2 file is absent.
+#: Where this process's cgroups are named, and the memory limit file of
+#: each hierarchy under its mount: v2's unified one, then v1's memory
+#: controller, which is read only where no v2 file is present.
+_PROC_CGROUP = "/proc/self/cgroup"
 _CGROUP_MEMORY_LIMITS = (
-    "/sys/fs/cgroup/memory.max",
-    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ("", "/sys/fs/cgroup", "memory.max"),
+    ("memory", "/sys/fs/cgroup/memory", "memory.limit_in_bytes"),
 )
 
 
 def _memory_limit() -> int:
-    """Bytes this process may use: physical memory, or the cgroup's
-    memory limit where that is a number and lower."""
+    """Bytes this process may use: physical memory, or the lowest numeric
+    memory limit on this process's cgroup and its ancestors where lower."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for path in _CGROUP_MEMORY_LIMITS:
-        try:
-            with open(path) as fh:
-                cap = fh.read().strip()
-        except OSError:
-            continue
-        return min(limit, int(cap)) if cap.isdigit() else limit
+    try:
+        with open(_PROC_CGROUP) as fh:
+            # lines "id:controllers:path", with no controllers on v2
+            paths = dict(line.rstrip("\n").split(":", 2)[1:] for line in fh)
+    except OSError:
+        paths = {}
+    for controllers, mount, name in _CGROUP_MEMORY_LIMITS:
+        parts = [part for part in paths.get(controllers, "").split("/") if part]
+        caps = []
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(mount, *parts[:depth], name)) as fh:
+                    caps.append(fh.read().strip())
+            except OSError:
+                continue
+        if caps:
+            return min([limit] + [int(cap) for cap in caps if cap.isdigit()])
     return limit
 
 

@@ -1,6 +1,9 @@
 """Shared builders for randomized tests."""
 
+import os
+
 import numpy as np
+import pytest
 
 from imcmc.measures import FiniteSpace, IntegralOperator, Measure, TestFunction
 
@@ -128,3 +131,13 @@ def random_fk_model(sizes=(2, 3, 2), seed=5):
         transitions=tuple(transitions),
         potentials=potentials,
     )
+
+
+def assert_no_child_left():
+    """Fail if this process has a child, running or exited but not reaped.
+
+    ``waitpid(-1, WNOHANG)`` returns such a child (reaping it if it has
+    exited) and raises ``ChildProcessError`` only when there is none.
+    """
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

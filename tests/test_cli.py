@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 from imcmc import cli, fk, harness
 from imcmc.config import ConfigError, parse_config
 from imcmc.reporting import read_csv
-from helpers import random_fk_model
+from helpers import assert_no_child_left, random_fk_model
 
 TOY = """
 [model]
@@ -682,7 +681,7 @@ def test_verify_samples_same_for_one_and_two_workers(tmp_path, monkeypatch):
         out = tmp_path / f"w{workers}"
         code = cli.main(["verify", "--config", cfgp, "--out", str(out), "--workers", workers])
         assert code in (0, 1)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     a = (tmp_path / "w1" / "raw_samples.csv").read_bytes()
     assert a == (tmp_path / "w2" / "raw_samples.csv").read_bytes()
     assert a.count(b"\n") > 400
@@ -700,8 +699,51 @@ def test_verify_worker_crash_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_batch", crash_in_child)
     cfgp = short_annealing_verify(tmp_path)
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "2"]) == 3
-    assert "BrokenProcessPool" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert "ChildProcessError: worker " in err, err
+    assert f"killed by signal {signal.SIGKILL.value} ({signal.strsignal(signal.SIGKILL)})" in err, err
+    assert_no_child_left()
+
+
+def test_verify_worker_error_exit_3_with_its_traceback(tmp_path, monkeypatch, capfd):
+    parent, run_batch = os.getpid(), harness.run_batch
+
+    def raise_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("replicate went wrong")
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "run_batch", raise_in_child)
+    cfgp = short_annealing_verify(tmp_path)
+    assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "2"]) == 3
+    # the child writes its traceback to file descriptor 2 itself
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last)" in err, err
+    assert "RuntimeError: replicate went wrong" in err, err
+    assert "ChildProcessError: worker " in err and "exited with code 1" in err, err
+    assert_no_child_left()
+
+
+def test_verify_with_workers_never_loads_multiprocessing(tmp_path):
+    cfgp = short_annealing_verify(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    report = tmp_path / "modules.json"
+    # two usable CPUs, so --workers 2 runs two processes on any machine
+    probe = (
+        "import json, os, sys, imcmc.cli; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        f"code = imcmc.cli.main(['verify', '--config', {cfgp!r}, '--out', {str(tmp_path / 'v')!r}, "
+        "'--workers', '2']); "
+        f"json.dump({{'code': code, 'modules': sorted(sys.modules)}}, open({str(report)!r}, 'w'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                   capture_output=True, timeout=120)
+    loaded = json.loads(report.read_text())
+    assert loaded["code"] in (0, 1)
+    for pool in ("multiprocessing", "concurrent.futures"):
+        assert not [k for k in loaded["modules"] if k == pool or k.startswith(pool + ".")], pool
 
 
 def test_verify_over_memory_budget_exit_3_before_fork(tmp_path, monkeypatch, capsys):
@@ -716,7 +758,7 @@ def test_verify_over_memory_budget_exit_3_before_fork(tmp_path, monkeypatch, cap
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v"), "--workers", "2"]) == 3
     err = capsys.readouterr().err
     assert "MemoryError: one replicate needs" in err, err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_import_loads_only_the_package():
@@ -730,8 +772,7 @@ def test_import_loads_only_the_package():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     loaded = json.loads(out)
-    # the process pool is imported only when a run uses it, numpy.random
-    # only when a run draws
+    # numpy.random is imported only when a run draws
     for heavy in ("scipy", "multiprocessing", "concurrent.futures", "numpy.random"):
         assert not [k for k in loaded if k == heavy or k.startswith(heavy + ".")], heavy
     ours = {k for k in loaded if k == "imcmc" or k.startswith("imcmc.")}

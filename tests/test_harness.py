@@ -1,6 +1,7 @@
 import math
-import multiprocessing
 import os
+import signal
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from imcmc import engine, fk, harness, oracle
 from imcmc.measures import TestFunction
+from helpers import assert_no_child_left
 from reference import weight_overlap_check
 
 
@@ -106,7 +108,7 @@ def test_run_replicates_deterministic(monkeypatch):
             runs[R, workers] = harness.run_replicates(
                 cfg, R, functions, [1000, 2000], spec.pis, workers=workers
             )
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
     first = runs[7, 1]
     assert first.values.shape == (7, len(first.columns))
     for (R, workers), samples in runs.items():
@@ -128,7 +130,57 @@ def test_run_replicates_one_cpu_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     samples = harness.run_replicates(cfg, 8, functions, [200], spec.pis, workers=4)
     assert np.array_equal(samples.values, serial.values)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_run_replicates_failed_worker_ends_the_run_at_once(monkeypatch, capfd):
+    cfg, spec, functions = toy_setup(iterations=10)
+    parent, run_batch = os.getpid(), harness.run_batch
+
+    def first_stalls_second_fails(config, replicates, **kwargs):
+        if os.getpid() != parent:
+            if replicates[0] == 0:
+                time.sleep(30)
+            raise RuntimeError("second worker failed")
+        return run_batch(config, replicates, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "run_batch", first_stalls_second_fails)
+    start = time.monotonic()
+    # two chunks, 0..1 on the first worker and 2..3 on the second
+    with pytest.raises(ChildProcessError, match="exited with code 1"):
+        harness.run_replicates(cfg, 4, functions, [10], spec.pis, workers=2)
+    assert time.monotonic() - start < 15  # the stalled worker was killed
+    assert "RuntimeError: second worker failed" in capfd.readouterr().err
+    assert_no_child_left()
+
+
+def test_run_replicates_interrupted_wait_kills_and_reaps_workers(monkeypatch):
+    cfg, spec, functions = toy_setup(iterations=10)
+    parent, run_batch = os.getpid(), harness.run_batch
+
+    def stall_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return run_batch(*args, **kwargs)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "run_batch", stall_in_child)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        # forked children do not inherit the timer
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_replicates(cfg, 4, functions, [10], spec.pis, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15  # the stalled workers were killed
+    assert_no_child_left()
 
 
 def test_run_replicates_chunks_by_memory(monkeypatch):
@@ -171,8 +223,15 @@ def test_chunks_are_balanced():
 
 def test_memory_limit_reads_cgroup_v1_where_v2_is_absent(tmp_path, monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
-    monkeypatch.setattr(harness, "_CGROUP_MEMORY_LIMITS", (str(v2), str(v1)))
+    unified, memory, cgroup = tmp_path / "unified", tmp_path / "memory", tmp_path / "cgroup"
+    monkeypatch.setattr(harness, "_CGROUP_MEMORY_LIMITS", (
+        ("", str(unified), "memory.max"),
+        ("memory", str(memory), "memory.limit_in_bytes"),
+    ))
+    monkeypatch.setattr(harness, "_PROC_CGROUP", str(cgroup))  # absent: the roots alone
+    v2, v1 = unified / "memory.max", memory / "memory.limit_in_bytes"
+    unified.mkdir()
+    memory.mkdir()
     assert harness._memory_limit() == physical  # neither file
     v1.write_text("1048576\n")
     assert harness._memory_limit() == 1 << 20
@@ -183,6 +242,30 @@ def test_memory_limit_reads_cgroup_v1_where_v2_is_absent(tmp_path, monkeypatch):
     assert harness._memory_limit() == physical
     v2.write_text("2097152\n")
     assert harness._memory_limit() == 2 << 20
+
+    # a process in a nested cgroup: the lowest numeric limit on its path
+    # and its ancestors, never a sibling's
+    cgroup.write_text("9:name=systemd:/\n4:memory:/jobs/a\n1:cpu:/\n0::/jobs/a\n")
+    for tree, name in ((unified, "memory.max"), (memory, "memory.limit_in_bytes")):
+        for path in ("jobs/a", "jobs/b"):
+            (tree / path).mkdir(parents=True)
+        (tree / "jobs" / "b" / name).write_text("4096\n")
+    v2.write_text("max\n")
+    (unified / "jobs" / "memory.max").write_text("3145728\n")
+    (unified / "jobs" / "a" / "memory.max").write_text("max\n")
+    assert harness._memory_limit() == 3 << 20
+    (unified / "jobs" / "a" / "memory.max").write_text("1048576\n")
+    assert harness._memory_limit() == 1 << 20
+    for path in (v2, unified / "jobs" / "memory.max", unified / "jobs" / "a" / "memory.max"):
+        path.unlink()  # no v2 file on the path: v1's
+    v1.write_text("9223372036854771712\n")
+    (memory / "jobs" / "a" / "memory.limit_in_bytes").write_text("5242880\n")
+    assert harness._memory_limit() == 5 << 20
+    # a path the mount does not show, as in a container without its own
+    # cgroup namespace, leaves the mount's own file
+    cgroup.write_text("4:memory:/host/job\n")
+    v1.write_text("6291456\n")
+    assert harness._memory_limit() == 6 << 20
 
 
 def test_run_replicates_rejects_zero_workers():
