@@ -14,9 +14,10 @@ Commands
     Weight-array partial sums against their factorial limits.
 
 Exit codes: 0 success, 1 statistical failure, 2 configuration error,
-3 numeric/internal error.  ``--seed``/``--workers`` flags override the
-config file; workers are read by ``verify`` alone.  Every output is a
-deterministic function of the config bytes and the flags.
+3 numeric/internal error.  ``--seed`` overrides the config file's seed;
+``verify --workers`` (default: the CPUs the process may use) alone sets
+the worker count.  Every output is a deterministic function of the
+config bytes and the flags.
 """
 
 from __future__ import annotations
@@ -42,20 +43,20 @@ EXIT_NUMERIC = 3
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    out = dataclasses.replace(cfg, seed=cfg.seed if args.seed is None else args.seed)
-    if args.command == "verify":
-        workers = cfg.workers if args.workers is None else parse_int("--workers", args.workers, 1)
-        out = dataclasses.replace(out, workers=workers or len(os.sched_getaffinity(0)))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, engine=dataclasses.replace(cfg.engine, seed=args.seed))
+    if args.command == "verify" and args.workers is not None:
+        parse_int("--workers", args.workers, 1)
     if args.out:
-        out = dataclasses.replace(out, output_dir=args.out)
-    return out
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
+    return cfg
 
 
 def _metadata(cfg: RunConfig) -> dict:
     return {
         "config_sha256": cfg.digest,
         "artifact_version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.engine.seed,
     }
 
 
@@ -66,12 +67,12 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    spec = oracle.build_clt_spec(cfg.model, cfg.levels)
+    spec = oracle.build_clt_spec(cfg.engine.model, cfg.engine.levels)
     out = _outdir(cfg)
     meta = _metadata(cfg)
 
     rows = []
-    for k in range(cfg.levels + 1):
+    for k in range(cfg.engine.levels + 1):
         b = spec.bundles[k]
         for idx, (label, pi) in enumerate(zip(b.space.labels, b.invariant.weights.tolist())):
             rows.append([k, idx, label, pi])
@@ -79,7 +80,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         write_csv(fh, ["level", "state", "label", "pi"], rows, meta)
 
     rows = []
-    for k in range(cfg.levels + 1):
+    for k in range(cfg.engine.levels + 1):
         for name, f in cfg.functions[k]:
             terms = oracle.variance_terms(spec, k, f)
             rows.append([k, name, terms[0], oracle.sum_in_order(terms), oracle.cross_coefficient(k, k)])
@@ -92,9 +93,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
         )
 
     rows = []
-    for k in range(cfg.levels + 1):
+    for k in range(cfg.engine.levels + 1):
         b = spec.bundles[k]
-        d_norm = spec.d_ops[k].scale if k < cfg.levels else float("nan")
+        d_norm = spec.d_ops[k].scale if k < cfg.engine.levels else float("nan")
         rows.append(
             [k, b.n0, b.m_n0, b.p_n0, b.norm, b.poisson_resid, d_norm]
         )
@@ -114,9 +115,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    result = run_batch(
-        cfg.engine_config(), range(cfg.replicates), keep_history=True
-    )
+    result = run_batch(cfg.engine, range(cfg.replicates), keep_history=True)
     path = out / "trajectories.csv"
     with open(path, "wb") as fh:
         export_trajectories_csv(result, fh)
@@ -125,15 +124,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, inject: bool) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     report, samples = verify_theorem(
-        cfg.engine_config(),
+        cfg.engine,
         cfg.replicates,
         cfg.functions,
         checkpoints=cfg.checkpoints,
-        inject_variance_error=inject,
-        workers=cfg.workers,
+        inject_variance_error=args.inject_variance_error,
+        workers=args.workers or len(os.sched_getaffinity(0)),
     )
     report.write(out, _metadata(cfg))
     with open(out / "raw_samples.csv", "w") as fh:
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
             return cmd_oracle(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg)
-        return cmd_verify(cfg, inject=args.inject_variance_error)
+        return cmd_verify(cfg, args)
     except oracle.OracleError as e:
         print(f"oracle error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

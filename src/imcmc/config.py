@@ -141,15 +141,15 @@ def _checked(path: str, build, *args, **kwargs):
 
 @dataclass
 class RunConfig:
-    """Parsed configuration plus the raw bytes it came from."""
+    """Parsed configuration plus the raw bytes it came from.
 
-    model: object
-    levels: int
-    iterations: int
-    seed: int
+    `engine` is the one holder of the run's model, levels, iterations
+    and seed, and of the level rules it builds from them on first use.
+    """
+
+    engine: EngineConfig
     replicates: int
     checkpoints: list[int]
-    workers: int | None
     functions: list[list[tuple[str, TestFunction]]]
     output_dir: str
     raw: bytes = field(repr=False, default=b"")
@@ -157,14 +157,6 @@ class RunConfig:
     @property
     def digest(self) -> str:
         return hashlib.sha256(self.raw).hexdigest()
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            model=self.model,
-            levels=self.levels,
-            iterations=self.iterations,
-            seed=self.seed,
-        )
 
 
 def _build_fk_model(sec) -> fk.FKModel:
@@ -340,7 +332,7 @@ def parse_config(raw: bytes) -> RunConfig:
         raise ConfigError("model.type", f"must be 'fk' or 'annealing', got {mtype!r}")
 
     esec = parser["engine"]
-    keys = {"levels", "iterations", "seed", "replicates", "checkpoints", "workers"}
+    keys = {"levels", "iterations", "seed", "replicates", "checkpoints"}
     _known_keys("engine", esec, keys)
     if "iterations" not in esec:
         raise ConfigError("engine.iterations", "required")
@@ -357,7 +349,6 @@ def parse_config(raw: bytes) -> RunConfig:
     )
     if any(n < 0 or n > iterations for n in checkpoints):
         raise ConfigError("engine.checkpoints", "entries must lie in 0..iterations")
-    workers = parse_int("engine.workers", esec["workers"], 1) if "workers" in esec else None
 
     spaces = []
     for k in range(levels + 1):
@@ -375,13 +366,9 @@ def parse_config(raw: bytes) -> RunConfig:
     output_dir = osec.get("directory", "out")
 
     return RunConfig(
-        model=model,
-        levels=levels,
-        iterations=iterations,
-        seed=seed,
+        engine=EngineConfig(model=model, levels=levels, iterations=iterations, seed=seed),
         replicates=replicates,
         checkpoints=sorted(set(checkpoints)),
-        workers=workers,
         functions=functions,
         output_dir=output_dir,
         raw=raw,

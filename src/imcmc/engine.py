@@ -51,10 +51,10 @@ levels, all three otherwise.  A block is at most :data:`MAX_BLOCK`
 steps and, up to ``4 * BLOCK_CELLS`` replicates, at most that many
 (replicate, step) cells, so its uniforms stay within 3 MiB (0.75 MiB
 at 64 replicates), one slice's within 0.75 MiB, and a level's state
-buffer within 128 KiB per byte of its dtype.  :func:`replicate_bytes`,
-the memory charged to a run of many replicates, reads its tables,
-widths and kept histories off the same rules that :func:`run_batch`
-runs.
+buffer within 128 KiB per byte of its dtype.  A config builds its
+level rules once (:attr:`EngineConfig.rules`); :func:`run_batch` runs
+them, and :func:`replicate_bytes`, the memory charged to a run of many
+replicates, reads its tables, widths and kept histories off them.
 
 Randomness contract
 -------------------
@@ -78,7 +78,7 @@ pinned trajectory digests of the tests together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -252,6 +252,14 @@ class EngineConfig:
 
     def level_spaces(self) -> tuple[FiniteSpace, ...]:
         return tuple(self.model.level_space(k).space for k in range(self.levels + 1))
+
+    @cached_property
+    def rules(self) -> list[_Rule]:
+        """The level rules that :func:`run_batch` runs and
+        :func:`replicate_bytes` prices, built once, on first use: every
+        run of this config, in this process or a fork of it, reads the
+        same tables.  ``dataclasses.replace`` gives a copy that has none."""
+        return _rules(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,20 +443,21 @@ def replicate_bytes(config: EngineConfig, checkpoints: int) -> tuple[int, int]:
     """Bytes charged to a ``run_batch(..., keep_history=False)`` of ``B``
     replicates, as ``(fixed, each)``: ``fixed + B * each``.
 
-    The charge reads the tables, widths and kept histories off the rules
-    that :func:`run_batch` runs.  The fixed part is the float tables
-    those rules hold and a slice's uniforms and step temporaries, about
-    six int64 arrays of :data:`BLOCK_CELLS` cells, charged as seven.  A
-    slice clamped to one step has ``B * width`` cells, more than that on
-    a wide alphabet, so each replicate adds seven int64 cells per state
-    of the widest rule.  Each replicate also adds its kept histories,
-    packed as :class:`_History` stores them; at the longest block, its
-    float64 uniforms and state buffers, one per level in its history
-    dtype; one generator per level; and its int64 occupation counts: one
-    row per level, as many again at each of the `checkpoints` snapshots,
-    and two more of the largest while a block's are added.
+    The charge reads the tables, widths and kept histories off
+    ``config.rules``, the rules :func:`run_batch` runs, built once.  The
+    fixed part is the float tables those rules hold and a slice's
+    uniforms and step temporaries, about six int64 arrays of
+    :data:`BLOCK_CELLS` cells, charged as seven.  A slice clamped to one
+    step has ``B * width`` cells, more than that on a wide alphabet, so
+    each replicate adds seven int64 cells per state of the widest rule.
+    Each replicate also adds its kept histories, packed as
+    :class:`_History` stores them; at the longest block, its float64
+    uniforms and state buffers, one per level in its history dtype; one
+    generator per level; and its int64 occupation counts: one row per
+    level, as many again at each of the `checkpoints` snapshots, and two
+    more of the largest while a block's are added.
     """
-    rules = _rules(config)
+    rules = config.rules
     sizes = [sp.size for sp in config.level_spaces()]
     items = [_history_dtype(size).itemsize for size in sizes]
     history = sum(
@@ -634,7 +643,7 @@ def run_batch(
             raise ValueError(f"checkpoint {n} lies outside 0..{config.iterations}")
     spaces = config.level_spaces()
     sizes = [sp.size for sp in spaces]
-    rules = _rules(config)
+    rules = config.rules
     B, N, L = len(replicates), config.iterations, config.levels
     block = min(MAX_BLOCK, max(1, 4 * BLOCK_CELLS // B))
     gens = [[_philox(key) for key in _stream_keys(config.seed, replicates, k)] for k in range(L + 1)]

@@ -136,10 +136,12 @@ def run_replicates(
     (:func:`~imcmc.engine.replicate_bytes`) fits in each worker's share
     of :data:`MEMORY_FRACTION` of the memory this process may use; when
     not even one replicate fits, a ``MemoryError`` that names the need
-    is raised before any process starts.  With `workers` above 1 the chunks
-    run on that many forked children, capped at the CPUs this process may
-    use, which write their rows into one shared array at their replicates
-    (:func:`_run_forked`); every child is reaped before the call returns.
+    is raised before any process starts.  The charge builds
+    ``config.rules`` in this process, and every chunk runs those tables.
+    With `workers` above 1 the chunks run on that many forked children,
+    capped at the CPUs this process may use, which write their rows into
+    one shared array at their replicates (:func:`_run_forked`); every
+    child is reaped before the call returns.
     Each replicate draws from its own streams, so the result is
     bit-identical for any worker count and chunk size.
     """

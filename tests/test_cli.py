@@ -56,7 +56,7 @@ def write_cfg(tmp_path, text, name="run.ini"):
 
 def test_parse_round_trip_fields():
     cfg = parse_config(toy_text(checkpoints="1000 2000").encode())
-    assert cfg.levels == 2 and cfg.iterations == 2000 and cfg.seed == 3
+    assert cfg.engine.levels == 2 and cfg.engine.iterations == 2000 and cfg.engine.seed == 3
     assert cfg.checkpoints == [1000, 2000]
     assert len(cfg.functions) == 3 and cfg.functions[2][0][0] == "fterm"
 
@@ -92,7 +92,7 @@ f = terminal_indicator(0)
 g@1 = 1.0 0.0 0.0 0.0
 """
     cfg = parse_config(explicit.encode())
-    assert cfg.model.levels == 1
+    assert cfg.engine.model.levels == 1
     assert [name for name, _ in cfg.functions[1]] == ["f", "g"]
 
     annealing = """
@@ -112,7 +112,7 @@ replicates = 4
 ground = indicator(0)
 """
     acfg = parse_config(annealing.encode())
-    assert acfg.model.space.size == 3
+    assert acfg.engine.model.space.size == 3
 
 
 def test_parse_rejects_non_stochastic_matrix():
@@ -381,6 +381,15 @@ def test_seed_override_changes_output(tmp_path):
     data_a = [l for l in a if not l.startswith("#")]
     data_b = [l for l in b if not l.startswith("#")]
     assert data_a != data_b
+    # --seed replaces the config's seed, rows and metadata alike
+    out3, out4 = tmp_path / "c", tmp_path / "d"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(out3), "--seed", "5"]) == 0
+    seeded = write_cfg(tmp_path, toy_text(levels=0, iterations=100, replicates=2, seed=5), "5.ini")
+    assert cli.main(["simulate", "--config", seeded, "--out", str(out4)]) == 0
+    c = (out3 / "trajectories.csv").read_text().splitlines()
+    d = (out4 / "trajectories.csv").read_text().splitlines()
+    assert [l for l in c if not l.startswith("#")] == [l for l in d if not l.startswith("#")]
+    assert "# seed: 5" in c and "# seed: 5" in d
 
 
 def test_environment_is_not_an_input(tmp_path, monkeypatch):
@@ -642,11 +651,14 @@ def test_subnormal_gibbs_weight_builds_without_warning(tmp_path):
     # read as the default 2 replicates, a toy verify passed even with its
     # variances doubled
     (toy_text(), ("replicates =", "replicate ="), "engine.replicate"),
+    # the worker count is read from --workers alone
+    (toy_text(), ("replicates =", "workers = 2\nreplicates ="), "engine.workers"),
     (toy_text(), ("directory =", "directroy ="), "output.directroy"),
     (toy_text(), ("[output]", "[output]\nformats = csv"), "output.formats"),
     (EXPLICIT_FK, ("[engine]", "transition_2 = 0.9 0.1; 0.2 0.8\n[engine]"), "model.transition_2"),
     (ANNEALING, ("[engine]", "kernel = mh\n[engine]"), "model.kernel"),
-], ids=["model", "engine", "output", "output-formats", "fk-transition", "annealing-kernel"])
+], ids=["model", "engine", "engine-workers", "output", "output-formats", "fk-transition",
+        "annealing-kernel"])
 def test_unknown_key_exit_2(tmp_path, capsys, text, edit, field):
     cfgp = write_cfg(tmp_path, text.replace(*edit))
     assert cli.main(["verify", "--config", cfgp, "--out", str(tmp_path / "v")]) == 2

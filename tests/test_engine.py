@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -271,9 +272,11 @@ def _lean_peak(cfg, replicates, checkpoints=()):
     import tracemalloc
 
     engine.run_batch(cfg, range(2), keep_history=False)  # enumerates the path spaces
+    # a fresh copy builds its rules again, so the peak counts their tables
+    fresh = dataclasses.replace(cfg)
     tracemalloc.start()
     try:
-        res = engine.run_batch(cfg, range(replicates), checkpoints=checkpoints, keep_history=False)
+        res = engine.run_batch(fresh, range(replicates), checkpoints=checkpoints, keep_history=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,6 +396,52 @@ def test_annealing_levels_build_one_table():
     # takes it near 8.0 MiB
     peak = _peak_of("annealing_512", 600, 16, 0)
     assert peak < 10 * 2**20, peak / 2**20
+
+
+def test_run_replicates_builds_the_rules_once(monkeypatch):
+    # the chunk charge builds the rules in this process, and every chunk,
+    # in process or in a forked worker, runs those tables: a second build
+    # raises, and in a worker ends the run in ChildProcessError
+    from helpers import assert_no_child_left
+    from imcmc import harness
+
+    built, rules = [], engine._rules
+
+    def once(config):
+        assert not built, "level rules built twice"
+        built.append(config)
+        return rules(config)
+
+    monkeypatch.setattr(engine, "_rules", once)
+    # two usable CPUs, so workers=2 runs two processes on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = _config_of("annealing_512", 200)
+    functions = [[("f", TestFunction(sp, np.arange(sp.size) % 2.0))] for sp in cfg.level_spaces()]
+    pis = [Measure(sp, np.full(sp.size, 1.0 / sp.size)) for sp in cfg.level_spaces()]
+    runs = []
+    for workers in (1, 2):
+        built.clear()
+        fresh = dataclasses.replace(cfg)
+        runs.append(harness.run_replicates(fresh, 600, functions, [200], pis, workers=workers))
+        assert built == [fresh]
+        assert_no_child_left()
+    assert np.array_equal(runs[0].values, runs[1].values)
+
+
+def test_replicate_bytes_of_built_rules_allocates_nothing():
+    # pricing reads the rules a config holds: it built every 512-state
+    # table again for each call, an 8.01 MiB peak
+    import tracemalloc
+
+    cfg = _digest_config("annealing_512")
+    charge = engine.replicate_bytes(cfg, 3)
+    tracemalloc.start()
+    try:
+        assert engine.replicate_bytes(cfg, 3) == charge
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20, peak / 2**20
 
 
 def test_redraw_levels_carry_narrow_counts():
